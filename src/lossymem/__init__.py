@@ -36,18 +36,7 @@ from .information import (
     r_limit,
     rate_gain,
 )
-from .matrix_core import (
-    SymMatrix,
-    available_backends,
-    backend_name,
-    block_diag,
-    matmul,
-    set_backend,
-    spd_logdet,
-    spd_solve,
-    top_left,
-    transpose_matmul,
-)
+from .matrix_core import SymMatrix, spd_logdet, spd_solve
 from .oracle import (
     McConfig,
     MiEstimate,
@@ -87,15 +76,8 @@ __all__ = [
     "r_limit",
     "rate_gain",
     "SymMatrix",
-    "available_backends",
-    "backend_name",
-    "block_diag",
-    "matmul",
-    "set_backend",
     "spd_logdet",
     "spd_solve",
-    "top_left",
-    "transpose_matmul",
     "McConfig",
     "MiEstimate",
     "gaussian_mi_from_moments",

@@ -11,14 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpec, PhotonBudgetExceeded
-from .matrix_core import (
-    SymMatrix,
-    block_diag,
-    matmul,
-    spd_factor,
-    symmetrize,
-    transpose_matmul,
-)
+from .matrix_core import SymMatrix, block_diag, spd_factor, symmetrize
 
 # Modulation variances below this are rejected: the information formulas
 # contain 1/N and ln N, and N -> 0 is a genuine boundary of the model.
@@ -137,13 +130,13 @@ def _pair_chain(a_sig, a_env, eta, n_mod):
     rt, rr = math.sqrt(eta), math.sqrt(1.0 - eta)
     b2 = np.array([[rt, rr], [-rr, rt]])
     l2 = np.diag([2.0, 0.0])
-    f2 = matmul(a2, b2)
-    g2 = symmetrize(transpose_matmul(b2, f2))
+    f2 = a2 @ b2
+    g2 = symmetrize(b2.T @ f2)
     gl = spd_factor(g2 + l2)
     x = gl.solve(f2.T)
-    r2 = a2 - matmul(f2, x)
-    s2 = 2.0 * matmul(l2, x)
-    t2 = l2 - matmul(l2, gl.solve(l2))
+    r2 = a2 - f2 @ x
+    s2 = 2.0 * (l2 @ x)
+    t2 = l2 - l2 @ gl.solve(l2)
     r_s, s_s, t_s = r2[0, 0], s2[0, 0], t2[0, 0]
     u_s = t_s - 0.25 * s_s * s_s / (r_s + 1.0 / n_mod)
     return gl.logdet(), r_s, s_s, t_s, u_s
@@ -188,8 +181,8 @@ def assemble_model(params, enc):
     a_tot = block_diag(a_in, a_mem)
     b = build_beam_splitter(n, eta)
     l = build_heterodyne_kernel(n)
-    f = matmul(a_tot, b)
-    g = SymMatrix(transpose_matmul(b, f))
+    f = a_tot.entries @ b
+    g = SymMatrix(b.T @ f)
 
     ld_co, r_co, s_co, t_co, u_co = _pair_chain(
         2.0 * math.exp(-2 * r), 2.0 * math.exp(-2 * s), eta, n_mod)

@@ -1,64 +1,21 @@
 """Dense real symmetric matrix kernel.
 
-Block assembly, principal submatrices, SPD Cholesky factorization,
-log-determinants and linear solves. Everything downstream (channel matrices,
-entropies, oracles) funnels its linear algebra through this module.
-
-Two interchangeable backends implement the factorization loops: a compiled
-Cython module and a NumPy/SciPy fallback. The compiled one is preferred at
-import time; `set_backend` switches explicitly (used by tests and the
-benchmark script).
+Block assembly, SPD Cholesky factorization, log-determinants and linear
+solves, in NumPy alone. Everything downstream (channel matrices, entropies,
+oracles) funnels its factorizations through this module.
 """
 import numpy as np
 
 from .errors import DimensionMismatch, NotPositiveDefinite
-from . import _kernels_py
 
-try:
-    from . import _kernels_cy
-except ImportError:  # pragma: no cover - depends on the build environment
-    _kernels_cy = None
-
-_impl = _kernels_cy if _kernels_cy is not None else _kernels_py
-
-
-def backend_name():
-    """Name of the active factorization backend."""
-    return "cython" if _impl is _kernels_cy else "python"
-
-
-def available_backends():
-    names = ["python"]
-    if _kernels_cy is not None:
-        names.insert(0, "cython")
-    return names
-
-
-def set_backend(name):
-    """Select 'cython' or 'python' kernels; raises if unavailable."""
-    global _impl
-    if name == "python":
-        _impl = _kernels_py
-    elif name == "cython":
-        if _kernels_cy is None:
-            raise ValueError("compiled kernels are not available in this install")
-        _impl = _kernels_cy
-    else:
-        raise ValueError(f"unknown backend {name!r}")
-
-
-def _as_array(m):
-    if isinstance(m, SymMatrix):
-        return m.entries
-    a = np.asarray(m, dtype=np.float64)
-    if a.ndim != 2:
-        raise DimensionMismatch(f"expected a matrix, got ndim={a.ndim}")
-    return a
+_EPS = np.finfo(np.float64).eps
 
 
 def _as_square(m):
-    a = _as_array(m)
-    if a.shape[0] != a.shape[1]:
+    if isinstance(m, SymMatrix):
+        return m.entries
+    a = np.asarray(m, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got {a.shape}")
     return a
 
@@ -110,7 +67,7 @@ class CholFactor:
         return self.lower.shape[0]
 
     def logdet(self):
-        return _impl.logdet_from_factor(self.lower)
+        return 2.0 * float(np.sum(np.log(np.diag(self.lower))))
 
     def solve(self, rhs):
         b = np.asarray(rhs, dtype=np.float64)
@@ -120,7 +77,7 @@ class CholFactor:
         if b.ndim != 2 or b.shape[0] != self.dim:
             raise DimensionMismatch(
                 f"rhs rows {b.shape} do not match factor dim {self.dim}")
-        x = _impl.solve_factored(self.lower, np.ascontiguousarray(b))
+        x = np.linalg.solve(self.lower.T, np.linalg.solve(self.lower, b))
         return x[:, 0] if vector else x
 
 
@@ -131,10 +88,18 @@ def spd_factor(m):
     valid channel parameters that only happens on malformed inputs, so the
     failure is a diagnostic, not a recoverable condition.
     """
-    a = np.ascontiguousarray(_as_square(m))
-    lower = _impl.chol_factor(a)
-    if lower is None:
-        raise NotPositiveDefinite(f"matrix of dim {a.shape[0]} failed Cholesky pivot test")
+    a = _as_square(m)
+    failure = f"matrix of dim {a.shape[0]} failed Cholesky pivot test"
+    max_diag = np.max(np.diag(a))
+    if max_diag <= 0.0:
+        raise NotPositiveDefinite(failure)
+    try:
+        lower = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefinite(failure) from None
+    piv = np.diag(lower)
+    if np.min(piv * piv) <= a.shape[0] * _EPS * max_diag:
+        raise NotPositiveDefinite(failure)
     return CholFactor(lower)
 
 
@@ -157,30 +122,3 @@ def block_diag(a, b):
     out[:da, :da] = a
     out[da:, da:] = b
     return SymMatrix(out)
-
-
-def top_left(m, k):
-    """Leading k x k principal submatrix."""
-    a = _as_square(m)
-    if not 0 < k <= a.shape[0]:
-        raise DimensionMismatch(f"k={k} outside 1..{a.shape[0]}")
-    sub = a[:k, :k]
-    return SymMatrix(sub) if isinstance(m, SymMatrix) else sub.copy()
-
-
-def matmul(a, b):
-    """Plain matrix product a @ b."""
-    a = _as_array(a)
-    b = _as_array(b)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionMismatch(f"inner dims differ: {a.shape} @ {b.shape}")
-    return a @ b
-
-
-def transpose_matmul(a, b):
-    """Matrix product a^T @ b."""
-    a = _as_array(a)
-    b = _as_array(b)
-    if a.shape[0] != b.shape[0]:
-        raise DimensionMismatch(f"inner dims differ: {a.shape}^T @ {b.shape}")
-    return a.T @ b

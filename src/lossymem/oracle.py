@@ -1,15 +1,17 @@
-"""Independent verification paths for the closed-form pipeline.
+"""Verification paths for the closed-form pipeline.
 
-Three routes that share no algebra with the information module: the moment
-formula for jointly Gaussian vectors, a physical Monte Carlo simulation of
-encode -> loss -> heterodyne, and direct numerical quadrature of the
-single-use entropy integrals.
+Two routes share no algebra with the information module: a physical Monte
+Carlo simulation of encode -> loss -> heterodyne, built from the kernels and
+the beam splitter alone, and direct numerical quadrature of the single-use
+entropy integrals of a given kernel. The third, the moment formula for
+jointly Gaussian vectors, is not independent: it inverts model.v_n, which
+the pair-chain algebra of channel_model builds for the information module
+as well.
 """
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .channel_model import ChannelParams, build_beam_splitter, build_input_kernel, build_memory_kernel
 from .errors import DimensionMismatch, GridTooCoarse, InvalidSpec
@@ -63,7 +65,7 @@ def _kernel_sampler(kernel, rng_normal):
     """Draw rows with covariance kernel^{-1}/2 from standard-normal rows."""
     lower = spd_factor(kernel).lower
     # row x solves x L = z, so cov(x) = L^-T L^-1 = kernel^-1; scale by 1/sqrt(2)
-    return solve_triangular(lower.T, rng_normal.T, lower=False).T / math.sqrt(2.0)
+    return np.linalg.solve(lower.T, rng_normal.T).T / math.sqrt(2.0)
 
 
 def _empirical_mi(data, n):

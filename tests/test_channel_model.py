@@ -15,16 +15,7 @@ from lossymem.channel_model import (
     build_memory_kernel,
 )
 from lossymem.errors import InvalidSpec, NotPositiveDefinite, PhotonBudgetExceeded
-from lossymem.matrix_core import (
-    block_diag,
-    matmul,
-    spd_factor,
-    spd_logdet,
-    spd_solve,
-    symmetrize,
-    top_left,
-    transpose_matmul,
-)
+from lossymem.matrix_core import block_diag, spd_factor, spd_logdet, spd_solve, symmetrize
 
 
 def model_at(n, eta, s, r, n_mod):
@@ -224,16 +215,16 @@ def test_chain_matches_literal_route_at_moderate_memory():
     a = block_diag(build_input_kernel(n, r), build_memory_kernel(n, s))
     b = build_beam_splitter(n, eta)
     l = np.asarray(build_heterodyne_kernel(n))
-    f = matmul(np.asarray(a), b)
-    g = symmetrize(transpose_matmul(b, f))
+    f = np.asarray(a) @ b
+    g = symmetrize(b.T @ f)
     gl = spd_factor(g + l)
     x = gl.solve(f.T)
     r_full = np.asarray(a) - f @ x
     s_full = 2.0 * l @ x
     t_full = l - l @ gl.solve(l)
-    r_p = np.asarray(top_left(symmetrize(r_full), 2 * n))
+    r_p = symmetrize(r_full)[:2 * n, :2 * n]
     s_p = s_full[:2 * n, :2 * n]
-    t_p = np.asarray(top_left(symmetrize(t_full), 2 * n))
+    t_p = symmetrize(t_full)[:2 * n, :2 * n]
     shift = r_p + np.eye(2 * n) / n_mod
     u_p = t_p - 0.25 * s_p @ spd_solve(shift, s_p.T)
 

@@ -1,10 +1,14 @@
 """Sweep, optimize, and verify entry points plus exit-code mapping."""
 import io
 import math
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import lossymem
 from lossymem.cli import SweepSpec, build_parser, main, optimize, sweep, verify
 from lossymem.errors import InvalidSpec
 from lossymem.information import mutual_information, optimize_r, r_limit
@@ -225,3 +229,14 @@ def test_parser_rejects_unknown_level():
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(["verify", "bogus"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------- dependencies
+
+def test_import_needs_numpy_only():
+    src = os.path.dirname(os.path.dirname(lossymem.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = "import sys, lossymem, lossymem.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path), check=True, timeout=120)
+    assert out.stdout.strip() == "False"
