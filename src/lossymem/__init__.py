@@ -1,8 +1,9 @@
 """Information rates of a lossy bosonic channel with correlated noise.
 
 Closed-form mutual information for collective Gaussian inputs with an
-entanglement parameter r, plus independent verification oracles (moment
-formula, Monte Carlo simulation, direct quadrature) and a sweep/optimize CLI.
+entanglement parameter r, the paper's matrix chain as its reference, plus
+independent verification oracles (moment formula, Monte Carlo simulation,
+direct quadrature) and a sweep/optimize CLI.
 """
 from .channel_model import (
     N_MIN,
@@ -35,6 +36,7 @@ from .information import (
     photon_budget,
     r_limit,
     rate_gain,
+    rate_gains,
 )
 from .matrix_core import SymMatrix, spd_logdet, spd_solve
 from .oracle import (
@@ -75,6 +77,7 @@ __all__ = [
     "photon_budget",
     "r_limit",
     "rate_gain",
+    "rate_gains",
     "SymMatrix",
     "spd_logdet",
     "spd_solve",

@@ -40,6 +40,7 @@ from .information import (
     photon_budget,
     r_limit,
     rate_gain,
+    rate_gains,
 )
 from .matrix_core import spd_factor, spd_logdet
 from .oracle import McConfig, gaussian_mi_from_moments, monte_carlo_mi, quadrature_entropy_n1, sample_joint
@@ -126,25 +127,17 @@ def sweep(spec, stream=None):
     summary = []
     for s in sorted(spec.s_list):
         params = ChannelParams(n=spec.n, eta=spec.eta, s=s, n_eff=spec.n_eff)
-        emitted = 0
-        skipped = 0
-        best_gain = None
-        best_r = None
-        for r in grid:
-            try:
-                point = rate_gain(params, r)
-            except PhotonBudgetExceeded:
-                skipped += 1
-                continue
-            info = point.info
-            rows.append(SweepRow(
-                s=s, r=r, n_mod=point.n_mod, i_mu=info.i_mu, i_zeta=info.i_zeta,
-                i_joint=info.i_joint, i_r=info.i_r, rate=info.rate, gain=point.gain))
-            emitted += 1
-            if best_gain is None or point.gain > best_gain:
-                best_gain, best_r = point.gain, r
-        summary.append((s, emitted, skipped, mutual_information(params, 0.0).rate,
-                        best_gain, best_r))
+        r_ok, n_mod, gain, info = rate_gains(params, grid)
+        columns = (r_ok, n_mod, info.i_mu, info.i_zeta, info.i_joint, info.i_r,
+                   info.rate, gain)
+        for values in zip(*(column.tolist() for column in columns)):
+            rows.append(SweepRow(s, *values))
+        best_gain = best_r = None
+        if len(gain):
+            best = int(np.argmax(gain))
+            best_gain, best_r = float(gain[best]), float(r_ok[best])
+        summary.append((s, len(r_ok), len(grid) - len(r_ok),
+                        mutual_information(params, 0.0).rate, best_gain, best_r))
 
     lines = [_CSV_HEADER]
     for row in rows:
@@ -311,24 +304,29 @@ def _check_information_bounds(rng):
 
 
 def _check_rate_additivity(rng):
+    # on the matrix chain: the closed-form core is n-independent by construction
     worst = 0.0
     for _ in range(5):
         eta, s, n_eff, r = _random_point(rng)
-        rates = [mutual_information(ChannelParams(n=n, eta=eta, s=s, n_eff=n_eff), r).rate
+        rates = [_chain_mi(ChannelParams(n=n, eta=eta, s=s, n_eff=n_eff), r)[0] / n
                  for n in (2, 3, 4)]
         worst = max(worst, abs(rates[0] - rates[1]), abs(rates[1] - rates[2]))
     return worst <= 1e-7, f"max_dev={worst:.3e}"
 
 
-def _closed_vs_moments(params, r):
+def _chain_mi(params, r):
+    """Mutual information (bits) on the paper's matrix chain, with its model and n_mod."""
     n = params.n
     n_mod = photon_budget(params.n_eff, r)
     model = assemble_model(params, EncodingPoint(r=r, n_mod=n_mod))
-    i_mu = input_entropy(n, n_mod)
     i_zeta, _ = output_entropy(model, n, n_mod)
     i_joint, _ = joint_entropy(model, n, n_mod)
-    closed = i_mu + i_zeta - i_joint
-    return abs(closed - gaussian_mi_from_moments(model, n, n_mod))
+    return input_entropy(n, n_mod) + i_zeta - i_joint, model, n_mod
+
+
+def _closed_vs_moments(params, r):
+    closed, model, n_mod = _chain_mi(params, r)
+    return abs(closed - gaussian_mi_from_moments(model, params.n, n_mod))
 
 
 def _check_moment_oracle_grid():

@@ -1,24 +1,37 @@
-"""Closed-form entropies, mutual information, rate and relative gain.
+"""Entropies, mutual information, rate and relative gain.
 
-All entropy formulas are evaluated in log space (powers like 2^{3n}, N^n and
-pi^n enter only as sums of logarithms) so nothing overflows for large n. The
-normalization coefficient multiplying each entropy bracket is computed rather
-than assumed to be 1 and reported as c_out / c_joint; it equals 1 up to
-round-off for valid parameters, which downstream checks monitor. Internal
-unit is nats; conversion to bits happens once, at each entropy's return.
+Two routes compute the same entropies. The closed-form core, `_closed_form`,
+uses the fact that the channel splits into n copies of two decoupled
+(signal, environment) quadrature pairs (see `assemble_model`): every
+quadrature is Gaussian, so each entropy is a sum of log-variances and the
+information per pair class is one `log1p` term, the one-mode Gaussian-channel
+reduction of Holevo & Werner, PRA 63, 032312 (2001). It is written in numpy
+ufuncs, so a float r and an array of r give the same bits element by element.
+`mutual_information`, `rate_gain`, `rate_gains` and `optimize_r` run on it and
+build no matrix.
+
+The paper's matrix chain is the reference that the tests and `verify` check
+the core against: `output_entropy` and `joint_entropy` evaluate the entropies
+from the assembled `ModelMatrices` in log space (powers like 2^{3n}, N^n and
+pi^n enter only as sums of logarithms). Each also returns the normalization
+coefficient multiplying its entropy bracket, c_out or c_joint, computed
+rather than assumed to be 1; it equals 1 up to round-off for valid
+parameters. The core has no such coefficient. Internal unit is nats;
+conversion to bits happens once, at each entropy's return.
 """
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .channel_model import N_MIN, ChannelParams, EncodingPoint, assemble_model
+from .channel_model import N_MIN
 from .errors import DegenerateBaseline, PhotonBudgetExceeded
 from .matrix_core import spd_logdet
 
 LN2 = math.log(2.0)
 LN_PI = math.log(math.pi)
+# ln(2 pi e): twice the differential entropy (nats) of a unit-variance Gaussian
+_LN_2PI_E = 1.0 + math.log(2.0 * math.pi)
 
 # Coarse-grid size seeding the golden-section branches of optimize_r.
 _SEED_GRID = 256
@@ -27,16 +40,14 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 @dataclass(frozen=True)
 class InfoBreakdown:
-    """Entropies (bits), mutual information, per-use rate, and the
-    normalization health coefficients (both should be ~1)."""
+    """Entropies (bits), mutual information and per-use rate; floats from
+    mutual_information, arrays from rate_gains."""
 
     i_mu: float
     i_zeta: float
     i_joint: float
     i_r: float
     rate: float
-    c_out: float
-    c_joint: float
 
 
 @dataclass(frozen=True)
@@ -66,10 +77,10 @@ def r_limit(n_eff):
 
 
 def input_entropy(n, n_mod):
-    """Entropy of the Gaussian modulation ensemble, in bits."""
-    if not n_mod >= N_MIN:
-        raise PhotonBudgetExceeded(f"modulation variance {n_mod!r} below {N_MIN}")
-    return (n + n * math.log(math.pi * n_mod)) / LN2
+    """Entropy of the Gaussian modulation ensemble, in bits (n_mod a float or an array)."""
+    if not np.all(n_mod >= N_MIN):
+        raise PhotonBudgetExceeded(f"modulation variance {float(np.min(n_mod))!r} below {N_MIN}")
+    return (n + n * np.log(math.pi * n_mod)) / LN2
 
 
 def output_entropy(model, n, n_mod):
@@ -93,41 +104,80 @@ def joint_entropy(model, n, n_mod):
     return c_joint * (2 * n - ln_norm) / LN2, c_joint
 
 
+def _closed_form(params, r, n_mod):
+    """Closed-form core: (i_mu, i_zeta, i_joint, i_r) in bits at entanglement r.
+
+    r and n_mod are floats, or arrays of one shape, of admissible points with
+    n_mod = photon_budget(n_eff, r). Given the modulation, each use carries
+    one output quadrature of noise variance plus/4 and one of minus/4; the
+    modulation adds eta N / 2 to both. So h_noise, the output entropy given
+    the modulation, is a sum of log-variances, and the information is one
+    log1p term per quadrature class.
+    """
+    n, eta, s = params.n, params.eta, params.s
+    plus = 1.0 + eta * np.exp(2.0 * r) + (1.0 - eta) * math.exp(2.0 * s)
+    minus = 1.0 + eta * np.exp(-2.0 * r) + (1.0 - eta) * math.exp(-2.0 * s)
+    signal = 2.0 * eta * n_mod
+    h_noise = n * _LN_2PI_E + 0.5 * n * (np.log(plus / 4.0) + np.log(minus / 4.0))
+    info = 0.5 * n * (np.log1p(signal / plus) + np.log1p(signal / minus))
+    i_mu = input_entropy(n, n_mod)
+    i_zeta = (h_noise + info) / LN2
+    i_joint = i_mu + h_noise / LN2
+    return i_mu, i_zeta, i_joint, i_mu + i_zeta - i_joint
+
+
 def mutual_information(params, r):
     """Full information breakdown at entanglement r within the photon budget."""
     n_mod = photon_budget(params.n_eff, r)
-    model = assemble_model(params, EncodingPoint(r=r, n_mod=n_mod))
-    n = params.n
-    i_mu = input_entropy(n, n_mod)
-    i_zeta, c_out = output_entropy(model, n, n_mod)
-    i_joint, c_joint = joint_entropy(model, n, n_mod)
-    i_r = i_mu + i_zeta - i_joint
+    i_mu, i_zeta, i_joint, i_r = (float(v) for v in _closed_form(params, r, n_mod))
     return InfoBreakdown(
-        i_mu=i_mu, i_zeta=i_zeta, i_joint=i_joint, i_r=i_r, rate=i_r / n,
-        c_out=c_out, c_joint=c_joint)
+        i_mu=i_mu, i_zeta=i_zeta, i_joint=i_joint, i_r=i_r, rate=i_r / params.n)
 
 
-@lru_cache(maxsize=1024)
-def _baseline(params):
-    return mutual_information(params, 0.0)
+def _nonzero_baseline(params):
+    """Mutual information at r = 0, rejected when too small to divide by."""
+    base = mutual_information(params, 0.0)
+    if base.i_r <= 1e-12:
+        raise DegenerateBaseline(
+            f"baseline mutual information {base.i_r!r} is ~0 (eta too small)")
+    return base
 
 
 def rate_gain(params, r):
     """Relative gain of entanglement r over the r = 0 baseline.
 
-    The baseline is cached per params, and r = 0 reuses it directly so a
-    zero-entanglement point carries gain exactly 0.
+    r = 0 reuses the baseline directly so a zero-entanglement point carries
+    gain exactly 0.
     """
-    base = _baseline(params)
-    if base.i_r <= 1e-12:
-        raise DegenerateBaseline(
-            f"baseline mutual information {base.i_r!r} is ~0 (eta too small)")
+    base = _nonzero_baseline(params)
     if r == 0.0:
         return GainPoint(r=0.0, n_mod=params.n_eff, gain=0.0, info=base)
     info = mutual_information(params, r)
     return GainPoint(
         r=r, n_mod=photon_budget(params.n_eff, r),
         gain=(info.i_r - base.i_r) / base.i_r, info=info)
+
+
+def rate_gains(params, r_values):
+    """rate_gain at many r in one array evaluation.
+
+    Values of r outside the photon budget are dropped. Returns arrays
+    (r, n_mod, gain) of the admissible points, in input order, and their
+    InfoBreakdown of arrays; element by element they equal rate_gain's.
+    """
+    base = _nonzero_baseline(params)
+    kept = []
+    for r in r_values:
+        try:
+            kept.append((float(r), photon_budget(params.n_eff, r)))
+        except PhotonBudgetExceeded:
+            continue
+    r_arr, n_mod = np.array(kept, dtype=float).reshape(-1, 2).T
+    i_mu, i_zeta, i_joint, i_r = _closed_form(params, r_arr, n_mod)
+    gain = np.where(r_arr == 0.0, 0.0, (i_r - base.i_r) / base.i_r)
+    info = InfoBreakdown(
+        i_mu=i_mu, i_zeta=i_zeta, i_joint=i_joint, i_r=i_r, rate=i_r / params.n)
+    return r_arr, n_mod, gain, info
 
 
 def _golden_max(fn, lo, hi, tol=1e-9):
@@ -163,8 +213,8 @@ def optimize_r(params):
     def gain_at(r):
         return rate_gain(params, r).gain
 
-    grid = np.linspace(-lim, lim, _SEED_GRID)
-    gains = [gain_at(r) for r in grid]
+    grid, _, gains, _ = rate_gains(params, np.linspace(-lim, lim, _SEED_GRID))
+    grid, gains = grid.tolist(), gains.tolist()
     step = grid[1] - grid[0]
 
     best_r, best_g = 0.0, gain_at(0.0)

@@ -11,7 +11,7 @@ import pytest
 import lossymem
 from lossymem.cli import SweepSpec, build_parser, main, optimize, sweep, verify
 from lossymem.errors import InvalidSpec
-from lossymem.information import mutual_information, optimize_r, r_limit
+from lossymem.information import mutual_information, optimize_r, r_limit, rate_gain
 from lossymem.channel_model import ChannelParams
 
 HEADER = "s,r,N,I_mu,I_zeta,I_joint,I_r,rate,gain"
@@ -127,6 +127,20 @@ def test_sweep_reproduces_gain_profiles(tmp_path):
     high = series(20.0, tmp_path / "high.csv")
     useful_high = sum(1 for r, g in high[5.0] if r > 0 and g > 0)
     assert useful_high > useful_low
+
+
+def test_sweep_rows_match_scalar_rate_gain(tmp_path):
+    spec = small_spec(tmp_path / "out.csv", s_list=(0.0, 1.0, 5.0), r_min=-1.3,
+                      r_max=1.3, r_steps=27)
+    rows = sweep(spec, stream=io.StringIO())
+    assert len(rows) == 3 * 23
+    for row in rows:
+        point = rate_gain(ChannelParams(n=2, eta=0.8, s=row.s, n_eff=2.0), row.r)
+        for got, want in ((row.n_mod, point.n_mod), (row.i_mu, point.info.i_mu),
+                          (row.i_zeta, point.info.i_zeta), (row.i_joint, point.info.i_joint),
+                          (row.i_r, point.info.i_r), (row.rate, point.info.rate),
+                          (row.gain, point.gain)):
+            assert abs(got - want) <= 1e-14 * abs(want)
 
 
 def test_sweep_summary_format(tmp_path):

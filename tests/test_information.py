@@ -153,6 +153,55 @@ def test_information_is_bounded():
         assert info.i_r < info.i_mu
 
 
+def _chain_breakdown(params, r):
+    """(i_zeta, i_joint, rate) on the paper's matrix chain, the reference route."""
+    model, n_mod = model_for(params, r)
+    i_zeta, _ = output_entropy(model, params.n, n_mod)
+    i_joint, _ = joint_entropy(model, params.n, n_mod)
+    return i_zeta, i_joint, (input_entropy(params.n, n_mod) + i_zeta - i_joint) / params.n
+
+
+def test_closed_form_matches_matrix_chain():
+    # 1125 points spanning n, eta, s, N_eff and r
+    worst_rate = worst_zeta = worst_joint = 0.0
+    for n in (1, 2, 8):
+        for n_eff in (0.5, 2.0, 20.0):
+            lim = r_limit(n_eff)
+            for eta in (0.05, 0.3, 0.55, 0.8, 1.0):
+                for s in (-5.0, -2.0, 0.0, 2.5, 5.0):
+                    params = params_at(n=n, eta=eta, s=s, n_eff=n_eff)
+                    for frac in (-0.95, -0.5, 0.0, 0.4, 0.95):
+                        info = mutual_information(params, frac * lim)
+                        i_zeta, i_joint, rate = _chain_breakdown(params, frac * lim)
+                        worst_rate = max(worst_rate, abs(info.rate - rate) / info.rate)
+                        worst_zeta = max(worst_zeta, abs(info.i_zeta - i_zeta))
+                        worst_joint = max(worst_joint, abs(info.i_joint - i_joint))
+    assert worst_rate <= 1e-7
+    assert worst_zeta <= 5e-7
+    assert worst_joint <= 5e-7
+
+
+def test_far_budget_rates_match_high_precision_values():
+    # eta = 0.3, s = 8, N_eff = 1e8 near the budget edge; the values are the
+    # two-log1p rate evaluated in mpmath at 60 digits (the matrix chain
+    # gives 19.67 and 20.44 bits here)
+    params = params_at(n=2, eta=0.3, s=8.0, n_eff=1e8)
+    lim = r_limit(1e8)
+    for frac, want in ((-0.99, 0.80027660849872), (0.99, 11.7517357388523)):
+        rate = mutual_information(params, frac * lim).rate
+        assert abs(rate - want) <= 1e-12 * want
+
+
+def test_tiny_transmissivity_information_is_exact():
+    # mpmath values at 60 digits. i_r is a difference of entropies of up to
+    # 14 bits at s = 0 and 27 bits at s = 8, so a few ulp of those allow
+    # 6e-10 and 6e-8 relative; the matrix chain is 3.2% low at s = 8.
+    for s, r, want, rtol in ((0.0, 0.3, 5.50320465457e-6, 1e-9),
+                             (8.0, -0.99 * r_limit(2.0), 1.60140086681801e-7, 1e-7)):
+        info = mutual_information(params_at(n=2, eta=1e-6, s=s, n_eff=2.0), r)
+        assert abs(info.i_r - want) <= rtol * want
+
+
 # ---------------------------------------------------------------- gain
 
 def test_zero_entanglement_gain_is_exactly_zero():
