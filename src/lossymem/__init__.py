@@ -38,7 +38,7 @@ from .information import (
     rate_gain,
     rate_gains,
 )
-from .matrix_core import SymMatrix, spd_logdet, spd_solve
+from .matrix_core import spd_logdet
 from .oracle import (
     McConfig,
     MiEstimate,
@@ -78,9 +78,7 @@ __all__ = [
     "r_limit",
     "rate_gain",
     "rate_gains",
-    "SymMatrix",
     "spd_logdet",
-    "spd_solve",
     "McConfig",
     "MiEstimate",
     "gaussian_mi_from_moments",

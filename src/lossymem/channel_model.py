@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpec, PhotonBudgetExceeded
-from .matrix_core import SymMatrix, block_diag, spd_factor, symmetrize
+from .matrix_core import spd_factor, symmetrize
 
 # Modulation variances below this are rejected: the information formulas
 # contain 1/N and ln N, and N -> 0 is a genuine boundary of the model.
@@ -55,25 +55,19 @@ class EncodingPoint:
 
 @dataclass(frozen=True, eq=False)
 class ModelMatrices:
-    """Every assembled quadratic-form matrix for one (params, encoding) point.
+    """The reference chain's outputs for one (params, encoding) point.
 
     r_p, s_p, t_p are the leading 2n x 2n blocks of the full conditional-
     output chain; u_p is the output kernel, v_n the joint (mu, zeta) kernel
-    including the 1/N modulation shift; logdet_gl caches ln det(G + L).
+    including the 1/N modulation shift; logdet_gl is ln det(G + L). All are
+    plain float64 arrays built from the 2x2 pair chain, with no dense 4n x 4n G.
     """
 
-    a_in: SymMatrix
-    a_mem: SymMatrix
-    a_tot: SymMatrix
-    b: np.ndarray
-    l: SymMatrix
-    f: np.ndarray
-    g: SymMatrix
     r_p: np.ndarray
     s_p: np.ndarray
     t_p: np.ndarray
-    u_p: SymMatrix
-    v_n: SymMatrix
+    u_p: np.ndarray
+    v_n: np.ndarray
     logdet_gl: float
 
 
@@ -95,7 +89,7 @@ def build_input_kernel(n, r):
     out = np.zeros((2 * n, 2 * n))
     out[:n, :n] = half(r)
     out[n:, n:] = half(-r)
-    return SymMatrix((2.0 / n) * out)
+    return (2.0 / n) * out
 
 
 def build_memory_kernel(n, s):
@@ -116,7 +110,7 @@ def build_heterodyne_kernel(n):
     """Measurement kernel: 2I on the 2n signal quadratures, zero elsewhere."""
     out = np.zeros((4 * n, 4 * n))
     out[:2 * n, :2 * n] = 2.0 * np.eye(2 * n)
-    return SymMatrix(out)
+    return out
 
 
 def _pair_chain(a_sig, a_env, eta, n_mod):
@@ -158,7 +152,7 @@ def _sector_form(n, c_co, c_rel):
 
 
 def assemble_model(params, enc):
-    """Assemble every model matrix for one (params, encoding) point.
+    """Assemble the reference chain's matrices for one (params, encoding) point.
 
     The kernels share one orthogonal mode rotation under which the whole
     chain splits into independent (signal, environment) quadrature pairs:
@@ -176,14 +170,6 @@ def assemble_model(params, enc):
         raise PhotonBudgetExceeded(
             f"encoding carries n_mod={n_mod!r} but the budget leaves {budget!r}")
 
-    a_in = build_input_kernel(n, r)
-    a_mem = build_memory_kernel(n, s)
-    a_tot = block_diag(a_in, a_mem)
-    b = build_beam_splitter(n, eta)
-    l = build_heterodyne_kernel(n)
-    f = a_tot.entries @ b
-    g = SymMatrix(b.T @ f)
-
     ld_co, r_co, s_co, t_co, u_co = _pair_chain(
         2.0 * math.exp(-2 * r), 2.0 * math.exp(-2 * s), eta, n_mod)
     ld_rel, r_rel, s_rel, t_rel, u_rel = _pair_chain(
@@ -192,11 +178,10 @@ def assemble_model(params, enc):
     r_p = _sector_form(n, r_co, r_rel)
     s_p = _sector_form(n, s_co, s_rel)
     t_p = _sector_form(n, t_co, t_rel)
-    u_p = SymMatrix(_sector_form(n, u_co, u_rel))
+    u_p = _sector_form(n, u_co, u_rel)
     rpin = r_p + np.eye(2 * n) / n_mod
-    v_n = SymMatrix(np.block([[rpin, -s_p / 2.0], [-s_p.T / 2.0, t_p]]))
+    v_n = np.block([[rpin, -s_p / 2.0], [-s_p.T / 2.0, t_p]])
     logdet_gl = n * (ld_co + ld_rel)
 
     return ModelMatrices(
-        a_in=a_in, a_mem=a_mem, a_tot=a_tot, b=b, l=l, f=f, g=g,
         r_p=r_p, s_p=s_p, t_p=t_p, u_p=u_p, v_n=v_n, logdet_gl=logdet_gl)

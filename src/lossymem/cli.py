@@ -31,7 +31,8 @@ from .errors import (
 )
 from .information import (
     LN2,
-    LN_PI,
+    _ln_joint_norm,
+    _ln_output_norm,
     input_entropy,
     joint_entropy,
     mutual_information,
@@ -42,7 +43,7 @@ from .information import (
     rate_gain,
     rate_gains,
 )
-from .matrix_core import spd_factor, spd_logdet
+from .matrix_core import block_diag, spd_factor, spd_logdet, symmetrize
 from .oracle import McConfig, gaussian_mi_from_moments, monte_carlo_mi, quadrature_entropy_n1, sample_joint
 
 _CSV_HEADER = "s,r,N,I_mu,I_zeta,I_joint,I_r,rate,gain"
@@ -219,7 +220,7 @@ def _check_kernel_row_sums():
     worst = 0.0
     for n in (1, 2, 4, 6):
         for r in (-2.0, -0.5, 0.0, 1.0, 2.0):
-            sums = np.asarray(build_input_kernel(n, r)).sum(axis=1)
+            sums = build_input_kernel(n, r).sum(axis=1)
             target = np.concatenate([
                 np.full(n, 2.0 * math.exp(-2.0 * r)),
                 np.full(n, 2.0 * math.exp(2.0 * r))])
@@ -227,13 +228,19 @@ def _check_kernel_row_sums():
     return worst <= 1e-12, f"max_dev={worst:.3e}"
 
 
+def _dense_g(n, eta, r, s):
+    """(G, A_tot) of the literal chain: G = B^T A_tot B, A_tot = A_in(r) (+) A_mem(s)."""
+    a_tot = block_diag(build_input_kernel(n, r), build_memory_kernel(n, s))
+    b = build_beam_splitter(n, eta)
+    return symmetrize(b.T @ (a_tot @ b)), a_tot
+
+
 def _check_block_determinant_additivity():
     worst = 0.0
     for eta in (0.1, 0.3, 0.5, 0.7, 0.9):
         for r, s in ((0.0, 0.0), (0.5, 1.0), (-1.0, 2.0), (0.8, -1.5)):
-            params = ChannelParams(n=2, eta=eta, s=s, n_eff=1.0 + math.sinh(r) ** 2)
-            model = assemble_model(params, EncodingPoint(r=r, n_mod=1.0))
-            worst = max(worst, abs(spd_logdet(model.g) - spd_logdet(model.a_tot)))
+            g, a_tot = _dense_g(2, eta, r, s)
+            worst = max(worst, abs(spd_logdet(g) - spd_logdet(a_tot)))
     return worst <= 1e-10, f"max_dev={worst:.3e}"
 
 
@@ -246,10 +253,10 @@ def _check_positive_definite_grid():
                     params = ChannelParams(
                         n=2, eta=eta, s=s, n_eff=n_mod + math.sinh(r) ** 2)
                     model = assemble_model(params, EncodingPoint(r=r, n_mod=n_mod))
-                    spd_factor(model.g)
+                    spd_factor(_dense_g(2, eta, r, s)[0])
                     spd_factor(model.u_p)
                     spd_factor(model.v_n)
-                    spd_factor(np.asarray(model.r_p) + np.eye(4) / n_mod)
+                    spd_factor(model.r_p + np.eye(4) / n_mod)
                     count += 1
     return True, f"points={count}"
 
@@ -262,8 +269,7 @@ def _check_permutation_symmetry():
         p[i, j] = 1.0
         p[n + i, n + j] = 1.0
     worst = 0.0
-    for kernel in (build_input_kernel(n, 0.7), build_memory_kernel(n, -1.2)):
-        k = np.asarray(kernel)
+    for k in (build_input_kernel(n, 0.7), build_memory_kernel(n, -1.2)):
         worst = max(worst, float(np.abs(p @ k @ p.T - k).max()))
     return worst <= 1e-12, f"max_dev={worst:.3e}"
 
@@ -385,15 +391,6 @@ def _check_sampler_moments(samples, seed):
     return dev <= tol, f"max_dev={dev:.3e} tol={tol:.3e}"
 
 
-def _ln_output_norm(model, n, n_mod):
-    ld_rpin = spd_logdet(np.asarray(model.r_p) + np.eye(2 * n) / n_mod)
-    return 3 * n * LN2 - n * LN_PI - n * math.log(n_mod) - 0.5 * (model.logdet_gl + ld_rpin)
-
-
-def _ln_joint_norm(model, n, n_mod):
-    return 3 * n * LN2 - 2 * n * LN_PI - n * math.log(n_mod) - 0.5 * model.logdet_gl
-
-
 def _check_quadrature_input():
     value = quadrature_entropy_n1(np.eye(2) / 2.0, 1.0 / (2.0 * math.pi))
     dev = abs(value - input_entropy(1, 2.0))
@@ -404,7 +401,7 @@ def _quadrature_output_dev(eta, s, r, n_eff):
     params = ChannelParams(n=1, eta=eta, s=s, n_eff=n_eff)
     n_mod = photon_budget(n_eff, r)
     model = assemble_model(params, EncodingPoint(r=r, n_mod=n_mod))
-    norm = math.exp(_ln_output_norm(model, 1, n_mod))
+    norm = math.exp(_ln_output_norm(model, 1, n_mod)[0])
     value = quadrature_entropy_n1(model.u_p, norm)
     closed, _ = output_entropy(model, 1, n_mod)
     return abs(value - closed)

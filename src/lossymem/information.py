@@ -30,6 +30,7 @@ from .matrix_core import spd_logdet
 
 LN2 = math.log(2.0)
 LN_PI = math.log(math.pi)
+_EPS = np.finfo(np.float64).eps
 # ln(2 pi e): twice the differential entropy (nats) of a unit-variance Gaussian
 _LN_2PI_E = 1.0 + math.log(2.0 * math.pi)
 
@@ -71,8 +72,11 @@ def photon_budget(n_eff, r):
 
 
 def r_limit(n_eff):
-    """Largest |r| whose modulation variance stays >= N_MIN with margin."""
-    head = n_eff - 2.0 * N_MIN
+    """Largest |r| whose modulation variance stays >= N_MIN with margin.
+
+    The margin grows with n_eff so that it outlasts the round-off of n_eff.
+    """
+    head = n_eff - max(2.0 * N_MIN, 16.0 * _EPS * n_eff)
     return math.asinh(math.sqrt(head)) if head > 0.0 else 0.0
 
 
@@ -83,25 +87,33 @@ def input_entropy(n, n_mod):
     return (n + n * np.log(math.pi * n_mod)) / LN2
 
 
+def _ln_output_norm(model, n, n_mod):
+    """ln of the output density's normalization, and the ln det(R' + I/N) in it."""
+    ld_rpin = spd_logdet(model.r_p + np.eye(2 * n) / n_mod)
+    ln_norm = 3 * n * LN2 - n * LN_PI - n * math.log(n_mod) - 0.5 * (model.logdet_gl + ld_rpin)
+    return ln_norm, ld_rpin
+
+
+def _ln_joint_norm(model, n, n_mod):
+    """ln of the joint (modulation, output) density's normalization."""
+    return 3 * n * LN2 - 2 * n * LN_PI - n * math.log(n_mod) - 0.5 * model.logdet_gl
+
+
 def output_entropy(model, n, n_mod):
     """Entropy of the measured output, in bits, plus the c_out coefficient."""
-    ld_gl = model.logdet_gl
-    ld_rpin = spd_logdet(model.r_p + np.eye(2 * n) / n_mod)
+    ln_norm, ld_rpin = _ln_output_norm(model, n, n_mod)
     ld_up = spd_logdet(model.u_p)
-    ln_c = 3 * n * LN2 - n * math.log(n_mod) - 0.5 * (ld_gl + ld_rpin + ld_up)
+    ln_c = 3 * n * LN2 - n * math.log(n_mod) - 0.5 * (model.logdet_gl + ld_rpin + ld_up)
     c_out = math.exp(ln_c)
-    ln_norm = 3 * n * LN2 - n * LN_PI - n * math.log(n_mod) - 0.5 * (ld_gl + ld_rpin)
     return c_out * (n - ln_norm) / LN2, c_out
 
 
 def joint_entropy(model, n, n_mod):
     """Entropy of the joint (modulation, output) density, in bits, plus c_joint."""
-    ld_gl = model.logdet_gl
     ld_v = spd_logdet(model.v_n)
-    ln_c = 3 * n * LN2 - n * math.log(n_mod) - 0.5 * (ld_gl + ld_v)
+    ln_c = 3 * n * LN2 - n * math.log(n_mod) - 0.5 * (model.logdet_gl + ld_v)
     c_joint = math.exp(ln_c)
-    ln_norm = 3 * n * LN2 - 2 * n * LN_PI - n * math.log(n_mod) - 0.5 * ld_gl
-    return c_joint * (2 * n - ln_norm) / LN2, c_joint
+    return c_joint * (2 * n - _ln_joint_norm(model, n, n_mod)) / LN2, c_joint
 
 
 def _closed_form(params, r, n_mod):

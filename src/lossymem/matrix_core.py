@@ -1,8 +1,9 @@
-"""Dense real symmetric matrix kernel.
+"""SPD Cholesky with a typed pivot test, log-determinants, solves.
 
-Block assembly, SPD Cholesky factorization, log-determinants and linear
-solves, in NumPy alone. Everything downstream (channel matrices, entropies,
-oracles) funnels its factorizations through this module.
+NumPy alone, on plain float64 arrays. The reference matrix chain of
+channel_model and the oracles factor through `spd_factor`, so a matrix that
+fails the pivot test raises NotPositiveDefinite instead of yielding a
+silently wrong log-determinant.
 """
 import numpy as np
 
@@ -12,8 +13,6 @@ _EPS = np.finfo(np.float64).eps
 
 
 def _as_square(m):
-    if isinstance(m, SymMatrix):
-        return m.entries
     a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got {a.shape}")
@@ -24,34 +23,6 @@ def symmetrize(m):
     """(M + M^T)/2; stops round-off drift on mathematically symmetric products."""
     a = _as_square(m)
     return (a + a.T) / 2.0
-
-
-class SymMatrix:
-    """Immutable dense real symmetric matrix (row-major float64 entries).
-
-    Symmetry is enforced on construction by symmetrization, so downstream
-    factorizations never see round-off asymmetry.
-    """
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        a = np.array(entries, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DimensionMismatch(f"symmetric matrix needs a square array, got {a.shape}")
-        a = np.ascontiguousarray((a + a.T) / 2.0)
-        a.setflags(write=False)
-        self.entries = a
-
-    @property
-    def dim(self):
-        return self.entries.shape[0]
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.entries, dtype=dtype) if dtype or copy else self.entries
-
-    def __repr__(self):
-        return f"SymMatrix(dim={self.dim})"
 
 
 class CholFactor:
@@ -108,17 +79,12 @@ def spd_logdet(m):
     return spd_factor(m).logdet()
 
 
-def spd_solve(m, rhs):
-    """Solve m @ X = rhs for SPD m."""
-    return spd_factor(m).solve(rhs)
-
-
 def block_diag(a, b):
-    """Direct sum of two symmetric matrices."""
+    """Direct sum of two square matrices."""
     a = _as_square(a)
     b = _as_square(b)
     da, db = a.shape[0], b.shape[0]
     out = np.zeros((da + db, da + db))
     out[:da, :da] = a
     out[da:, da:] = b
-    return SymMatrix(out)
+    return out

@@ -52,8 +52,8 @@ def gaussian_mi_from_moments(model, n, n_mod):
     """
     if n_mod < 0:
         raise InvalidSpec(f"n_mod must be nonnegative, got {n_mod!r}")
-    if model.v_n.dim != 4 * n:
-        raise DimensionMismatch(f"model holds dim {model.v_n.dim}, expected {4 * n}")
+    if model.v_n.shape[0] != 4 * n:
+        raise DimensionMismatch(f"model holds dim {model.v_n.shape[0]}, expected {4 * n}")
     sigma = symmetrize(spd_factor(model.v_n).solve(np.eye(4 * n)) / 2.0)
     ld_mu = spd_logdet(sigma[:2 * n, :2 * n])
     ld_zeta = spd_logdet(sigma[2 * n:, 2 * n:])

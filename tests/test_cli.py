@@ -254,3 +254,8 @@ def test_import_needs_numpy_only():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=path), check=True, timeout=120)
     assert out.stdout.strip() == "False"
+
+
+def test_all_exports_resolve():
+    for name in lossymem.__all__:
+        assert hasattr(lossymem, name), name

@@ -46,6 +46,15 @@ def test_r_limit_is_admissible():
             photon_budget(n_eff, lim + 0.05)
 
 
+def test_r_limit_is_admissible_on_log_grid():
+    # above N_eff ~ 1e6 a fixed 2 * N_MIN margin falls below the round-off of
+    # N_eff - sinh^2(r), and photon_budget(N_eff, r_limit(N_eff)) used to raise
+    for n_eff in np.logspace(-3.0, 12.0, 3001).tolist():
+        lim = r_limit(n_eff)
+        photon_budget(n_eff, lim)
+        photon_budget(n_eff, -lim)
+
+
 # ---------------------------------------------------------------- entropies
 
 def test_input_entropy_examples():

@@ -1,18 +1,11 @@
-"""Dense symmetric kernel: factorization, logdet, solves, block assembly."""
+"""SPD factorization, logdet, solves and block assembly."""
 import math
 
 import numpy as np
 import pytest
 
 from lossymem.errors import DimensionMismatch, NotPositiveDefinite
-from lossymem.matrix_core import (
-    SymMatrix,
-    block_diag,
-    spd_factor,
-    spd_logdet,
-    spd_solve,
-    symmetrize,
-)
+from lossymem.matrix_core import block_diag, spd_factor, spd_logdet, symmetrize
 
 
 def random_spd(rng, dim):
@@ -33,32 +26,32 @@ def cofactor_det(a):
 
 
 def test_logdet_identity_is_zero():
-    assert spd_logdet(SymMatrix(np.eye(4))) == pytest.approx(0.0, abs=1e-14)
+    assert spd_logdet(np.eye(4)) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_logdet_scaled_identity():
-    assert spd_logdet(SymMatrix(2.0 * np.eye(2))) == pytest.approx(2.0 * math.log(2.0), abs=1e-14)
+    assert spd_logdet(2.0 * np.eye(2)) == pytest.approx(2.0 * math.log(2.0), abs=1e-14)
 
 
 def test_logdet_diagonal():
-    assert spd_logdet(SymMatrix(np.diag([2.0, 4.0]))) == pytest.approx(math.log(8.0), abs=1e-14)
+    assert spd_logdet(np.diag([2.0, 4.0])) == pytest.approx(math.log(8.0), abs=1e-14)
 
 
 def test_solve_identity_returns_rhs():
     rhs = np.array([1.0, -2.0, 3.0])
-    out = spd_solve(SymMatrix(np.eye(3)), rhs)
+    out = spd_factor(np.eye(3)).solve(rhs)
     np.testing.assert_allclose(out, rhs, atol=1e-14)
 
 
 def test_solve_diagonal_inverse():
-    out = spd_solve(SymMatrix(np.diag([2.0, 4.0])), np.eye(2))
+    out = spd_factor(np.diag([2.0, 4.0])).solve(np.eye(2))
     np.testing.assert_allclose(out, np.diag([0.5, 0.25]), atol=1e-14)
 
 
 def test_solve_self_gives_identity():
     rng = np.random.default_rng(3)
     m = random_spd(rng, 6)
-    out = spd_solve(SymMatrix(m), m)
+    out = spd_factor(m).solve(m)
     assert np.abs(out - np.eye(6)).max() <= 1e-10
 
 
@@ -67,7 +60,7 @@ def test_solve_residual_bound():
     for dim in (2, 5, 9, 16):
         m = random_spd(rng, dim)
         rhs = rng.standard_normal((dim, 3))
-        out = spd_solve(SymMatrix(m), rhs)
+        out = spd_factor(m).solve(rhs)
         residual = np.linalg.norm(m @ out - rhs)
         assert residual <= 1e-10 * np.linalg.norm(rhs)
 
@@ -76,7 +69,7 @@ def test_solve_composed_with_matrix_is_identity():
     rng = np.random.default_rng(5)
     for dim in range(1, 17):
         m = random_spd(rng, dim)
-        inv = spd_solve(SymMatrix(m), np.eye(dim))
+        inv = spd_factor(m).solve(np.eye(dim))
         assert np.abs(m @ inv - np.eye(dim)).max() <= 1e-10
 
 
@@ -84,75 +77,62 @@ def test_logdet_matches_cofactor_determinant():
     rng = np.random.default_rng(6)
     for dim in range(1, 7):
         m = random_spd(rng, dim)
-        direct = cofactor_det(np.asarray(m))
-        assert math.exp(spd_logdet(SymMatrix(m))) == pytest.approx(direct, rel=1e-10)
+        direct = cofactor_det(m)
+        assert math.exp(spd_logdet(m)) == pytest.approx(direct, rel=1e-10)
 
 
 def test_factor_exposes_logdet_and_solve():
     rng = np.random.default_rng(7)
     m = random_spd(rng, 5)
-    factor = spd_factor(SymMatrix(m))
-    assert factor.logdet() == pytest.approx(spd_logdet(SymMatrix(m)), abs=1e-12)
+    factor = spd_factor(m)
+    assert factor.logdet() == pytest.approx(spd_logdet(m), abs=1e-12)
     rhs = rng.standard_normal((5, 2))
-    np.testing.assert_allclose(factor.solve(rhs), spd_solve(SymMatrix(m), rhs), atol=1e-12)
+    np.testing.assert_allclose(factor.solve(rhs), np.linalg.solve(m, rhs), atol=1e-12)
 
 
 def test_not_positive_definite_raises():
     with pytest.raises(NotPositiveDefinite):
-        spd_logdet(SymMatrix(np.diag([1.0, -1.0])))
+        spd_logdet(np.diag([1.0, -1.0]))
     # indefinite but with positive diagonal
     with pytest.raises(NotPositiveDefinite):
-        spd_logdet(SymMatrix(np.array([[1.0, 2.0], [2.0, 1.0]])))
+        spd_logdet(np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(NotPositiveDefinite):
-        spd_logdet(SymMatrix(np.zeros((3, 3))))
+        spd_logdet(np.zeros((3, 3)))
     # np.linalg.cholesky accepts this one; the second pivot fails dim * eps * max(diag)
     with pytest.raises(NotPositiveDefinite):
-        spd_logdet(SymMatrix(np.diag([1.0, 1e-17])))
+        spd_logdet(np.diag([1.0, 1e-17]))
 
 
 def test_solve_rejects_mismatched_rhs():
-    m = SymMatrix(np.eye(3))
+    m = np.eye(3)
     with pytest.raises(DimensionMismatch):
-        spd_solve(m, np.ones((2, 2)))
+        spd_factor(m).solve(np.ones((2, 2)))
     with pytest.raises(DimensionMismatch):
-        spd_solve(m, np.ones(4))
+        spd_factor(m).solve(np.ones(4))
 
 
 def test_block_diag_of_identities():
-    out = block_diag(SymMatrix(np.eye(2)), SymMatrix(np.eye(2)))
-    np.testing.assert_array_equal(np.asarray(out), np.eye(4))
+    out = block_diag(np.eye(2), np.eye(2))
+    np.testing.assert_array_equal(out, np.eye(4))
 
 
 def test_block_diag_scaled():
-    out = block_diag(SymMatrix(2.0 * np.eye(2)), SymMatrix(3.0 * np.eye(2)))
-    np.testing.assert_array_equal(np.asarray(out), np.diag([2.0, 2.0, 3.0, 3.0]))
+    out = block_diag(2.0 * np.eye(2), 3.0 * np.eye(2))
+    np.testing.assert_array_equal(out, np.diag([2.0, 2.0, 3.0, 3.0]))
 
 
 def test_block_diag_logdet_additivity():
     rng = np.random.default_rng(8)
-    a = SymMatrix(random_spd(rng, 3))
-    b = SymMatrix(random_spd(rng, 4))
+    a = random_spd(rng, 3)
+    b = random_spd(rng, 4)
     combined = spd_logdet(block_diag(a, b))
     assert combined == pytest.approx(spd_logdet(a) + spd_logdet(b), abs=1e-12)
 
 
 def test_top_left_of_block_diag_recovers_block():
     rng = np.random.default_rng(10)
-    a = SymMatrix(random_spd(rng, 3))
-    b = SymMatrix(random_spd(rng, 2))
-    recovered = np.asarray(block_diag(a, b))[:3, :3]
+    a = random_spd(rng, 3)
+    b = random_spd(rng, 2)
+    recovered = block_diag(a, b)[:3, :3]
     # exact round trip, no arithmetic allowed to perturb the entries
-    np.testing.assert_array_equal(recovered, np.asarray(a))
-
-
-def test_symmetrization_on_construction():
-    raw = np.array([[1.0, 2.0], [4.0, 3.0]])
-    m = SymMatrix(raw)
-    np.testing.assert_array_equal(np.asarray(m), np.array([[1.0, 3.0], [3.0, 3.0]]))
-    assert m.dim == 2
-
-
-def test_entries_are_immutable():
-    m = SymMatrix(np.eye(2))
-    with pytest.raises(ValueError):
-        np.asarray(m)[0, 0] = 5.0
+    np.testing.assert_array_equal(recovered, a)

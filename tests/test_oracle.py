@@ -35,7 +35,7 @@ def assembled(n, eta, s, r, n_eff):
 
 def det_norm(kernel):
     """exp(-w kernel w^T) integrates to pi^{d/2} / sqrt(det kernel)."""
-    d = kernel.dim
+    d = kernel.shape[0]
     return math.exp(0.5 * spd_logdet(kernel) - 0.5 * d * math.log(math.pi))
 
 
@@ -89,7 +89,7 @@ def test_sampled_covariance_matches_model():
     m = 50000
     data = sample_joint(params, 0.3, McConfig(samples=m, seed=11))
     assert data.shape == (m, 8)
-    target = np.linalg.inv(np.asarray(model.v_n)) / 2.0
+    target = np.linalg.inv(model.v_n) / 2.0
     assert np.abs(np.cov(data, rowvar=False) - target).max() <= 5.0 / math.sqrt(m)
 
 
@@ -98,7 +98,7 @@ def test_sampled_covariance_scales_with_entry_size():
     params, model, _ = assembled(2, 0.8, 2.0, 0.4, 2.0)
     m = 50000
     data = sample_joint(params, 0.4, McConfig(samples=m, seed=17))
-    target = np.linalg.inv(np.asarray(model.v_n)) / 2.0
+    target = np.linalg.inv(model.v_n) / 2.0
     diag = np.diag(target)
     scale = np.sqrt((np.outer(diag, diag) + target ** 2) / m)
     assert np.abs((np.cov(data, rowvar=False) - target) / scale).max() <= 5.0
