@@ -16,6 +16,8 @@ from .matrix_core import spd_factor, symmetrize
 # Modulation variances below this are rejected: the information formulas
 # contain 1/N and ln N, and N -> 0 is a genuine boundary of the model.
 N_MIN = 1e-9
+# Largest |s| for which e^{2|s|} is a finite float.
+S_MAX = 0.5 * math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -32,8 +34,8 @@ class ChannelParams:
             raise InvalidSpec(f"n must be a positive integer, got {self.n!r}")
         if not (0.0 <= self.eta <= 1.0):
             raise InvalidSpec(f"eta must lie in [0, 1], got {self.eta!r}")
-        if not math.isfinite(self.s):
-            raise InvalidSpec(f"s must be finite, got {self.s!r}")
+        if not abs(self.s) <= S_MAX:
+            raise InvalidSpec(f"s must lie in [-{S_MAX:.6g}, {S_MAX:.6g}], got {self.s!r}")
         if not (math.isfinite(self.n_eff) and self.n_eff > 0.0):
             raise InvalidSpec(f"n_eff must be positive, got {self.n_eff!r}")
 

@@ -12,7 +12,7 @@ import lossymem
 from lossymem.cli import SweepSpec, build_parser, main, optimize, sweep, verify
 from lossymem.errors import InvalidSpec
 from lossymem.information import mutual_information, optimize_r, r_limit, rate_gain
-from lossymem.channel_model import ChannelParams
+from lossymem.channel_model import S_MAX, ChannelParams
 
 HEADER = "s,r,N,I_mu,I_zeta,I_joint,I_r,rate,gain"
 
@@ -219,6 +219,20 @@ def test_main_rejects_invalid_parameters(tmp_path, capsys):
     assert main(["sweep", "--r-min", "2.0", "--r-max", "3.0", "--out", path]) == 2
     assert main(["verify", "--eta", "1.5"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_memory_past_float_range_is_rejected(tmp_path, capsys):
+    # e^{2|s|} overflows a float for |s| > S_MAX (about 354.89)
+    for s in (400.0, -400.0, math.nextafter(S_MAX, math.inf)):
+        with pytest.raises(InvalidSpec):
+            ChannelParams(n=2, eta=0.8, s=s, n_eff=2.0)
+    assert main(["optimize", "--s", "400"]) == 2
+    assert main(["sweep", "--s", "400", "--out", str(tmp_path / "x.csv")]) == 2
+    assert "error:" in capsys.readouterr().err
+    report = optimize(2, 0.8, 2.0, (-S_MAX, -354.0, 354.0, S_MAX), stream=io.StringIO())
+    for (_, r_neg, gain_neg, _), (_, r_pos, gain_pos, _) in zip(report[:2], reversed(report)):
+        assert r_neg == -r_pos < 0.0
+        assert gain_neg == gain_pos > 0.0
 
 
 def test_main_reports_numerical_failure(tmp_path, capsys):

@@ -248,9 +248,10 @@ def test_gain_tracks_budget():
 # ---------------------------------------------------------------- optimizer
 
 def test_optimizer_without_memory_stays_at_zero():
-    r_star, gain_star = optimize_r(params_at(s=0.0))
-    assert r_star == 0.0
-    assert gain_star == 0.0
+    for eta in [k / 10 for k in range(1, 11)] + [0.31]:
+        for n_eff in (1e-3, 0.5, 2.0, 20.0, 1e4, 1e10):
+            r_star, gain_star = optimize_r(params_at(eta=eta, n_eff=n_eff, s=0.0))
+            assert (r_star, gain_star) == (0.0, 0.0), (eta, n_eff)
 
 
 def test_optimizer_gains_grow_with_memory():
@@ -277,6 +278,24 @@ def test_optimizer_matches_dense_scan():
     # near the flat top, gain differences sit at the fp-noise floor, so the
     # value check is loose while the location check above is the strict one
     assert gain_star >= zoom_gains.max() - 1e-9
+
+
+def test_optimizer_meets_high_precision_argmax():
+    # argmax r and peak gain of the two-log1p rate in mpmath at 60 digits.
+    # At eta = 0.0025 the peak gain is 1.1e-8 and the round-off of i_r, a
+    # difference of entropies, moves it by 1e-10, so only r is checked there.
+    for n, eta, s, n_eff, r_mp, gain_mp in (
+            (2, 0.8, 5.0, 2.0, 0.417307324532668, 0.12483446736419663),
+            (32, 0.6, 5.0, 20.0, 0.936051312032302, 0.10963408199304596),
+            (2, 0.5, -3.0, 2.0, -0.343489895557361, 0.079667359393826791),
+            (1, 0.0025, 2.5, 0.00185, 4.55166942516639e-6, None),
+            (2, 0.3, 8.0, 1e8, 3.90961652956366, 0.013097864749601744),
+            (2, 0.3, 40.0, 1e8, 4.65073688545607, 0.014863840646531035),
+            (2, 0.7, 300.0, 20.0, 0.971093184849176, 0.12272562868405483)):
+        r_star, gain_star = optimize_r(params_at(n=n, eta=eta, s=s, n_eff=n_eff))
+        assert abs(r_star - r_mp) <= 1e-12, (n, eta, s, n_eff)
+        if gain_mp is not None:
+            assert abs(gain_star - gain_mp) <= 1e-12 * gain_mp, (n, eta, s, n_eff)
 
 
 def test_optimizer_rejects_exhausted_budget():
