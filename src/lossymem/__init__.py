@@ -44,6 +44,7 @@ from .oracle import (
     MiEstimate,
     gaussian_mi_from_moments,
     monte_carlo_mi,
+    pipeline_covariance,
     quadrature_entropy_n1,
     sample_joint,
 )
@@ -83,6 +84,7 @@ __all__ = [
     "MiEstimate",
     "gaussian_mi_from_moments",
     "monte_carlo_mi",
+    "pipeline_covariance",
     "quadrature_entropy_n1",
     "sample_joint",
     "__version__",

@@ -18,6 +18,8 @@ from .matrix_core import spd_factor, symmetrize
 N_MIN = 1e-9
 # Largest |s| for which e^{2|s|} is a finite float.
 S_MAX = 0.5 * math.log(np.finfo(float).max)
+# Largest photon budget for which pi N and 2 eta N are finite floats.
+N_EFF_MAX = np.finfo(float).max / 4
 
 
 @dataclass(frozen=True)
@@ -38,6 +40,8 @@ class ChannelParams:
             raise InvalidSpec(f"s must lie in [-{S_MAX:.6g}, {S_MAX:.6g}], got {self.s!r}")
         if not (math.isfinite(self.n_eff) and self.n_eff > 0.0):
             raise InvalidSpec(f"n_eff must be positive, got {self.n_eff!r}")
+        if self.n_eff > N_EFF_MAX:
+            raise InvalidSpec(f"n_eff must be at most {N_EFF_MAX:.6g}, got {self.n_eff!r}")
 
 
 @dataclass(frozen=True)

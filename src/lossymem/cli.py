@@ -44,7 +44,14 @@ from .information import (
     rate_gains,
 )
 from .matrix_core import block_diag, spd_factor, spd_logdet, symmetrize
-from .oracle import McConfig, gaussian_mi_from_moments, monte_carlo_mi, quadrature_entropy_n1, sample_joint
+from .oracle import (
+    McConfig,
+    gaussian_mi_from_moments,
+    monte_carlo_mi,
+    pipeline_covariance,
+    quadrature_entropy_n1,
+    sample_joint,
+)
 
 _CSV_HEADER = "s,r,N,I_mu,I_zeta,I_joint,I_r,rate,gain"
 _STANDARD_ETAS = tuple(k / 10 for k in range(1, 10))
@@ -314,25 +321,20 @@ def _check_rate_additivity(rng):
     worst = 0.0
     for _ in range(5):
         eta, s, n_eff, r = _random_point(rng)
-        rates = [_chain_mi(ChannelParams(n=n, eta=eta, s=s, n_eff=n_eff), r)[0] / n
+        rates = [_chain_mi(ChannelParams(n=n, eta=eta, s=s, n_eff=n_eff), r) / n
                  for n in (2, 3, 4)]
         worst = max(worst, abs(rates[0] - rates[1]), abs(rates[1] - rates[2]))
     return worst <= 1e-7, f"max_dev={worst:.3e}"
 
 
 def _chain_mi(params, r):
-    """Mutual information (bits) on the paper's matrix chain, with its model and n_mod."""
+    """Mutual information (bits) on the paper's matrix chain."""
     n = params.n
     n_mod = photon_budget(params.n_eff, r)
     model = assemble_model(params, EncodingPoint(r=r, n_mod=n_mod))
     i_zeta, _ = output_entropy(model, n, n_mod)
     i_joint, _ = joint_entropy(model, n, n_mod)
-    return input_entropy(n, n_mod) + i_zeta - i_joint, model, n_mod
-
-
-def _closed_vs_moments(params, r):
-    closed, model, n_mod = _chain_mi(params, r)
-    return abs(closed - gaussian_mi_from_moments(model, params.n, n_mod))
+    return input_entropy(n, n_mod) + i_zeta - i_joint
 
 
 def _check_moment_oracle_grid():
@@ -343,15 +345,16 @@ def _check_moment_oracle_grid():
         for s in _STANDARD_S:
             for n_eff in _STANDARD_NEFF:
                 params = ChannelParams(n=2, eta=eta, s=s, n_eff=n_eff)
-                for r in r_values:
-                    worst = max(worst, _closed_vs_moments(params, r))
-                    count += 1
+                r_ok, _, _, info = rate_gains(params, r_values)
+                moments = gaussian_mi_from_moments(params, r_ok)
+                worst = max(worst, float(np.max(np.abs(info.i_r - moments))))
+                count += len(r_ok)
     return worst <= 1e-7, f"max_dev={worst:.3e} points={count}"
 
 
 def _check_spot_point(params):
     r = min(0.4, 0.9 * r_limit(params.n_eff))
-    dev = _closed_vs_moments(params, r)
+    dev = abs(mutual_information(params, r).i_r - gaussian_mi_from_moments(params, r))
     return dev <= 1e-7, f"dev={dev:.3e} at r={_fmt(r)}"
 
 
@@ -383,9 +386,7 @@ def _check_sampler_moments(samples, seed):
     r = 0.3
     cfg = McConfig(samples=samples, seed=seed + 3)
     data = sample_joint(params, r, cfg)
-    n_mod = photon_budget(params.n_eff, r)
-    model = assemble_model(params, EncodingPoint(r=r, n_mod=n_mod))
-    target = spd_factor(model.v_n).solve(np.eye(8)) / 2.0
+    target = pipeline_covariance(params, r)
     dev = float(np.abs(np.cov(data, rowvar=False) - target).max())
     tol = 5.0 / math.sqrt(cfg.samples)
     return dev <= tol, f"max_dev={dev:.3e} tol={tol:.3e}"

@@ -1,9 +1,10 @@
 """SPD Cholesky with a typed pivot test, log-determinants, solves.
 
 NumPy alone, on plain float64 arrays. The reference matrix chain of
-channel_model and the oracles factor through `spd_factor`, so a matrix that
-fails the pivot test raises NotPositiveDefinite instead of yielding a
-silently wrong log-determinant.
+channel_model and the oracles factor through `spd_factor`, or through
+`spd_logdet` on a (..., d, d) stack, under one pivot test, so a matrix that
+fails it raises NotPositiveDefinite instead of yielding a silently wrong
+log-determinant.
 """
 import numpy as np
 
@@ -52,6 +53,27 @@ class CholFactor:
         return x[:, 0] if vector else x
 
 
+def _pivot_tested_cholesky(a):
+    """Lower Cholesky factors of a square matrix or a (..., d, d) stack.
+
+    Raises NotPositiveDefinite when, in any matrix of the stack, a pivot is
+    <= d * eps * max(diag) of that matrix.
+    """
+    d = a.shape[-1]
+    failure = f"matrix of dim {d} failed Cholesky pivot test"
+    max_diag = np.diagonal(a, axis1=-2, axis2=-1).max(axis=-1)
+    if np.any(max_diag <= 0.0):
+        raise NotPositiveDefinite(failure)
+    try:
+        lower = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefinite(failure) from None
+    piv = np.diagonal(lower, axis1=-2, axis2=-1)
+    if np.any(np.min(piv * piv, axis=-1) <= d * _EPS * max_diag):
+        raise NotPositiveDefinite(failure)
+    return lower
+
+
 def spd_factor(m):
     """Cholesky-factor an SPD matrix.
 
@@ -59,24 +81,18 @@ def spd_factor(m):
     valid channel parameters that only happens on malformed inputs, so the
     failure is a diagnostic, not a recoverable condition.
     """
-    a = _as_square(m)
-    failure = f"matrix of dim {a.shape[0]} failed Cholesky pivot test"
-    max_diag = np.max(np.diag(a))
-    if max_diag <= 0.0:
-        raise NotPositiveDefinite(failure)
-    try:
-        lower = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefinite(failure) from None
-    piv = np.diag(lower)
-    if np.min(piv * piv) <= a.shape[0] * _EPS * max_diag:
-        raise NotPositiveDefinite(failure)
-    return CholFactor(lower)
+    return CholFactor(_pivot_tested_cholesky(_as_square(m)))
 
 
 def spd_logdet(m):
-    """Natural-log determinant of an SPD matrix."""
-    return spd_factor(m).logdet()
+    """Natural-log determinant of an SPD matrix, or an array of them for a
+    (..., d, d) stack; every matrix passes spd_factor's pivot test."""
+    a = np.asarray(m, dtype=np.float64)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DimensionMismatch(f"expected a square matrix or a stack of them, got {a.shape}")
+    lower = _pivot_tested_cholesky(a)
+    logdet = 2.0 * np.sum(np.log(np.diagonal(lower, axis1=-2, axis2=-1)), axis=-1)
+    return float(logdet) if a.ndim == 2 else logdet
 
 
 def block_diag(a, b):

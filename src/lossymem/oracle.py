@@ -1,22 +1,24 @@
 """Verification paths for the closed-form pipeline.
 
-Two routes share no algebra with the information module: a physical Monte
-Carlo simulation of encode -> loss -> heterodyne, built from the kernels and
-the beam splitter alone, and direct numerical quadrature of the single-use
-entropy integrals of a given kernel. The third, the moment formula for
-jointly Gaussian vectors, is not independent: it inverts model.v_n, which
-the pair-chain algebra of channel_model builds for the information module
-as well.
+All three routes are independent of the closed-form core of the information
+module and of the pair chain of channel_model: they read only the public
+kernel builders, the beam splitter and the photon budget. The moment oracle
+propagates the exact covariance of the encode -> loss -> heterodyne pipeline
+and takes the mutual information from the Gaussian block-determinant
+formula. A physical Monte Carlo simulation of the same pipeline estimates it
+from sampled moments, with a jackknife error bar. Direct numerical quadrature
+evaluates the single-use entropy integrals of a given kernel.
 """
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_model import ChannelParams, build_beam_splitter, build_input_kernel, build_memory_kernel
+from .channel_model import build_beam_splitter, build_input_kernel, build_memory_kernel
 from .errors import DimensionMismatch, GridTooCoarse, InvalidSpec
 from .information import LN2, photon_budget
-from .matrix_core import spd_factor, spd_logdet, symmetrize
+from .matrix_core import spd_factor, spd_logdet
 
 _JACKKNIFE_BLOCKS = 20
 
@@ -44,21 +46,45 @@ class MiEstimate:
     std_error: float
 
 
-def gaussian_mi_from_moments(model, n, n_mod):
-    """Mutual information of the joint Gaussian from its moment matrix.
+def pipeline_covariance(params, r):
+    """Exact covariance of the (mu, zeta) rows that sample_joint draws.
 
-    The joint (mu, zeta) density has kernel v_n, hence covariance v_n^{-1}/2;
-    the standard block-determinant identity gives the MI in bits.
+    r is a float or an array; the result has shape np.shape(r) + (4n, 4n).
+    With N = photon_budget(n_eff, r) the modulation block is (N/2) I, the
+    cross block sqrt(eta) (N/2) I, and the output block
+    eta ((N/2) I + A_in^{-1}/2) + (1 - eta) A_mem^{-1}/2 + I/4, with the
+    input and memory kernels inverted numerically.
     """
-    if n_mod < 0:
-        raise InvalidSpec(f"n_mod must be nonnegative, got {n_mod!r}")
-    if model.v_n.shape[0] != 4 * n:
-        raise DimensionMismatch(f"model holds dim {model.v_n.shape[0]}, expected {4 * n}")
-    sigma = symmetrize(spd_factor(model.v_n).solve(np.eye(4 * n)) / 2.0)
-    ld_mu = spd_logdet(sigma[:2 * n, :2 * n])
-    ld_zeta = spd_logdet(sigma[2 * n:, 2 * n:])
-    ld_all = spd_logdet(sigma)
-    return (ld_mu + ld_zeta - ld_all) / (2.0 * LN2)
+    n, eta = params.n, params.eta
+    r_flat = np.asarray(r, dtype=float).ravel()
+    n_mod = np.array([photon_budget(params.n_eff, float(x)) for x in r_flat])
+    a_in = np.array([build_input_kernel(n, float(x)) for x in r_flat]).reshape(-1, 2 * n, 2 * n)
+    eye = np.eye(2 * n)
+    sigma_mu = (n_mod / 2.0)[:, None, None] * eye
+    cov = np.empty((r_flat.size, 4 * n, 4 * n))
+    cov[:, :2 * n, :2 * n] = sigma_mu
+    cov[:, :2 * n, 2 * n:] = cov[:, 2 * n:, :2 * n] = math.sqrt(eta) * sigma_mu
+    cov[:, 2 * n:, 2 * n:] = (eta * (sigma_mu + np.linalg.inv(a_in) / 2.0)
+                              + (1.0 - eta) * np.linalg.inv(build_memory_kernel(n, params.s)) / 2.0
+                              + eye / 4.0)
+    return cov.reshape(np.shape(r) + (4 * n, 4 * n))
+
+
+def _mi_from_covariance(cov, n):
+    """Gaussian MI (bits) between the first and last 2n coordinates of a
+    4n x 4n covariance, or of each matrix in a (..., 4n, 4n) stack."""
+    ld_mu = spd_logdet(cov[..., :2 * n, :2 * n])
+    ld_zeta = spd_logdet(cov[..., 2 * n:, 2 * n:])
+    return (ld_mu + ld_zeta - spd_logdet(cov)) / (2.0 * LN2)
+
+
+def gaussian_mi_from_moments(params, r):
+    """Mutual information (bits, over the n uses) of the pipeline's exact moments.
+
+    r is a float or an array of r; the result is a float or an array of the
+    same shape. An r outside the photon budget raises PhotonBudgetExceeded.
+    """
+    return _mi_from_covariance(pipeline_covariance(params, r), params.n)
 
 
 def _kernel_sampler(kernel, rng_normal):
@@ -66,14 +92,6 @@ def _kernel_sampler(kernel, rng_normal):
     lower = spd_factor(kernel).lower
     # row x solves x L = z, so cov(x) = L^-T L^-1 = kernel^-1; scale by 1/sqrt(2)
     return np.linalg.solve(lower.T, rng_normal.T).T / math.sqrt(2.0)
-
-
-def _empirical_mi(data, n):
-    cov = np.cov(data, rowvar=False)
-    ld_mu = spd_logdet(cov[:2 * n, :2 * n])
-    ld_zeta = spd_logdet(cov[2 * n:, 2 * n:])
-    ld_all = spd_logdet(cov)
-    return (ld_mu + ld_zeta - ld_all) / (2.0 * LN2)
 
 
 def sample_joint(params, r, cfg):
@@ -97,23 +115,36 @@ def sample_joint(params, r, cfg):
     return np.hstack([mu, zeta])
 
 
+def _whole_and_leave_outs(per_block):
+    """Stack the total over blocks, then the total without each block."""
+    total = per_block.sum(axis=0)
+    return np.concatenate([total[None], total - per_block])
+
+
 def monte_carlo_mi(params, r, cfg):
     """Estimate the mutual information per channel use from simulated samples.
 
     MI comes from the Gaussian moment formula on the empirical covariance of
     the sampled (mu, zeta), divided by the number of uses; the error bar is a
-    20-block jackknife on the same quantity.
+    20-block jackknife on the same quantity. Every leave-one-block-out
+    covariance comes from the totals minus that block's sum and Gram matrix,
+    on samples centred in place.
     """
     n = params.n
     m = cfg.samples
     data = sample_joint(params, r, cfg)
+    data -= data.mean(axis=0)
 
-    value = _empirical_mi(data, n)
     bounds = np.linspace(0, m, _JACKKNIFE_BLOCKS + 1).astype(int)
-    leave_outs = np.array([
-        _empirical_mi(np.delete(data, slice(lo, hi), axis=0), n)
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-    ])
+    # row 0 is the whole sample, row 1 + b the sample without block b
+    counts = np.concatenate([[m], m - np.diff(bounds)])[:, None, None]
+    sums = _whole_and_leave_outs(np.add.reduceat(data, bounds[:-1], axis=0))[:, :, None]
+    grams = _whole_and_leave_outs(np.array([
+        data[lo:hi].T @ data[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]))
+    covs = (grams - sums * sums.transpose(0, 2, 1) / counts) / (counts - 1)
+    mi = _mi_from_covariance(covs, n)
+
+    value, leave_outs = float(mi[0]), mi[1:]
     dev = leave_outs - leave_outs.mean()
     blocks = _JACKKNIFE_BLOCKS
     std_error = math.sqrt((blocks - 1) / blocks * float(dev @ dev))
@@ -121,7 +152,12 @@ def monte_carlo_mi(params, r, cfg):
 
 
 def _entropy_on_grid(kernel, norm_const, sigmas, half_width, points):
-    """Trapezoid mass and entropy (bits) of norm_const * exp(-w kernel w^T)."""
+    """Trapezoid mass and entropy (bits) of norm_const * exp(-w kernel w^T).
+
+    The loop runs over the first axis only. Each step evaluates the exponent
+    q and the density p on a (points,)^(d-1) slab of the other axes, in two
+    reused buffers, and takes -p ln p as p (q - ln norm_const).
+    """
     d = len(sigmas)
     axes, weights = [], []
     for s_i in sigmas:
@@ -132,27 +168,34 @@ def _entropy_on_grid(kernel, norm_const, sigmas, half_width, points):
         axes.append(ax)
         weights.append(w)
 
-    x_grid, y_grid = np.meshgrid(axes[-2], axes[-1], indexing="ij")
-    w_xy = np.outer(weights[-2], weights[-1])
     k = np.asarray(kernel, dtype=float)
-    q_xy = (k[-2, -2] * x_grid * x_grid
-            + 2.0 * k[-2, -1] * x_grid * y_grid
-            + k[-1, -1] * y_grid * y_grid)
+    rest = np.meshgrid(*axes[1:], indexing="ij", sparse=True)
+    w_rest = functools.reduce(np.multiply.outer, weights[1:])
+    # q = k00 x0^2 + x0 * lin + q_rest on the slab at first coordinate x0
+    q_rest = np.zeros((points,) * (d - 1))
+    lin = np.zeros_like(q_rest)
+    for i in range(1, d):
+        lin += 2.0 * k[0, i] * rest[i - 1]
+        q_rest += k[i, i] * rest[i - 1] * rest[i - 1]
+        for j in range(i + 1, d):
+            q_rest += 2.0 * k[i, j] * rest[i - 1] * rest[j - 1]
 
+    ln_c = math.log(norm_const)
+    q = np.empty_like(q_rest)
+    p = np.empty_like(q_rest)
     mass = 0.0
     ent_nats = 0.0
-    for idx in np.ndindex(*(points,) * (d - 2)):
-        pre = np.array([axes[i][idx[i]] for i in range(d - 2)])
-        pre_w = float(np.prod([weights[i][idx[i]] for i in range(d - 2)]))
-        q = q_xy.copy()
-        if d > 2:
-            q += float(pre @ k[:-2, :-2] @ pre)
-            q += 2.0 * float(pre @ k[:-2, -2]) * x_grid
-            q += 2.0 * float(pre @ k[:-2, -1]) * y_grid
-        p = norm_const * np.exp(-q)
-        log_p = np.log(p, out=np.zeros_like(p), where=p > 0)
-        mass += pre_w * float((w_xy * p).sum())
-        ent_nats -= pre_w * float((w_xy * p * log_p).sum())
+    for x0, w0 in zip(axes[0].tolist(), weights[0].tolist()):
+        np.multiply(lin, x0, out=q)
+        q += q_rest
+        q += k[0, 0] * x0 * x0
+        np.negative(q, out=p)
+        np.exp(p, out=p)
+        p *= norm_const
+        q -= ln_c
+        q *= p
+        mass += w0 * float(np.vdot(w_rest, p))
+        ent_nats += w0 * float(np.vdot(w_rest, q))
     return mass, ent_nats / LN2
 
 
@@ -170,6 +213,8 @@ def quadrature_entropy_n1(kernel, norm_const, half_width=8.0, points=257):
         raise DimensionMismatch(f"single-use densities are 2- or 4-dim, got {k.shape}")
     if points < 9:
         raise GridTooCoarse(f"points={points!r} cannot resolve the density")
+    if not norm_const > 0.0:
+        raise GridTooCoarse(f"density mass cannot be 1 with norm_const={norm_const!r}")
     cov = spd_factor(k).solve(np.eye(k.shape[0])) / 2.0
     sigmas = np.sqrt(np.diag(cov))
 

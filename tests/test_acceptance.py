@@ -154,7 +154,7 @@ def test_oracle_equivalence():
                     closed = (input_entropy(2, n_mod)
                               + output_entropy(model, 2, n_mod)[0]
                               - joint_entropy(model, 2, n_mod)[0])
-                    moments = gaussian_mi_from_moments(model, 2, n_mod)
+                    moments = gaussian_mi_from_moments(params, r)
                     worst = max(worst, abs(closed - moments))
     assert worst <= 1e-7
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import pytest
 
@@ -12,7 +13,7 @@ import lossymem
 from lossymem.cli import SweepSpec, build_parser, main, optimize, sweep, verify
 from lossymem.errors import InvalidSpec
 from lossymem.information import mutual_information, optimize_r, r_limit, rate_gain
-from lossymem.channel_model import S_MAX, ChannelParams
+from lossymem.channel_model import N_EFF_MAX, S_MAX, ChannelParams
 
 HEADER = "s,r,N,I_mu,I_zeta,I_joint,I_r,rate,gain"
 
@@ -233,6 +234,25 @@ def test_memory_past_float_range_is_rejected(tmp_path, capsys):
     for (_, r_neg, gain_neg, _), (_, r_pos, gain_pos, _) in zip(report[:2], reversed(report)):
         assert r_neg == -r_pos < 0.0
         assert gain_neg == gain_pos > 0.0
+
+
+def test_photon_budget_past_float_range_is_rejected(tmp_path, capsys):
+    # pi N and 2 eta N overflow a float for N_eff > N_EFF_MAX (float max / 4)
+    for n_eff in (1e308, math.nextafter(N_EFF_MAX, math.inf)):
+        with pytest.raises(InvalidSpec):
+            ChannelParams(n=2, eta=0.8, s=1.0, n_eff=n_eff)
+    assert main(["optimize", "--neff", "1e308"]) == 2
+    assert main(["sweep", "--neff", "1e308", "--out", str(tmp_path / "x.csv")]) == 2
+    assert "error:" in capsys.readouterr().err
+    for eta in (1e-3, 0.5, 1.0):
+        for s in (0.0, 5.0, -5.0, 300.0, S_MAX):
+            params = ChannelParams(n=2, eta=eta, s=s, n_eff=N_EFF_MAX)
+            lim = r_limit(N_EFF_MAX)
+            for r in (0.0, 0.99 * lim, -0.99 * lim):
+                assert math.isfinite(mutual_information(params, r).rate)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                optimize_r(params)
 
 
 def test_main_reports_numerical_failure(tmp_path, capsys):
