@@ -8,13 +8,14 @@ direct quadrature) and a sweep/optimize CLI.
 from .channel_model import (
     N_MIN,
     ChannelParams,
-    EncodingPoint,
     ModelMatrices,
     assemble_model,
     build_beam_splitter,
     build_heterodyne_kernel,
     build_input_kernel,
     build_memory_kernel,
+    photon_budget,
+    r_limit,
 )
 from .errors import (
     DegenerateBaseline,
@@ -33,8 +34,6 @@ from .information import (
     mutual_information,
     optimize_r,
     output_entropy,
-    photon_budget,
-    r_limit,
     rate_gain,
     rate_gains,
 )
@@ -54,13 +53,14 @@ __version__ = "0.1.0"
 __all__ = [
     "N_MIN",
     "ChannelParams",
-    "EncodingPoint",
     "ModelMatrices",
     "assemble_model",
     "build_beam_splitter",
     "build_heterodyne_kernel",
     "build_input_kernel",
     "build_memory_kernel",
+    "photon_budget",
+    "r_limit",
     "DegenerateBaseline",
     "DimensionMismatch",
     "GridTooCoarse",
@@ -75,8 +75,6 @@ __all__ = [
     "mutual_information",
     "optimize_r",
     "output_entropy",
-    "photon_budget",
-    "r_limit",
     "rate_gain",
     "rate_gains",
     "spd_logdet",

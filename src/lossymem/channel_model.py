@@ -1,4 +1,7 @@
-"""Quadratic-form matrices of the lossy channel with correlated noise.
+"""Channel parameters, the photon budget and the paper's reference matrix chain.
+
+`ChannelParams`, `photon_budget` and `r_limit` decide which points are
+admissible; `assemble_model(params, r)` builds the reference chain.
 
 Phase-space conventions: row vectors, densities proportional to
 exp(-w M w^T), quadrature ordering (x_1..x_n, p_1..p_n) per 2n-block and
@@ -20,6 +23,7 @@ N_MIN = 1e-9
 S_MAX = 0.5 * math.log(np.finfo(float).max)
 # Largest photon budget for which pi N and 2 eta N are finite floats.
 N_EFF_MAX = np.finfo(float).max / 4
+_EPS = np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -44,29 +48,37 @@ class ChannelParams:
             raise InvalidSpec(f"n_eff must be at most {N_EFF_MAX:.6g}, got {self.n_eff!r}")
 
 
-@dataclass(frozen=True)
-class EncodingPoint:
-    """Input entanglement r and the modulation variance it leaves available."""
+def photon_budget(n_eff, r):
+    """Modulation variance left after spending sinh^2(r) on entanglement."""
+    try:
+        n_mod = n_eff - math.sinh(r) ** 2
+    except OverflowError:  # |r| past ~355: far outside any finite budget
+        n_mod = -math.inf
+    if not n_mod >= N_MIN:
+        raise PhotonBudgetExceeded(
+            f"r={r!r} leaves modulation {n_mod!r} below {N_MIN} "
+            f"(admissible |r| <= {r_limit(n_eff)!r})")
+    return n_mod
 
-    r: float
-    n_mod: float
 
-    def __post_init__(self):
-        if not math.isfinite(self.r):
-            raise InvalidSpec(f"r must be finite, got {self.r!r}")
-        if not (math.isfinite(self.n_mod) and self.n_mod >= N_MIN):
-            raise PhotonBudgetExceeded(
-                f"modulation variance {self.n_mod!r} below the minimum {N_MIN}")
+def r_limit(n_eff):
+    """Largest |r| whose modulation variance stays >= N_MIN with margin.
+
+    The margin grows with n_eff so that it outlasts the round-off of n_eff.
+    """
+    head = n_eff - max(2.0 * N_MIN, 16.0 * _EPS * n_eff)
+    return math.asinh(math.sqrt(head)) if head > 0.0 else 0.0
 
 
 @dataclass(frozen=True, eq=False)
 class ModelMatrices:
-    """The reference chain's outputs for one (params, encoding) point.
+    """The reference chain's outputs for one (params, r) point.
 
     r_p, s_p, t_p are the leading 2n x 2n blocks of the full conditional-
     output chain; u_p is the output kernel, v_n the joint (mu, zeta) kernel
-    including the 1/N modulation shift; logdet_gl is ln det(G + L). All are
-    plain float64 arrays built from the 2x2 pair chain, with no dense 4n x 4n G.
+    including the 1/N modulation shift; logdet_gl is ln det(G + L); n_mod is
+    the modulation variance N the chain was built at. All are plain float64
+    arrays built from the 2x2 pair chain, with no dense 4n x 4n G.
     """
 
     r_p: np.ndarray
@@ -75,6 +87,11 @@ class ModelMatrices:
     u_p: np.ndarray
     v_n: np.ndarray
     logdet_gl: float
+    n_mod: float
+
+    @property
+    def n(self):  # channel uses, read from the 2n x 2n blocks
+        return self.r_p.shape[0] // 2
 
 
 def build_input_kernel(n, r):
@@ -157,8 +174,8 @@ def _sector_form(n, c_co, c_rel):
     return out
 
 
-def assemble_model(params, enc):
-    """Assemble the reference chain's matrices for one (params, encoding) point.
+def assemble_model(params, r):
+    """Assemble the reference chain at r, with N = photon_budget(n_eff, r).
 
     The kernels share one orthogonal mode rotation under which the whole
     chain splits into independent (signal, environment) quadrature pairs:
@@ -170,11 +187,7 @@ def assemble_model(params, enc):
     4n x 4n forms directly loses several digits.
     """
     n, eta, s = params.n, params.eta, params.s
-    r, n_mod = enc.r, enc.n_mod
-    budget = params.n_eff - math.sinh(r) ** 2
-    if abs(budget - n_mod) > 1e-9 * max(1.0, params.n_eff):
-        raise PhotonBudgetExceeded(
-            f"encoding carries n_mod={n_mod!r} but the budget leaves {budget!r}")
+    n_mod = photon_budget(params.n_eff, r)
 
     ld_co, r_co, s_co, t_co, u_co = _pair_chain(
         2.0 * math.exp(-2 * r), 2.0 * math.exp(-2 * s), eta, n_mod)
@@ -190,4 +203,4 @@ def assemble_model(params, enc):
     logdet_gl = n * (ld_co + ld_rel)
 
     return ModelMatrices(
-        r_p=r_p, s_p=s_p, t_p=t_p, u_p=u_p, v_n=v_n, logdet_gl=logdet_gl)
+        r_p=r_p, s_p=s_p, t_p=t_p, u_p=u_p, v_n=v_n, logdet_gl=logdet_gl, n_mod=n_mod)

@@ -13,13 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel_model import (
-    N_MIN,
     ChannelParams,
-    EncodingPoint,
     assemble_model,
     build_beam_splitter,
     build_input_kernel,
     build_memory_kernel,
+    r_limit,
 )
 from .errors import (
     DegenerateBaseline,
@@ -38,8 +37,6 @@ from .information import (
     mutual_information,
     optimize_r,
     output_entropy,
-    photon_budget,
-    r_limit,
     rate_gain,
     rate_gains,
 )
@@ -259,11 +256,11 @@ def _check_positive_definite_grid():
                 for n_mod in (0.01, 1.0, 50.0):
                     params = ChannelParams(
                         n=2, eta=eta, s=s, n_eff=n_mod + math.sinh(r) ** 2)
-                    model = assemble_model(params, EncodingPoint(r=r, n_mod=n_mod))
+                    model = assemble_model(params, r)
                     spd_factor(_dense_g(2, eta, r, s)[0])
                     spd_factor(model.u_p)
                     spd_factor(model.v_n)
-                    spd_factor(model.r_p + np.eye(4) / n_mod)
+                    spd_factor(model.r_p + np.eye(4) / model.n_mod)
                     count += 1
     return True, f"points={count}"
 
@@ -329,12 +326,10 @@ def _check_rate_additivity(rng):
 
 def _chain_mi(params, r):
     """Mutual information (bits) on the paper's matrix chain."""
-    n = params.n
-    n_mod = photon_budget(params.n_eff, r)
-    model = assemble_model(params, EncodingPoint(r=r, n_mod=n_mod))
-    i_zeta, _ = output_entropy(model, n, n_mod)
-    i_joint, _ = joint_entropy(model, n, n_mod)
-    return input_entropy(n, n_mod) + i_zeta - i_joint
+    model = assemble_model(params, r)
+    i_zeta, _ = output_entropy(model)
+    i_joint, _ = joint_entropy(model)
+    return input_entropy(params.n, model.n_mod) + i_zeta - i_joint
 
 
 def _check_moment_oracle_grid():
@@ -399,12 +394,10 @@ def _check_quadrature_input():
 
 
 def _quadrature_output_dev(eta, s, r, n_eff):
-    params = ChannelParams(n=1, eta=eta, s=s, n_eff=n_eff)
-    n_mod = photon_budget(n_eff, r)
-    model = assemble_model(params, EncodingPoint(r=r, n_mod=n_mod))
-    norm = math.exp(_ln_output_norm(model, 1, n_mod)[0])
+    model = assemble_model(ChannelParams(n=1, eta=eta, s=s, n_eff=n_eff), r)
+    norm = math.exp(_ln_output_norm(model)[0])
     value = quadrature_entropy_n1(model.u_p, norm)
-    closed, _ = output_entropy(model, 1, n_mod)
+    closed, _ = output_entropy(model)
     return abs(value - closed)
 
 
@@ -415,12 +408,10 @@ def _check_quadrature_output():
 
 
 def _check_quadrature_joint():
-    params = ChannelParams(n=1, eta=0.8, s=1.0, n_eff=2.0)
-    n_mod = photon_budget(2.0, 0.3)
-    model = assemble_model(params, EncodingPoint(r=0.3, n_mod=n_mod))
-    norm = math.exp(_ln_joint_norm(model, 1, n_mod))
+    model = assemble_model(ChannelParams(n=1, eta=0.8, s=1.0, n_eff=2.0), 0.3)
+    norm = math.exp(_ln_joint_norm(model))
     value = quadrature_entropy_n1(model.v_n, norm, points=65)
-    closed, _ = joint_entropy(model, 1, n_mod)
+    closed, _ = joint_entropy(model)
     dev = abs(value - closed)
     return dev <= 1e-4, f"dev={dev:.3e}"
 
@@ -430,6 +421,10 @@ def verify(level, seed=12345, samples=100000, n=2, eta=0.8, n_eff=2.0, stream=No
     stream = sys.stdout if stream is None else stream
     if level not in ("quick", "full"):
         raise InvalidSpec(f"level must be 'quick' or 'full', got {level!r}")
+    # the Monte Carlo checks seed with seed .. seed + 3; McConfig checks samples
+    if not isinstance(seed, int) or not 0 <= seed <= 2 ** 64 - 4:
+        raise InvalidSpec(f"seed must be an integer in [0, 2**64 - 4], got {seed!r}")
+    McConfig(samples=samples, seed=seed)
     spot = ChannelParams(n=n, eta=eta, s=1.0, n_eff=n_eff)
     rng = np.random.default_rng(seed)
     checks = [

@@ -12,9 +12,10 @@ build no matrix. `optimize_r` bisects on the sign of the rate's closed-form
 slope, since the rate has exactly one peak in r.
 
 The paper's matrix chain is the reference that the tests and `verify` check
-the core against: `output_entropy` and `joint_entropy` evaluate the entropies
-from the assembled `ModelMatrices` in log space (powers like 2^{3n}, N^n and
-pi^n enter only as sums of logarithms). Each also returns the normalization
+the core against: `output_entropy(model)` and `joint_entropy(model)` take
+the entropies, in log space, of the model that `assemble_model(params, r)`
+builds (powers like 2^{3n}, N^n and pi^n enter only as sums of logarithms);
+the photon budget is channel_model's. Each also returns the normalization
 coefficient multiplying its entropy bracket, c_out or c_joint, computed
 rather than assumed to be 1; it equals 1 up to round-off for valid
 parameters. The core has no such coefficient. Internal unit is nats;
@@ -25,13 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_model import N_MIN
+from .channel_model import N_MIN, photon_budget, r_limit
 from .errors import DegenerateBaseline, PhotonBudgetExceeded
 from .matrix_core import spd_logdet
 
 LN2 = math.log(2.0)
 LN_PI = math.log(math.pi)
-_EPS = np.finfo(np.float64).eps
 # ln(2 pi e): twice the differential entropy (nats) of a unit-variance Gaussian
 _LN_2PI_E = 1.0 + math.log(2.0 * math.pi)
 
@@ -58,25 +58,6 @@ class GainPoint:
     info: InfoBreakdown
 
 
-def photon_budget(n_eff, r):
-    """Modulation variance left after spending sinh^2(r) on entanglement."""
-    n_mod = n_eff - math.sinh(r) ** 2
-    if not n_mod >= N_MIN:
-        raise PhotonBudgetExceeded(
-            f"r={r!r} leaves modulation {n_mod!r} below {N_MIN} "
-            f"(admissible |r| <= {r_limit(n_eff)!r})")
-    return n_mod
-
-
-def r_limit(n_eff):
-    """Largest |r| whose modulation variance stays >= N_MIN with margin.
-
-    The margin grows with n_eff so that it outlasts the round-off of n_eff.
-    """
-    head = n_eff - max(2.0 * N_MIN, 16.0 * _EPS * n_eff)
-    return math.asinh(math.sqrt(head)) if head > 0.0 else 0.0
-
-
 def input_entropy(n, n_mod):
     """Entropy of the Gaussian modulation ensemble, in bits (n_mod a float or an array)."""
     if not np.all(n_mod >= N_MIN):
@@ -84,33 +65,37 @@ def input_entropy(n, n_mod):
     return (n + n * np.log(math.pi * n_mod)) / LN2
 
 
-def _ln_output_norm(model, n, n_mod):
+def _ln_output_norm(model):
     """ln of the output density's normalization, and the ln det(R' + I/N) in it."""
+    n, n_mod = model.n, model.n_mod
     ld_rpin = spd_logdet(model.r_p + np.eye(2 * n) / n_mod)
     ln_norm = 3 * n * LN2 - n * LN_PI - n * math.log(n_mod) - 0.5 * (model.logdet_gl + ld_rpin)
     return ln_norm, ld_rpin
 
 
-def _ln_joint_norm(model, n, n_mod):
+def _ln_joint_norm(model):
     """ln of the joint (modulation, output) density's normalization."""
+    n, n_mod = model.n, model.n_mod
     return 3 * n * LN2 - 2 * n * LN_PI - n * math.log(n_mod) - 0.5 * model.logdet_gl
 
 
-def output_entropy(model, n, n_mod):
+def output_entropy(model):
     """Entropy of the measured output, in bits, plus the c_out coefficient."""
-    ln_norm, ld_rpin = _ln_output_norm(model, n, n_mod)
+    n, n_mod = model.n, model.n_mod
+    ln_norm, ld_rpin = _ln_output_norm(model)
     ld_up = spd_logdet(model.u_p)
     ln_c = 3 * n * LN2 - n * math.log(n_mod) - 0.5 * (model.logdet_gl + ld_rpin + ld_up)
     c_out = math.exp(ln_c)
     return c_out * (n - ln_norm) / LN2, c_out
 
 
-def joint_entropy(model, n, n_mod):
+def joint_entropy(model):
     """Entropy of the joint (modulation, output) density, in bits, plus c_joint."""
+    n, n_mod = model.n, model.n_mod
     ld_v = spd_logdet(model.v_n)
     ln_c = 3 * n * LN2 - n * math.log(n_mod) - 0.5 * (model.logdet_gl + ld_v)
     c_joint = math.exp(ln_c)
-    return c_joint * (2 * n - _ln_joint_norm(model, n, n_mod)) / LN2, c_joint
+    return c_joint * (2 * n - _ln_joint_norm(model)) / LN2, c_joint
 
 
 def _closed_form(params, r, n_mod):

@@ -15,9 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_model import build_beam_splitter, build_input_kernel, build_memory_kernel
+from .channel_model import (
+    build_beam_splitter,
+    build_input_kernel,
+    build_memory_kernel,
+    photon_budget,
+)
 from .errors import DimensionMismatch, GridTooCoarse, InvalidSpec
-from .information import LN2, photon_budget
+from .information import LN2
 from .matrix_core import spd_factor, spd_logdet
 
 _JACKKNIFE_BLOCKS = 20

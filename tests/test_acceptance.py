@@ -11,7 +11,6 @@ import numpy as np
 
 from lossymem.channel_model import (
     ChannelParams,
-    EncodingPoint,
     assemble_model,
     build_beam_splitter,
     build_input_kernel,
@@ -118,12 +117,11 @@ def test_entropy_prefactors_reduce_to_one():
     worst = 0.0
     for _ in range(50):
         eta, s, n_eff, r = _random_point(rng)
-        n_mod = photon_budget(n_eff, r)
         for n in (1, 2, 3, 4, 5, 6):
             params = ChannelParams(n=n, eta=eta, s=s, n_eff=n_eff)
-            model = assemble_model(params, EncodingPoint(r=r, n_mod=n_mod))
-            _, c_out = output_entropy(model, n, n_mod)
-            _, c_joint = joint_entropy(model, n, n_mod)
+            model = assemble_model(params, r)
+            _, c_out = output_entropy(model)
+            _, c_joint = joint_entropy(model)
             worst = max(worst, abs(c_out - 1.0), abs(c_joint - 1.0))
     assert worst <= 1e-8
     print(f"PASS entropy-prefactors-reduce-to-one max_dev={worst:.3e}")
@@ -150,10 +148,10 @@ def test_oracle_equivalence():
                 for r_tenths in range(-10, 11):
                     r = r_tenths / 10
                     n_mod = photon_budget(n_eff, r)
-                    model = assemble_model(params, EncodingPoint(r=r, n_mod=n_mod))
+                    model = assemble_model(params, r)
                     closed = (input_entropy(2, n_mod)
-                              + output_entropy(model, 2, n_mod)[0]
-                              - joint_entropy(model, 2, n_mod)[0])
+                              + output_entropy(model)[0]
+                              - joint_entropy(model)[0])
                     moments = gaussian_mi_from_moments(params, r)
                     worst = max(worst, abs(closed - moments))
     assert worst <= 1e-7
@@ -169,19 +167,17 @@ def test_oracle_equivalence():
     # measured-output densities, memoryless and memory points
     for eta, s, r in ((0.8, 0.0, 0.0), (0.7, 1.5, 0.4)):
         params = ChannelParams(n=1, eta=eta, s=s, n_eff=2.0)
-        n_mod = photon_budget(2.0, r)
-        model = assemble_model(params, EncodingPoint(r=r, n_mod=n_mod))
+        model = assemble_model(params, r)
         norm = math.exp(0.5 * spd_logdet(model.u_p) - math.log(math.pi))
         dev = abs(quadrature_entropy_n1(model.u_p, norm)
-                  - output_entropy(model, 1, n_mod)[0])
+                  - output_entropy(model)[0])
         quad_worst = max(quad_worst, dev)
     # joint 4-dim density
     params = ChannelParams(n=1, eta=0.8, s=1.0, n_eff=2.0)
-    n_mod = photon_budget(2.0, 0.3)
-    model = assemble_model(params, EncodingPoint(r=0.3, n_mod=n_mod))
+    model = assemble_model(params, 0.3)
     norm = math.exp(0.5 * spd_logdet(model.v_n) - 2 * math.log(math.pi))
     dev = abs(quadrature_entropy_n1(model.v_n, norm, points=65)
-              - joint_entropy(model, 1, n_mod)[0])
+              - joint_entropy(model)[0])
     quad_worst = max(quad_worst, dev)
     assert quad_worst <= 1e-4
     print(f"PASS oracle-equivalence moment_dev={worst:.3e} quad_dev={quad_worst:.3e}")

@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from lossymem.channel_model import (
-    N_MIN,
     ChannelParams,
-    EncodingPoint,
     assemble_model,
     build_beam_splitter,
     build_heterodyne_kernel,
     build_input_kernel,
     build_memory_kernel,
+    photon_budget,
+    r_limit,
 )
 from lossymem.errors import InvalidSpec, NotPositiveDefinite, PhotonBudgetExceeded
 from lossymem.matrix_core import block_diag, spd_factor, spd_logdet, symmetrize
@@ -20,7 +20,7 @@ from lossymem.matrix_core import block_diag, spd_factor, spd_logdet, symmetrize
 
 def model_at(n, eta, s, r, n_mod):
     params = ChannelParams(n=n, eta=eta, s=s, n_eff=n_mod + math.sinh(r) ** 2)
-    return assemble_model(params, EncodingPoint(r=r, n_mod=n_mod))
+    return assemble_model(params, r)
 
 
 def dense_g(n, eta, r, s):
@@ -128,19 +128,18 @@ def test_params_validation():
         ChannelParams(n=2, eta=0.5, s=0.0, n_eff=math.nan)
 
 
-def test_encoding_validation():
-    with pytest.raises(InvalidSpec):
-        EncodingPoint(r=math.nan, n_mod=1.0)
-    with pytest.raises(PhotonBudgetExceeded):
-        EncodingPoint(r=0.0, n_mod=0.0)
-    with pytest.raises(PhotonBudgetExceeded):
-        EncodingPoint(r=0.0, n_mod=N_MIN / 2)
-
-
-def test_assemble_rejects_budget_mismatch():
+def test_assemble_rejects_r_outside_the_budget():
     params = ChannelParams(n=2, eta=0.8, s=1.0, n_eff=2.0)
-    with pytest.raises(PhotonBudgetExceeded):
-        assemble_model(params, EncodingPoint(r=0.5, n_mod=2.0))
+    for r in (math.nan, r_limit(2.0) + 1e-3, -1.01 * r_limit(2.0)):
+        with pytest.raises(PhotonBudgetExceeded):
+            assemble_model(params, r)
+
+
+def test_model_records_its_budget_and_block_length():
+    for n in (1, 3):
+        model = assemble_model(ChannelParams(n=n, eta=0.8, s=1.0, n_eff=2.0), 0.3)
+        assert model.n == n
+        assert model.n_mod == photon_budget(2.0, 0.3)
 
 
 # ---------------------------------------------------------------- assembly

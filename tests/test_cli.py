@@ -10,8 +10,9 @@ import warnings
 import pytest
 
 import lossymem
+from lossymem import cli
 from lossymem.cli import SweepSpec, build_parser, main, optimize, sweep, verify
-from lossymem.errors import InvalidSpec
+from lossymem.errors import InvalidSpec, NotPositiveDefinite, PhotonBudgetExceeded
 from lossymem.information import mutual_information, optimize_r, r_limit, rate_gain
 from lossymem.channel_model import N_EFF_MAX, S_MAX, ChannelParams
 
@@ -204,6 +205,44 @@ def test_verify_rejects_unknown_level():
         verify("bogus", stream=io.StringIO())
 
 
+def test_verify_rejects_bad_seed_and_samples(capsys):
+    # the Monte Carlo checks seed with seed .. seed + 3, so 2**64 - 4 is the top
+    for argv in (["verify", "--seed", "-1"], ["verify", "full", "--samples", "10"],
+                 ["verify", "full", "--seed", str(2 ** 64 - 1)],
+                 ["verify", "full", "--seed", str(2 ** 64 - 3)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+    assert main(["verify", "--seed", str(2 ** 64 - 4)]) == 0
+
+
+def test_verify_reports_a_failing_check(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_check_memoryless_anchor", lambda: (False, "dev=1.000e+00"))
+    buf = io.StringIO()
+    assert verify("quick", stream=buf) is False
+    lines = buf.getvalue().splitlines()
+    assert "FAIL memoryless-anchor dev=1.000e+00" in lines
+    assert lines[-1] == "verify quick: 14 checks, 13 passed, 1 failed"
+    assert main(["verify"]) == 1
+    assert "FAIL memoryless-anchor" in capsys.readouterr().out
+
+
+def test_verify_reports_a_raising_check(monkeypatch, capsys):
+    def raising():
+        raise NotPositiveDefinite("pivot 0 at index 3")
+
+    monkeypatch.setattr(cli, "_check_kernel_determinant", raising)
+    buf = io.StringIO()
+    assert verify("quick", stream=buf) is False
+    lines = buf.getvalue().splitlines()
+    assert ("FAIL input-kernel-determinant raised NotPositiveDefinite: "
+            "pivot 0 at index 3") in lines
+    assert lines[-1] == "verify quick: 14 checks, 13 passed, 1 failed"
+    assert main(["verify"]) == 1
+    assert "raised NotPositiveDefinite" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------- main
 
 def test_main_sweep_roundtrip(tmp_path):
@@ -253,6 +292,19 @@ def test_photon_budget_past_float_range_is_rejected(tmp_path, capsys):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 optimize_r(params)
+
+
+def test_huge_r_is_out_of_budget(tmp_path, capsys):
+    # sinh(r)^2 overflows a float past |r| of about 355
+    params = ChannelParams(n=2, eta=0.8, s=1.0, n_eff=2.0)
+    for r in (1000.0, -1000.0, 400.0, math.inf):
+        with pytest.raises(PhotonBudgetExceeded):
+            mutual_information(params, r)
+    path = tmp_path / "x.csv"
+    assert main(["sweep", "--r-min", "-1000", "--r-max", "1000", "--r-steps", "5",
+                 "--out", str(path)]) == 0
+    assert "total rows=4 skipped=16 grid=20" in capsys.readouterr().out
+    assert [line.split(",")[1] for line in path.read_text().splitlines()[1:]] == ["0"] * 4
 
 
 def test_main_reports_numerical_failure(tmp_path, capsys):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from lossymem.channel_model import ChannelParams, EncodingPoint, assemble_model
+from lossymem.channel_model import ChannelParams, assemble_model
 from lossymem.errors import DegenerateBaseline, PhotonBudgetExceeded
 from lossymem.information import (
     input_entropy,
@@ -22,11 +22,6 @@ LN2 = math.log(2.0)
 
 def params_at(n=2, eta=0.8, s=0.0, n_eff=2.0):
     return ChannelParams(n=n, eta=eta, s=s, n_eff=n_eff)
-
-
-def model_for(params, r):
-    n_mod = photon_budget(params.n_eff, r)
-    return assemble_model(params, EncodingPoint(r=r, n_mod=n_mod)), n_mod
 
 
 # ---------------------------------------------------------------- budget
@@ -67,8 +62,7 @@ def test_input_entropy_examples():
 
 
 def test_output_entropy_memoryless_anchor():
-    model, n_mod = model_for(params_at(n=1), 0.0)
-    value, c_out = output_entropy(model, 1, n_mod)
+    value, c_out = output_entropy(assemble_model(params_at(n=1), 0.0))
     assert value == pytest.approx((1 + math.log(math.pi * 2.6)) / LN2, abs=1e-12)
     assert c_out == pytest.approx(1.0, abs=1e-12)
 
@@ -76,8 +70,7 @@ def test_output_entropy_memoryless_anchor():
 def test_output_entropy_blocked_channel():
     # eta = 0 sends only the environment to the detector; with s = 0 the
     # measured density is an isotropic Gaussian of variance 1/2 per axis
-    model, n_mod = model_for(params_at(n=1, eta=0.0), 0.0)
-    value, _ = output_entropy(model, 1, n_mod)
+    value, _ = output_entropy(assemble_model(params_at(n=1, eta=0.0), 0.0))
     assert value == pytest.approx((1 + math.log(math.pi)) / LN2, abs=1e-12)
 
 
@@ -98,9 +91,9 @@ def test_normalization_coefficients_are_one():
                            s=float(rng.uniform(0.0, 5.0)),
                            n_eff=float(rng.uniform(0.5, 30.0)))
         r = float(rng.uniform(-0.9, 0.9)) * min(r_limit(params.n_eff), 1.5)
-        model, n_mod = model_for(params, r)
-        _, c_out = output_entropy(model, n, n_mod)
-        _, c_joint = joint_entropy(model, n, n_mod)
+        model = assemble_model(params, r)
+        _, c_out = output_entropy(model)
+        _, c_joint = joint_entropy(model)
         assert abs(c_out - 1.0) <= 1e-8
         assert abs(c_joint - 1.0) <= 1e-8
 
@@ -164,10 +157,10 @@ def test_information_is_bounded():
 
 def _chain_breakdown(params, r):
     """(i_zeta, i_joint, rate) on the paper's matrix chain, the reference route."""
-    model, n_mod = model_for(params, r)
-    i_zeta, _ = output_entropy(model, params.n, n_mod)
-    i_joint, _ = joint_entropy(model, params.n, n_mod)
-    return i_zeta, i_joint, (input_entropy(params.n, n_mod) + i_zeta - i_joint) / params.n
+    model = assemble_model(params, r)
+    i_zeta, _ = output_entropy(model)
+    i_joint, _ = joint_entropy(model)
+    return i_zeta, i_joint, (input_entropy(params.n, model.n_mod) + i_zeta - i_joint) / params.n
 
 
 def test_closed_form_matches_matrix_chain():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from lossymem.channel_model import ChannelParams, EncodingPoint, assemble_model
+from lossymem.channel_model import ChannelParams, assemble_model
 from lossymem.errors import (
     DimensionMismatch,
     GridTooCoarse,
@@ -17,7 +17,6 @@ from lossymem.information import (
     joint_entropy,
     mutual_information,
     output_entropy,
-    photon_budget,
     r_limit,
 )
 from lossymem.matrix_core import spd_logdet
@@ -34,12 +33,6 @@ from lossymem.oracle import (
 )
 
 LN2 = math.log(2.0)
-
-
-def assembled(n, eta, s, r, n_eff):
-    params = ChannelParams(n=n, eta=eta, s=s, n_eff=n_eff)
-    n_mod = photon_budget(n_eff, r)
-    return params, assemble_model(params, EncodingPoint(r=r, n_mod=n_mod)), n_mod
 
 
 def det_norm(kernel):
@@ -118,7 +111,8 @@ def test_stacked_logdet_keeps_the_pivot_test():
 # ---------------------------------------------------------------- sampling
 
 def test_sampled_covariance_matches_model():
-    params, model, _ = assembled(2, 0.8, 1.0, 0.3, 2.0)
+    params = ChannelParams(n=2, eta=0.8, s=1.0, n_eff=2.0)
+    model = assemble_model(params, 0.3)
     m = 50000
     data = sample_joint(params, 0.3, McConfig(samples=m, seed=11))
     assert data.shape == (m, 8)
@@ -128,7 +122,8 @@ def test_sampled_covariance_matches_model():
 
 def test_sampled_covariance_scales_with_entry_size():
     # at strong memory the big entries need the Wishart error scale
-    params, model, _ = assembled(2, 0.8, 2.0, 0.4, 2.0)
+    params = ChannelParams(n=2, eta=0.8, s=2.0, n_eff=2.0)
+    model = assemble_model(params, 0.4)
     m = 50000
     data = sample_joint(params, 0.4, McConfig(samples=m, seed=17))
     target = np.linalg.inv(model.v_n) / 2.0
@@ -138,7 +133,7 @@ def test_sampled_covariance_scales_with_entry_size():
 
 
 def test_sampling_is_reproducible():
-    params, _, _ = assembled(2, 0.8, 1.0, 0.3, 2.0)
+    params = ChannelParams(n=2, eta=0.8, s=1.0, n_eff=2.0)
     cfg = McConfig(samples=2000, seed=123)
     np.testing.assert_array_equal(sample_joint(params, 0.3, cfg),
                                   sample_joint(params, 0.3, cfg))
@@ -240,16 +235,16 @@ def test_quadrature_input_density():
 
 def test_quadrature_output_density():
     for eta, s, r in ((0.8, 0.0, 0.0), (0.7, 1.5, 0.4)):
-        _, model, n_mod = assembled(1, eta, s, r, 2.0)
+        model = assemble_model(ChannelParams(n=1, eta=eta, s=s, n_eff=2.0), r)
         value = quadrature_entropy_n1(model.u_p, det_norm(model.u_p))
-        closed, _ = output_entropy(model, 1, n_mod)
+        closed, _ = output_entropy(model)
         assert abs(value - closed) <= 1e-4
 
 
 def test_quadrature_joint_density():
-    _, model, n_mod = assembled(1, 0.8, 1.0, 0.3, 2.0)
+    model = assemble_model(ChannelParams(n=1, eta=0.8, s=1.0, n_eff=2.0), 0.3)
     value = quadrature_entropy_n1(model.v_n, det_norm(model.v_n), points=65)
-    closed, _ = joint_entropy(model, 1, n_mod)
+    closed, _ = joint_entropy(model)
     assert abs(value - closed) <= 1e-4
 
 
@@ -288,8 +283,9 @@ def _reference_entropy_on_grid(kernel, norm_const, sigmas, half_width, points):
 
 
 def test_slab_quadrature_matches_outer_point_loop():
-    _, model, _ = assembled(1, 0.7, 1.5, 0.4, 2.0)
-    kernels = (model.u_p, assembled(1, 0.8, 1.0, 0.3, 2.0)[1].v_n,
+    u_p = assemble_model(ChannelParams(n=1, eta=0.7, s=1.5, n_eff=2.0), 0.4).u_p
+    v_n = assemble_model(ChannelParams(n=1, eta=0.8, s=1.0, n_eff=2.0), 0.3).v_n
+    kernels = (u_p, v_n,
                np.array([[1.0, 0.3, -0.2, 0.1], [0.3, 2.0, 0.4, -0.5],
                          [-0.2, 0.4, 1.5, 0.2], [0.1, -0.5, 0.2, 0.9]]))
     for kernel in kernels:
