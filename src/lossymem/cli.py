@@ -422,7 +422,7 @@ def verify(level, seed=12345, samples=100000, n=2, eta=0.8, n_eff=2.0, stream=No
     if level not in ("quick", "full"):
         raise InvalidSpec(f"level must be 'quick' or 'full', got {level!r}")
     # the Monte Carlo checks seed with seed .. seed + 3; McConfig checks samples
-    if not isinstance(seed, int) or not 0 <= seed <= 2 ** 64 - 4:
+    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed <= 2 ** 64 - 4:
         raise InvalidSpec(f"seed must be an integer in [0, 2**64 - 4], got {seed!r}")
     McConfig(samples=samples, seed=seed)
     spot = ChannelParams(n=n, eta=eta, s=1.0, n_eff=n_eff)

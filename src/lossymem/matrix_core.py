@@ -57,19 +57,20 @@ def _pivot_tested_cholesky(a):
     """Lower Cholesky factors of a square matrix or a (..., d, d) stack.
 
     Raises NotPositiveDefinite when, in any matrix of the stack, a pivot is
-    <= d * eps * max(diag) of that matrix.
+    not > d * eps * max(diag) of that matrix; the tests are written so that a
+    NaN fails them.
     """
     d = a.shape[-1]
     failure = f"matrix of dim {d} failed Cholesky pivot test"
     max_diag = np.diagonal(a, axis1=-2, axis2=-1).max(axis=-1)
-    if np.any(max_diag <= 0.0):
+    if not np.all(max_diag > 0.0):
         raise NotPositiveDefinite(failure)
     try:
         lower = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite(failure) from None
     piv = np.diagonal(lower, axis1=-2, axis2=-1)
-    if np.any(np.min(piv * piv, axis=-1) <= d * _EPS * max_diag):
+    if not np.all(np.min(piv * piv, axis=-1) > d * _EPS * max_diag):
         raise NotPositiveDefinite(failure)
     return lower
 

@@ -36,10 +36,12 @@ class McConfig:
     seed: int
 
     def __post_init__(self):
-        if not isinstance(self.samples, int) or self.samples < 2 * _JACKKNIFE_BLOCKS:
+        if (not isinstance(self.samples, int) or isinstance(self.samples, bool)
+                or self.samples < 2 * _JACKKNIFE_BLOCKS):
             raise InvalidSpec(
                 f"samples must be an integer >= {2 * _JACKKNIFE_BLOCKS}, got {self.samples!r}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2 ** 64:
+        if (not isinstance(self.seed, int) or isinstance(self.seed, bool)
+                or not 0 <= self.seed < 2 ** 64):
             raise InvalidSpec(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
 
@@ -95,8 +97,8 @@ def gaussian_mi_from_moments(params, r):
 def _kernel_sampler(kernel, rng_normal):
     """Draw rows with covariance kernel^{-1}/2 from standard-normal rows."""
     lower = spd_factor(kernel).lower
-    # row x solves x L = z, so cov(x) = L^-T L^-1 = kernel^-1; scale by 1/sqrt(2)
-    return np.linalg.solve(lower.T, rng_normal.T).T / math.sqrt(2.0)
+    # row x = z L^-1 solves x L = z, so cov(x) = L^-T L^-1 = kernel^-1; scale by 1/sqrt(2)
+    return rng_normal @ np.linalg.inv(lower) / math.sqrt(2.0)
 
 
 def sample_joint(params, r, cfg):
@@ -105,19 +107,25 @@ def sample_joint(params, r, cfg):
     Per sample: draw the modulation mu, add input-ensemble noise to get the
     signal quadratures, draw environment quadratures, mix at the beam
     splitter, then heterodyne the signal output (adds variance 1/4 per
-    quadrature).
+    quadrature). The four standard-normal draws come in that order from one
+    Philox stream, so a seed fixes the samples. Only the beam splitter's
+    first 2n columns, the signal output, are formed.
     """
     n = params.n
     n_mod = photon_budget(params.n_eff, r)
     m = cfg.samples
     rng = np.random.Generator(np.random.Philox(cfg.seed))
 
-    mu = rng.standard_normal((m, 2 * n)) * math.sqrt(n_mod / 2.0)
+    out = np.empty((m, 4 * n))
+    mu = out[:, :2 * n]
+    np.multiply(rng.standard_normal((m, 2 * n)), math.sqrt(n_mod / 2.0), out=mu)
     sig = mu + _kernel_sampler(build_input_kernel(n, r), rng.standard_normal((m, 2 * n)))
     env = _kernel_sampler(build_memory_kernel(n, params.s), rng.standard_normal((m, 2 * n)))
-    mixed = np.hstack([sig, env]) @ build_beam_splitter(n, params.eta)
-    zeta = mixed[:, :2 * n] + rng.standard_normal((m, 2 * n)) * 0.5
-    return np.hstack([mu, zeta])
+    to_signal = build_beam_splitter(n, params.eta)[:, :2 * n]
+    zeta = np.hstack([sig, env]) @ to_signal
+    zeta += rng.standard_normal((m, 2 * n)) * 0.5
+    out[:, 2 * n:] = zeta
+    return out
 
 
 def _whole_and_leave_outs(per_block):
@@ -161,7 +169,11 @@ def _entropy_on_grid(kernel, norm_const, sigmas, half_width, points):
 
     The loop runs over the first axis only. Each step evaluates the exponent
     q and the density p on a (points,)^(d-1) slab of the other axes, in two
-    reused buffers, and takes -p ln p as p (q - ln norm_const).
+    reused buffers, and takes -p ln p as p (q - ln norm_const). The density
+    obeys p(-w) = p(w), and every axis and its weights are symmetric about 0,
+    so the slab at -x0 sums to the slab at x0: only the slabs with x0 >= 0
+    are evaluated, each off-centre one weighted twice (an even point count
+    has no centre slab).
     """
     d = len(sigmas)
     axes, weights = [], []
@@ -190,7 +202,12 @@ def _entropy_on_grid(kernel, norm_const, sigmas, half_width, points):
     p = np.empty_like(q_rest)
     mass = 0.0
     ent_nats = 0.0
-    for x0, w0 in zip(axes[0].tolist(), weights[0].tolist()):
+    # the upper half of the first axis; with an odd count the centre slab counts once
+    half = points // 2
+    w_half = 2.0 * weights[0][half:]
+    if points % 2:
+        w_half[0] /= 2.0
+    for x0, w0 in zip(axes[0][half:].tolist(), w_half.tolist()):
         np.multiply(lin, x0, out=q)
         q += q_rest
         q += k[0, 0] * x0 * x0
@@ -211,11 +228,16 @@ def quadrature_entropy_n1(kernel, norm_const, half_width=8.0, points=257):
     The density is norm_const * exp(-w kernel w^T) with the caller-supplied
     normalization; the grid is checked first (mass within 1e-6 of 1) and the
     result is gated on agreement between the requested and half resolution,
-    both raising GridTooCoarse on failure.
+    both raising GridTooCoarse on failure, a NaN included. points must be an
+    integer and half_width finite and > 0, or InvalidSpec is raised.
     """
     k = np.asarray(kernel, dtype=float)
     if k.ndim != 2 or k.shape[0] != k.shape[1] or k.shape[0] not in (2, 4):
         raise DimensionMismatch(f"single-use densities are 2- or 4-dim, got {k.shape}")
+    if not isinstance(points, (int, np.integer)) or isinstance(points, bool):
+        raise InvalidSpec(f"points must be an integer, got {points!r}")
+    if not 0.0 < half_width < math.inf:
+        raise InvalidSpec(f"half_width must be finite and > 0, got {half_width!r}")
     if points < 9:
         raise GridTooCoarse(f"points={points!r} cannot resolve the density")
     if not norm_const > 0.0:
@@ -227,10 +249,10 @@ def quadrature_entropy_n1(kernel, norm_const, half_width=8.0, points=257):
     mass_f, ent_f = _entropy_on_grid(k, norm_const, sigmas, half_width, points)
     mass_c, ent_c = _entropy_on_grid(k, norm_const, sigmas, half_width, coarse_pts)
     for mass, label_pts in ((mass_f, points), (mass_c, coarse_pts)):
-        if abs(mass - 1.0) > 1e-6:
+        if not abs(mass - 1.0) <= 1e-6:
             raise GridTooCoarse(
                 f"density mass {mass!r} at {label_pts} points/axis is not 1 within 1e-6")
-    if abs(ent_f - ent_c) > 2.5e-5:
+    if not abs(ent_f - ent_c) <= 2.5e-5:
         raise GridTooCoarse(
             f"entropy moved {abs(ent_f - ent_c):.3e} bits between resolutions "
             f"{coarse_pts} and {points}")

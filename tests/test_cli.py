@@ -215,6 +215,10 @@ def test_verify_rejects_bad_seed_and_samples(capsys):
         assert captured.err.startswith("error:")
         assert captured.out == ""
     assert main(["verify", "--seed", str(2 ** 64 - 4)]) == 0
+    # a bool is an int to isinstance; neither seed nor samples may be one
+    for kwargs in ({"seed": True}, {"seed": False}, {"samples": True}):
+        with pytest.raises(InvalidSpec):
+            verify("quick", stream=io.StringIO(), **kwargs)
 
 
 def test_verify_reports_a_failing_check(monkeypatch, capsys):

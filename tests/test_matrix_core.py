@@ -101,6 +101,13 @@ def test_not_positive_definite_raises():
     # np.linalg.cholesky accepts this one; the second pivot fails dim * eps * max(diag)
     with pytest.raises(NotPositiveDefinite):
         spd_logdet(np.diag([1.0, 1e-17]))
+    # NaN makes both comparisons of the pivot test False; it must still fail
+    for bad in (np.diag([1.0, np.nan]), np.array([[1.0, np.nan], [np.nan, 1.0]]),
+                np.full((2, 2), np.nan)):
+        with pytest.raises(NotPositiveDefinite):
+            spd_logdet(bad)
+        with pytest.raises(NotPositiveDefinite):
+            spd_factor(bad)
 
 
 def test_solve_rejects_mismatched_rhs():

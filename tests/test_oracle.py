@@ -4,7 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from lossymem.channel_model import ChannelParams, assemble_model
+from lossymem.channel_model import (
+    ChannelParams,
+    assemble_model,
+    build_input_kernel,
+    build_memory_kernel,
+)
 from lossymem.errors import (
     DimensionMismatch,
     GridTooCoarse,
@@ -24,6 +29,7 @@ from lossymem.oracle import (
     McConfig,
     MiEstimate,
     _entropy_on_grid,
+    _kernel_sampler,
     _mi_from_covariance,
     gaussian_mi_from_moments,
     monte_carlo_mi,
@@ -53,6 +59,10 @@ def test_config_validation():
         McConfig(samples=1000, seed=-1)
     with pytest.raises(InvalidSpec):
         McConfig(samples=1000, seed=2 ** 64)
+    with pytest.raises(InvalidSpec):
+        McConfig(samples=100000, seed=True)
+    with pytest.raises(InvalidSpec):
+        McConfig(samples=True, seed=1)
 
 
 # ---------------------------------------------------------------- moments
@@ -106,6 +116,13 @@ def test_stacked_logdet_keeps_the_pivot_test():
         _mi_from_covariance(covs, 1)
     np.testing.assert_allclose(spd_logdet(np.stack([np.eye(2), 2.0 * np.eye(2)])),
                                [0.0, 2.0 * math.log(2.0)], rtol=0, atol=1e-15)
+    # a NaN anywhere in the stack fails the pivot test instead of giving nan
+    for bad in (np.diag([1.0, np.nan]), np.array([[1.0, np.nan], [np.nan, 1.0]]),
+                np.full((2, 2), np.nan)):
+        with pytest.raises(NotPositiveDefinite):
+            spd_logdet(np.stack([np.eye(2), bad, 2.0 * np.eye(2)]))
+    with pytest.raises(NotPositiveDefinite):
+        _mi_from_covariance(np.stack([np.eye(4), np.diag([1.0, 1.0, np.nan, 1.0])]), 1)
 
 
 # ---------------------------------------------------------------- sampling
@@ -130,6 +147,25 @@ def test_sampled_covariance_scales_with_entry_size():
     diag = np.diag(target)
     scale = np.sqrt((np.outer(diag, diag) + target ** 2) / m)
     assert np.abs((np.cov(data, rowvar=False) - target) / scale).max() <= 5.0
+
+
+def _reference_kernel_rows(kernel, z):
+    """The triangular system x L = z solved by a general LU solve."""
+    lower = np.linalg.cholesky(kernel)
+    return np.linalg.solve(lower.T, z.T).T / math.sqrt(2.0)
+
+
+def test_kernel_sampler_matches_triangular_solve():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3):
+        z = rng.standard_normal((1000, 2 * n))
+        kernels = [build_memory_kernel(n, s) for s in (-5.0, -1.0, 0.0, 2.0, 5.0)]
+        kernels += [build_input_kernel(n, r) for r in (-5.0, -0.5, 0.0, 1.0, 5.0)]
+        for kernel in kernels:
+            rows = _kernel_sampler(kernel, z)
+            ref = _reference_kernel_rows(kernel, z)
+            assert rows.shape == z.shape
+            assert np.abs(rows - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_sampling_is_reproducible():
@@ -288,14 +324,18 @@ def test_slab_quadrature_matches_outer_point_loop():
     kernels = (u_p, v_n,
                np.array([[1.0, 0.3, -0.2, 0.1], [0.3, 2.0, 0.4, -0.5],
                          [-0.2, 0.4, 1.5, 0.2], [0.1, -0.5, 0.2, 0.9]]))
+    kernels += (np.array([[1.0, 0.3], [0.3, 2.0]]),
+                assemble_model(ChannelParams(n=1, eta=0.7, s=1.5, n_eff=2.0), 0.4).u_p[:2, :2])
+    # 17 points have a centre slab, counted once; 16 points have none
     for kernel in kernels:
         sigmas = np.sqrt(np.diag(np.linalg.inv(kernel) / 2.0))
         for half_width in (8.0, 2.0):
-            args = (kernel, det_norm(kernel), sigmas, half_width, 17)
-            mass, ent = _entropy_on_grid(*args)
-            ref_mass, ref_ent = _reference_entropy_on_grid(*args)
-            assert abs(mass - ref_mass) <= 1e-12
-            assert abs(ent - ref_ent) <= 1e-12
+            for points in (17, 16):
+                args = (kernel, det_norm(kernel), sigmas, half_width, points)
+                mass, ent = _entropy_on_grid(*args)
+                ref_mass, ref_ent = _reference_entropy_on_grid(*args)
+                assert abs(mass - ref_mass) <= 1e-12
+                assert abs(ent - ref_ent) <= 1e-12
 
 
 def test_quadrature_rejects_wrong_shapes():
@@ -306,9 +346,26 @@ def test_quadrature_rejects_wrong_shapes():
 
 
 def test_quadrature_rejects_unnormalized_density():
-    for norm_const in (1.02 / math.pi, 0.0, -1.0 / math.pi):
+    for norm_const in (1.02 / math.pi, 0.0, -1.0 / math.pi, math.nan, math.inf):
         with pytest.raises(GridTooCoarse):
             quadrature_entropy_n1(np.eye(2), norm_const)
+    # a NaN the Cholesky factor does not read reaches the mass gate as a nan mass
+    with pytest.raises(GridTooCoarse):
+        quadrature_entropy_n1(np.array([[1.0, np.nan], [0.0, 1.0]]), 1.0 / math.pi)
+    for kernel in (np.array([[1.0, np.nan], [np.nan, 1.0]]), np.diag([1.0, np.nan])):
+        with pytest.raises(NotPositiveDefinite):
+            quadrature_entropy_n1(kernel, 1.0 / math.pi)
+
+
+def test_quadrature_rejects_bad_grid_specs():
+    for half_width in (math.nan, math.inf, 0.0, -8.0):
+        with pytest.raises(InvalidSpec):
+            quadrature_entropy_n1(np.eye(2), 1.0 / math.pi, half_width=half_width)
+    for points in (65.0, True, "65"):
+        with pytest.raises(InvalidSpec):
+            quadrature_entropy_n1(np.eye(2), 1.0 / math.pi, points=points)
+    value = quadrature_entropy_n1(np.eye(2), 1.0 / math.pi, points=np.int64(65))
+    assert abs(value - (1 + math.log(math.pi)) / LN2) <= 1e-4
 
 
 def test_quadrature_rejects_coarse_grids():
