@@ -100,19 +100,25 @@ def build_input_kernel(n, r):
     (2/n) * block_diag(K_r, K_{-r}) with K_r = (e^{-2r} - e^{2r}) J + n e^{2r} I,
     J the all-ones matrix. Spectrum per block: 2e^{-2r} on the collective
     quadrature, 2e^{2r} on the n-1 relative ones.
+
+    r is a float or an array; the result has shape np.shape(r) + (2n, 2n).
+    The exponentials come from math.exp one r at a time (numpy's vector exp
+    can differ from it in the last bit), so an array gives the bits of the
+    per-r calls.
     """
     if n < 1:
         raise InvalidSpec(f"n must be >= 1, got {n!r}")
+    r_arr = np.asarray(r, dtype=float)
+    exps = np.array([(math.exp(-2 * x), math.exp(2 * x)) for x in r_arr.ravel().tolist()])
+    exps = exps.reshape(r_arr.shape + (2, 1, 1))
+    shrink, grow = exps[..., 0, :, :], exps[..., 1, :, :]
     ones = np.ones((n, n))
     eye = np.eye(n)
-
-    def half(rr):
-        return (math.exp(-2 * rr) - math.exp(2 * rr)) * ones + n * math.exp(2 * rr) * eye
-
-    out = np.zeros((2 * n, 2 * n))
-    out[:n, :n] = half(r)
-    out[n:, n:] = half(-r)
-    return (2.0 / n) * out
+    out = np.zeros(r_arr.shape + (2 * n, 2 * n))
+    out[..., :n, :n] = (shrink - grow) * ones + (n * grow) * eye
+    out[..., n:, n:] = (grow - shrink) * ones + (n * shrink) * eye
+    out *= 2.0 / n
+    return out
 
 
 def build_memory_kernel(n, s):

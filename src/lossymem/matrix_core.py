@@ -2,9 +2,9 @@
 
 NumPy alone, on plain float64 arrays. The reference matrix chain of
 channel_model and the oracles factor through `spd_factor`, or through
-`spd_logdet` on a (..., d, d) stack, under one pivot test, so a matrix that
-fails it raises NotPositiveDefinite instead of yielding a silently wrong
-log-determinant.
+`spd_logdet` on a (..., d, d) stack, under one symmetry and pivot test, so
+a matrix that fails it raises NotPositiveDefinite instead of yielding a
+silently wrong log-determinant.
 """
 import numpy as np
 
@@ -56,21 +56,26 @@ class CholFactor:
 def _pivot_tested_cholesky(a):
     """Lower Cholesky factors of a square matrix or a (..., d, d) stack.
 
-    Raises NotPositiveDefinite when, in any matrix of the stack, a pivot is
-    not > d * eps * max(diag) of that matrix; the tests are written so that a
-    NaN fails them.
+    Raises NotPositiveDefinite when, in any matrix of the stack, max|A - A^T|
+    is not <= d * eps * max(diag) of that matrix, or a pivot is not > it. The
+    symmetry test guards the upper triangle, which the factor never reads; it
+    allows round-off because a numerical inverse is symmetric only to that.
+    The tests are written so that a NaN fails them.
     """
     d = a.shape[-1]
     failure = f"matrix of dim {d} failed Cholesky pivot test"
     max_diag = np.diagonal(a, axis1=-2, axis2=-1).max(axis=-1)
     if not np.all(max_diag > 0.0):
         raise NotPositiveDefinite(failure)
+    tol = d * _EPS * max_diag
+    if not np.all(np.abs(a - np.swapaxes(a, -1, -2)).max(axis=(-2, -1)) <= tol):
+        raise NotPositiveDefinite(f"matrix of dim {d} is not symmetric")
     try:
         lower = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite(failure) from None
     piv = np.diagonal(lower, axis1=-2, axis2=-1)
-    if not np.all(np.min(piv * piv, axis=-1) > d * _EPS * max_diag):
+    if not np.all(np.min(piv * piv, axis=-1) > tol):
         raise NotPositiveDefinite(failure)
     return lower
 
@@ -78,7 +83,8 @@ def _pivot_tested_cholesky(a):
 def spd_factor(m):
     """Cholesky-factor an SPD matrix.
 
-    Raises NotPositiveDefinite when a pivot is <= dim * eps * max(diag); for
+    Raises NotPositiveDefinite when the matrix is not symmetric to
+    dim * eps * max(diag) or a pivot is <= dim * eps * max(diag); for
     valid channel parameters that only happens on malformed inputs, so the
     failure is a diagnostic, not a recoverable condition.
     """

@@ -8,6 +8,14 @@ and takes the mutual information from the Gaussian block-determinant
 formula. A physical Monte Carlo simulation of the same pipeline estimates it
 from sampled moments, with a jackknife error bar. Direct numerical quadrature
 evaluates the single-use entropy integrals of a given kernel.
+
+The quadrature integrates each independent block of the kernel (a connected
+component of its nonzero pattern; the n = 1 joint kernel splits into its x
+pair and its p pair) on its own axes. The density is a product over the
+blocks, the grid a tensor product and its weights products of per-axis
+weights, so the trapezoid sums of the whole grid are exact combinations of
+the blocks' sums: no approximation enters, only a different order of
+round-off.
 """
 import functools
 import math
@@ -26,6 +34,8 @@ from .information import LN2
 from .matrix_core import spd_factor, spd_logdet
 
 _JACKKNIFE_BLOCKS = 20
+# grid points the quadrature evaluates per step, unless one slab holds more
+_SLAB_BATCH = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -53,6 +63,18 @@ class MiEstimate:
     std_error: float
 
 
+def _symmetric_inverse(a):
+    """np.linalg.inv of a symmetric matrix or stack, made exactly symmetric.
+
+    np.linalg.inv is symmetric only to a round-off that grows with the
+    condition number. At n = 8, |s| = 5 that round-off exceeds the pivot
+    test's symmetry tolerance, and the lower triangle alone, which the
+    Cholesky factor reads, put the moment MI off by up to 3e-6 bits.
+    """
+    inv = np.linalg.inv(a)
+    return (inv + np.swapaxes(inv, -1, -2)) / 2.0
+
+
 def pipeline_covariance(params, r):
     """Exact covariance of the (mu, zeta) rows that sample_joint draws.
 
@@ -60,19 +82,21 @@ def pipeline_covariance(params, r):
     With N = photon_budget(n_eff, r) the modulation block is (N/2) I, the
     cross block sqrt(eta) (N/2) I, and the output block
     eta ((N/2) I + A_in^{-1}/2) + (1 - eta) A_mem^{-1}/2 + I/4, with the
-    input and memory kernels inverted numerically.
+    input and memory kernels inverted numerically and each inverse
+    symmetrised, so every matrix is exactly symmetric.
     """
     n, eta = params.n, params.eta
     r_flat = np.asarray(r, dtype=float).ravel()
     n_mod = np.array([photon_budget(params.n_eff, float(x)) for x in r_flat])
-    a_in = np.array([build_input_kernel(n, float(x)) for x in r_flat]).reshape(-1, 2 * n, 2 * n)
+    a_in = build_input_kernel(n, r_flat)
+    a_mem = build_memory_kernel(n, params.s)
     eye = np.eye(2 * n)
     sigma_mu = (n_mod / 2.0)[:, None, None] * eye
     cov = np.empty((r_flat.size, 4 * n, 4 * n))
     cov[:, :2 * n, :2 * n] = sigma_mu
     cov[:, :2 * n, 2 * n:] = cov[:, 2 * n:, :2 * n] = math.sqrt(eta) * sigma_mu
-    cov[:, 2 * n:, 2 * n:] = (eta * (sigma_mu + np.linalg.inv(a_in) / 2.0)
-                              + (1.0 - eta) * np.linalg.inv(build_memory_kernel(n, params.s)) / 2.0
+    cov[:, 2 * n:, 2 * n:] = (eta * (sigma_mu + _symmetric_inverse(a_in) / 2.0)
+                              + (1.0 - eta) * _symmetric_inverse(a_mem) / 2.0
                               + eye / 4.0)
     return cov.reshape(np.shape(r) + (4 * n, 4 * n))
 
@@ -164,18 +188,86 @@ def monte_carlo_mi(params, r, cfg):
     return MiEstimate(value=value / n, std_error=std_error / n)
 
 
-def _entropy_on_grid(kernel, norm_const, sigmas, half_width, points):
-    """Trapezoid mass and entropy (bits) of norm_const * exp(-w kernel w^T).
+def _independent_blocks(k):
+    """Index lists of the connected components of k's nonzero pattern.
 
-    The loop runs over the first axis only. Each step evaluates the exponent
-    q and the density p on a (points,)^(d-1) slab of the other axes, in two
-    reused buffers, and takes -p ln p as p (q - ln norm_const). The density
-    obeys p(-w) = p(w), and every axis and its weights are symmetric about 0,
-    so the slab at -x0 sums to the slab at x0: only the slabs with x0 >= 0
-    are evaluated, each off-centre one weighted twice (an even point count
-    has no centre slab).
+    Indices i and j are coupled when k[i, j] or k[j, i] is nonzero; a NaN
+    is nonzero, so it couples its two indices.
     """
-    d = len(sigmas)
+    d = k.shape[0]
+    reach = (k != 0) | (k.T != 0) | np.eye(d, dtype=bool)
+    for _ in range(d):  # boolean squaring: reach ends as the transitive closure
+        reach = reach @ reach
+    blocks = []
+    for row in reach:
+        block = np.flatnonzero(row).tolist()
+        if block not in blocks:
+            blocks.append(block)
+    return blocks
+
+
+def _slab_integrals(k, axes, weights):
+    """Trapezoid sums (sum w p, sum w p q) of p = exp(-q), q = w k w^T.
+
+    The grid is walked along the first axis in batches of slabs, each slab
+    the (points,)^(d-1) grid of the other axes at one first coordinate x0
+    (a single point when d = 1), a batch at most _SLAB_BATCH grid points
+    unless one slab is larger. p obeys p(-w) = p(w), and every axis and its
+    weights are symmetric about 0, so the slab at -x0 sums to the slab at
+    x0: only the slabs with x0 >= 0 are evaluated, each off-centre one
+    weighted twice (an even point count has no centre slab).
+    """
+    d = len(axes)
+    points = len(axes[0])
+    rest = np.meshgrid(*axes[1:], indexing="ij", sparse=True)
+    w_rest = functools.reduce(np.multiply.outer, weights[1:], np.ones(())).ravel()
+    # q = k00 x0^2 + x0 * lin + q_rest on the slab at first coordinate x0
+    q_rest = np.zeros((points,) * (d - 1))
+    lin = np.zeros_like(q_rest)
+    for i in range(1, d):
+        lin += 2.0 * k[0, i] * rest[i - 1]
+        q_rest += k[i, i] * rest[i - 1] * rest[i - 1]
+        for j in range(i + 1, d):
+            q_rest += 2.0 * k[i, j] * rest[i - 1] * rest[j - 1]
+    q_rest, lin = q_rest.ravel(), lin.ravel()
+
+    # the upper half of the first axis; with an odd count the centre slab counts once
+    half = points // 2
+    x_half = axes[0][half:, None]
+    w_half = 2.0 * weights[0][half:]
+    if points % 2:
+        w_half[0] /= 2.0
+    batch = max(1, _SLAB_BATCH // q_rest.size)
+    q = np.empty((min(batch, len(x_half)), q_rest.size))
+    p = np.empty_like(q)
+    mass = 0.0
+    moment = 0.0
+    for lo in range(0, len(x_half), batch):
+        x0, w0 = x_half[lo:lo + batch], w_half[lo:lo + batch]
+        q_b, p_b = q[:len(x0)], p[:len(x0)]
+        np.multiply(x0, lin, out=q_b)
+        q_b += q_rest
+        q_b += k[0, 0] * x0 * x0
+        np.negative(q_b, out=p_b)
+        np.exp(p_b, out=p_b)
+        q_b *= p_b
+        mass += float(w0 @ (p_b @ w_rest))
+        moment += float(w0 @ (q_b @ w_rest))
+    return mass, moment
+
+
+def _entropy_on_grid(kernel, norm_const, sigmas, half_width, points):
+    """Trapezoid mass and entropy (bits) of c * exp(-w kernel w^T), c = norm_const.
+
+    The kernel's indices split into the connected components of its nonzero
+    pattern, and each block b is integrated on its own axes as
+    p_b = exp(-q_b), giving a mass m_b and a sum S_b of w p_b q_b. The
+    density is c times the product of the p_b, the grid a tensor product and
+    its weights products of per-axis weights, so the trapezoid sums factor
+    exactly: mass = c * prod m_b, and with -ln p = sum q_b - ln c,
+    entropy = c * (sum_b S_b * prod_{b' != b} m_b' - ln c * prod m_b).
+    A kernel that couples every index is one block.
+    """
     axes, weights = [], []
     for s_i in sigmas:
         ax = np.linspace(-half_width * s_i, half_width * s_i, points)
@@ -186,39 +278,16 @@ def _entropy_on_grid(kernel, norm_const, sigmas, half_width, points):
         weights.append(w)
 
     k = np.asarray(kernel, dtype=float)
-    rest = np.meshgrid(*axes[1:], indexing="ij", sparse=True)
-    w_rest = functools.reduce(np.multiply.outer, weights[1:])
-    # q = k00 x0^2 + x0 * lin + q_rest on the slab at first coordinate x0
-    q_rest = np.zeros((points,) * (d - 1))
-    lin = np.zeros_like(q_rest)
-    for i in range(1, d):
-        lin += 2.0 * k[0, i] * rest[i - 1]
-        q_rest += k[i, i] * rest[i - 1] * rest[i - 1]
-        for j in range(i + 1, d):
-            q_rest += 2.0 * k[i, j] * rest[i - 1] * rest[j - 1]
-
-    ln_c = math.log(norm_const)
-    q = np.empty_like(q_rest)
-    p = np.empty_like(q_rest)
-    mass = 0.0
-    ent_nats = 0.0
-    # the upper half of the first axis; with an odd count the centre slab counts once
-    half = points // 2
-    w_half = 2.0 * weights[0][half:]
-    if points % 2:
-        w_half[0] /= 2.0
-    for x0, w0 in zip(axes[0][half:].tolist(), w_half.tolist()):
-        np.multiply(lin, x0, out=q)
-        q += q_rest
-        q += k[0, 0] * x0 * x0
-        np.negative(q, out=p)
-        np.exp(p, out=p)
-        p *= norm_const
-        q -= ln_c
-        q *= p
-        mass += w0 * float(np.vdot(w_rest, p))
-        ent_nats += w0 * float(np.vdot(w_rest, q))
-    return mass, ent_nats / LN2
+    masses, moments = [], []
+    for block in _independent_blocks(k):
+        m_b, s_b = _slab_integrals(k[np.ix_(block, block)], [axes[i] for i in block],
+                                   [weights[i] for i in block])
+        masses.append(m_b)
+        moments.append(s_b)
+    prod_mass = math.prod(masses)
+    cross = sum(s_b * math.prod(masses[:b] + masses[b + 1:]) for b, s_b in enumerate(moments))
+    ent_nats = norm_const * (cross - math.log(norm_const) * prod_mass)
+    return norm_const * prod_mass, ent_nats / LN2
 
 
 def quadrature_entropy_n1(kernel, norm_const, half_width=8.0, points=257):
@@ -226,10 +295,14 @@ def quadrature_entropy_n1(kernel, norm_const, half_width=8.0, points=257):
     tensor-grid trapezoid quadrature.
 
     The density is norm_const * exp(-w kernel w^T) with the caller-supplied
-    normalization; the grid is checked first (mass within 1e-6 of 1) and the
-    result is gated on agreement between the requested and half resolution,
-    both raising GridTooCoarse on failure, a NaN included. points must be an
-    integer and half_width finite and > 0, or InvalidSpec is raised.
+    normalization. The grid's axes are scaled by the marginal deviations of
+    the whole kernel's covariance; each independent block of the kernel is
+    integrated on its own axes and the blocks are combined exactly (see
+    _entropy_on_grid). The grid is checked first (mass within 1e-6 of 1)
+    and the result is gated on agreement between the requested and half
+    resolution, both raising GridTooCoarse on failure, a NaN included.
+    points must be an integer and half_width finite and > 0, or InvalidSpec
+    is raised.
     """
     k = np.asarray(kernel, dtype=float)
     if k.ndim != 2 or k.shape[0] != k.shape[1] or k.shape[0] not in (2, 4):

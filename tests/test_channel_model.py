@@ -58,6 +58,29 @@ def test_input_kernel_two_use_entries():
     np.testing.assert_array_equal(got[:2, 2:], np.zeros((2, 2)))
 
 
+def _reference_input_kernel(n, r):
+    """The per-r construction: one float r, math.exp and dense J and I."""
+    def half(rr):
+        return ((math.exp(-2 * rr) - math.exp(2 * rr)) * np.ones((n, n))
+                + n * math.exp(2 * rr) * np.eye(n))
+
+    return (2.0 / n) * block_diag(half(r), half(-r))
+
+
+def test_input_kernel_on_an_array_matches_per_r_calls():
+    # enough r that a vector exp differing from math.exp in the last bit shows
+    r = np.concatenate([np.linspace(-3.1, 3.1, 118), [0.0, 1e-9]]).reshape(8, 15)
+    for n in (1, 2, 5):
+        batched = build_input_kernel(n, r)
+        assert batched.shape == r.shape + (2 * n, 2 * n)
+        per_r = np.array([build_input_kernel(n, float(x)) for x in r.ravel()])
+        np.testing.assert_array_equal(batched, per_r.reshape(batched.shape))
+        for x in r.ravel().tolist():
+            assert build_input_kernel(n, x).shape == (2 * n, 2 * n)
+            np.testing.assert_array_equal(build_input_kernel(n, x),
+                                          _reference_input_kernel(n, x))
+
+
 def test_memory_kernel_matches_input_family():
     np.testing.assert_array_equal(build_memory_kernel(3, 0.0), 2.0 * np.eye(6))
     np.testing.assert_allclose(build_memory_kernel(1, 1.0),

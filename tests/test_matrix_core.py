@@ -110,6 +110,29 @@ def test_not_positive_definite_raises():
             spd_factor(bad)
 
 
+def test_asymmetric_input_fails_the_pivot_test():
+    # the factor reads only the lower triangle; an upper triangle that
+    # disagrees with it, or a NaN in either, fails the symmetry test
+    for bad in (np.array([[1.0, 5.0], [0.0, 1.0]]), np.array([[1.0, np.nan], [0.0, 1.0]]),
+                np.array([[1.0, 0.0], [np.nan, 1.0]]), np.array([[1.0, 1e-12], [0.0, 1.0]])):
+        with pytest.raises(NotPositiveDefinite):
+            spd_logdet(bad)
+        with pytest.raises(NotPositiveDefinite):
+            spd_factor(bad)
+        with pytest.raises(NotPositiveDefinite):
+            spd_logdet(np.stack([np.eye(2), bad, 2.0 * np.eye(2)]))
+
+
+def test_round_off_asymmetry_passes_the_pivot_test():
+    rng = np.random.default_rng(9)
+    for dim in (2, 5, 9, 16):
+        m = random_spd(rng, dim)
+        inv = np.linalg.inv(m)
+        assert spd_logdet(inv) == pytest.approx(-spd_logdet(m), abs=1e-10)
+        spd_factor(inv)
+        spd_logdet(np.stack([inv, inv.T]))
+
+
 def test_solve_rejects_mismatched_rhs():
     m = np.eye(3)
     with pytest.raises(DimensionMismatch):

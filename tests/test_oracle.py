@@ -9,6 +9,7 @@ from lossymem.channel_model import (
     assemble_model,
     build_input_kernel,
     build_memory_kernel,
+    photon_budget,
 )
 from lossymem.errors import (
     DimensionMismatch,
@@ -29,6 +30,7 @@ from lossymem.oracle import (
     McConfig,
     MiEstimate,
     _entropy_on_grid,
+    _independent_blocks,
     _kernel_sampler,
     _mi_from_covariance,
     gaussian_mi_from_moments,
@@ -105,6 +107,47 @@ def test_moment_formula_on_an_array_matches_points():
         grid = r.reshape(7, 1)
         assert pipeline_covariance(params, grid).shape == (7, 1, 4 * n, 4 * n)
         assert gaussian_mi_from_moments(params, grid).shape == (7, 1)
+
+
+def _reference_pipeline_covariance(params, r):
+    """The covariance at one float r, from per-r kernels and np.block."""
+    n, eta = params.n, params.eta
+    eye = np.eye(2 * n)
+
+    def sym_inv(a):
+        inv = np.linalg.inv(a)
+        return (inv + inv.T) / 2.0
+
+    sigma_mu = (photon_budget(params.n_eff, r) / 2.0) * eye
+    sigma_zeta = (eta * (sigma_mu + sym_inv(build_input_kernel(n, r)) / 2.0)
+                  + (1.0 - eta) * sym_inv(build_memory_kernel(n, params.s)) / 2.0
+                  + eye / 4.0)
+    cross = math.sqrt(eta) * sigma_mu
+    return np.block([[sigma_mu, cross], [cross, sigma_zeta]])
+
+
+def test_pipeline_covariance_matches_a_per_r_loop():
+    for n in (1, 2, 3, 8):
+        params = ChannelParams(n=n, eta=0.6, s=-1.5, n_eff=5.0)
+        r = np.linspace(-0.9, 0.9, 6).reshape(2, 3) * r_limit(5.0)
+        cov = pipeline_covariance(params, r)
+        reference = np.array([_reference_pipeline_covariance(params, x) for x in r.ravel()])
+        np.testing.assert_array_equal(cov, reference.reshape(cov.shape))
+        # every matrix is exactly symmetric, however ill-conditioned its kernels
+        np.testing.assert_array_equal(cov, np.swapaxes(cov, -1, -2))
+
+
+def test_moment_formula_at_strong_memory_and_many_uses():
+    # np.linalg.inv of the n = 8 kernels at |s| = 5 is asymmetric far past
+    # the covariance's round-off; its lower triangle alone, which the
+    # Cholesky factor reads, puts the MI off by up to 3.3e-6 bits here
+    for s in (-5.0, 5.0):
+        for eta in (0.3, 0.7):
+            for n_eff in (1.0, 20.0):
+                params = ChannelParams(n=8, eta=eta, s=s, n_eff=n_eff)
+                r = np.linspace(-0.9, 0.9, 7) * min(r_limit(n_eff), 1.5)
+                closed = [mutual_information(params, float(x)).i_r for x in r]
+                assert np.abs(gaussian_mi_from_moments(params, r) - closed).max() <= 1e-9
 
 
 def test_stacked_logdet_keeps_the_pivot_test():
@@ -338,6 +381,38 @@ def test_slab_quadrature_matches_outer_point_loop():
                 assert abs(ent - ref_ent) <= 1e-12
 
 
+def test_kernel_splits_into_independent_blocks():
+    v_n = assemble_model(ChannelParams(n=1, eta=0.8, s=1.0, n_eff=2.0), 0.3).v_n
+    assert _independent_blocks(v_n) == [[0, 2], [1, 3]]
+    assert _independent_blocks(np.diag([1.0, 2.0, 3.0, 4.0])) == [[0], [1], [2], [3]]
+    chain = np.array([[2.0, 0.5, 0.0, 0.0], [0.5, 2.0, 0.4, 0.0],
+                      [0.0, 0.4, 2.0, 0.3], [0.0, 0.0, 0.3, 2.0]])
+    assert _independent_blocks(chain) == [[0, 1, 2, 3]]
+    # 0 and 1 are joined only through 3
+    star = np.array([[1.0, 0.0, 0.0, 0.2], [0.0, 1.0, 0.0, 0.3],
+                     [0.0, 0.0, 1.0, 0.0], [0.2, 0.3, 0.0, 1.0]])
+    assert _independent_blocks(star) == [[0, 1, 3], [2]]
+    # a NaN couples its two indices, even in one triangle only
+    assert _independent_blocks(np.array([[1.0, np.nan], [0.0, 1.0]])) == [[0, 1]]
+    assert _independent_blocks(np.array([[1.0, 0.0], [np.nan, 1.0]])) == [[0, 1]]
+
+
+def test_block_quadrature_matches_outer_point_loop():
+    v_n = assemble_model(ChannelParams(n=1, eta=0.8, s=1.0, n_eff=2.0), 0.3).v_n
+    # the tridiagonal kernel has exact zeros in its corners but is one block
+    chain = np.array([[1.0, 0.3, 0.0, 0.0], [0.3, 2.0, 0.4, 0.0],
+                      [0.0, 0.4, 1.5, 0.2], [0.0, 0.0, 0.2, 0.9]])
+    cases = [(v_n, 17), (v_n, 16), (np.diag([1.0, 0.5, 2.0, 0.7]), 17), (chain, 17),
+             (chain, 16), (np.diag([1.0, 0.25]), 257)]
+    for kernel, points in cases:
+        sigmas = np.sqrt(np.diag(np.linalg.inv(kernel) / 2.0))
+        args = (kernel, det_norm(kernel), sigmas, 8.0, points)
+        mass, ent = _entropy_on_grid(*args)
+        ref_mass, ref_ent = _reference_entropy_on_grid(*args)
+        assert abs(mass - ref_mass) <= 1e-12
+        assert abs(ent - ref_ent) <= 1e-12
+
+
 def test_quadrature_rejects_wrong_shapes():
     with pytest.raises(DimensionMismatch):
         quadrature_entropy_n1(np.eye(3), 1.0)
@@ -349,10 +424,10 @@ def test_quadrature_rejects_unnormalized_density():
     for norm_const in (1.02 / math.pi, 0.0, -1.0 / math.pi, math.nan, math.inf):
         with pytest.raises(GridTooCoarse):
             quadrature_entropy_n1(np.eye(2), norm_const)
-    # a NaN the Cholesky factor does not read reaches the mass gate as a nan mass
-    with pytest.raises(GridTooCoarse):
-        quadrature_entropy_n1(np.array([[1.0, np.nan], [0.0, 1.0]]), 1.0 / math.pi)
-    for kernel in (np.array([[1.0, np.nan], [np.nan, 1.0]]), np.diag([1.0, np.nan])):
+    # a NaN only in the upper triangle, which the Cholesky factor does not
+    # read, fails the symmetry test
+    for kernel in (np.array([[1.0, np.nan], [0.0, 1.0]]),
+                   np.array([[1.0, np.nan], [np.nan, 1.0]]), np.diag([1.0, np.nan])):
         with pytest.raises(NotPositiveDefinite):
             quadrature_entropy_n1(kernel, 1.0 / math.pi)
 
