@@ -1,7 +1,8 @@
 """Channel parameters, the photon budget and the paper's reference matrix chain.
 
-`ChannelParams`, `photon_budget` and `r_limit` decide which points are
-admissible; `assemble_model(params, r)` builds the reference chain.
+`ChannelParams`, `photon_budget` (or `photon_budgets` over an array of r)
+and `r_limit` decide which points are admissible; `assemble_model(params, r)`
+builds the reference chain.
 
 Phase-space conventions: row vectors, densities proportional to
 exp(-w M w^T), quadrature ordering (x_1..x_n, p_1..p_n) per 2n-block and
@@ -59,6 +60,25 @@ def photon_budget(n_eff, r):
             f"r={r!r} leaves modulation {n_mod!r} below {N_MIN} "
             f"(admissible |r| <= {r_limit(n_eff)!r})")
     return n_mod
+
+
+def photon_budgets(n_eff, r_values):
+    """photon_budget element-wise over a 1-D array of r, raising nothing.
+
+    Returns (n_mod, admissible): n_eff - sinh^2(r) per element, -inf where
+    that overflows, and the mask of entries >= N_MIN, which a NaN fails.
+    Each element takes photon_budget's float path, math.sinh and Python's
+    ** 2 (numpy's sinh and square differ from them in the last bit), so an
+    admissible entry is bit-equal to photon_budget's value.
+    """
+    spare = []
+    for r in r_values.tolist():
+        try:
+            spare.append(n_eff - math.sinh(r) ** 2)
+        except OverflowError:
+            spare.append(-math.inf)
+    n_mod = np.array(spare, dtype=float)
+    return n_mod, n_mod >= N_MIN
 
 
 def r_limit(n_eff):

@@ -7,8 +7,10 @@ oracle suites. Exit codes: 0 ok, 1 verification failure, 2 invalid spec,
 """
 import argparse
 import math
+import re
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,6 +53,8 @@ from .oracle import (
 )
 
 _CSV_HEADER = "s,r,N,I_mu,I_zeta,I_joint,I_r,rate,gain"
+# "%.12g" % v is format(v, ".12g") for a float v, as _fmt writes it
+_CSV_ROW = ",".join(["%.12g"] * 9)
 _STANDARD_ETAS = tuple(k / 10 for k in range(1, 10))
 _STANDARD_S = (0.0, 1.0, 2.0, 5.0)
 _STANDARD_NEFF = (2.0, 20.0)
@@ -98,8 +102,7 @@ class SweepSpec:
             raise InvalidSpec("output_path must be a non-empty string")
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One evaluated grid point; gain is exactly 0 on the r=0 baseline rows."""
 
     s: float
@@ -129,14 +132,17 @@ def sweep(spec, stream=None):
     stream = sys.stdout if stream is None else stream
     grid = _r_grid(spec)
     rows = []
+    lines = [_CSV_HEADER]
     summary = []
     for s in sorted(spec.s_list):
         params = ChannelParams(n=spec.n, eta=spec.eta, s=s, n_eff=spec.n_eff)
         r_ok, n_mod, gain, info = rate_gains(params, grid)
-        columns = (r_ok, n_mod, info.i_mu, info.i_zeta, info.i_joint, info.i_r,
-                   info.rate, gain)
-        for values in zip(*(column.tolist() for column in columns)):
-            rows.append(SweepRow(s, *values))
+        table = np.column_stack((
+            np.full(len(r_ok), s), r_ok, n_mod, info.i_mu, info.i_zeta, info.i_joint,
+            info.i_r, info.rate, gain))
+        rows += map(SweepRow._make, table.tolist())
+        # + 0.0 turns a -0.0 into 0.0, which prints as 0, as in _fmt
+        lines += [_CSV_ROW % tuple(values) for values in (table + 0.0).tolist()]
         best_gain = best_r = None
         if len(gain):
             best = int(np.argmax(gain))
@@ -144,11 +150,6 @@ def sweep(spec, stream=None):
         summary.append((s, len(r_ok), len(grid) - len(r_ok),
                         mutual_information(params, 0.0).rate, best_gain, best_r))
 
-    lines = [_CSV_HEADER]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in (
-            row.s, row.r, row.n_mod, row.i_mu, row.i_zeta, row.i_joint,
-            row.i_r, row.rate, row.gain)))
     try:
         with open(spec.output_path, "w", encoding="ascii", newline="") as handle:
             handle.write("\n".join(lines) + "\n")
@@ -510,6 +511,11 @@ def build_parser():
     _add_model_flags(p_ver)
     p_ver.add_argument("--seed", type=int, default=12345)
     p_ver.add_argument("--samples", type=int, default=100000)
+    # argparse on Python 3.10 and 3.11 reads only plain decimals such as -1 or
+    # -.5 as negative numbers, and "--s -1,2" or "--r-min -1e-1" as an option
+    # missing its argument. No option here starts with "-" and a digit.
+    for subparser in (p_sweep, p_opt, p_ver):
+        subparser._negative_number_matcher = re.compile(r"^-\.?\d")
     return parser
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_model import N_MIN, photon_budget, r_limit
+from .channel_model import N_MIN, photon_budget, photon_budgets, r_limit
 from .errors import DegenerateBaseline, PhotonBudgetExceeded
 from .matrix_core import spd_logdet
 
@@ -155,18 +155,15 @@ def rate_gain(params, r):
 def rate_gains(params, r_values):
     """rate_gain at many r in one array evaluation.
 
-    Values of r outside the photon budget are dropped. Returns arrays
-    (r, n_mod, gain) of the admissible points, in input order, and their
-    InfoBreakdown of arrays; element by element they equal rate_gain's.
+    Values of r outside the photon budget, by the element-wise test of
+    `photon_budgets`, are dropped. Returns arrays (r, n_mod, gain) of the
+    admissible points, in input order, and their InfoBreakdown of arrays;
+    element by element they equal rate_gain's.
     """
     base = _nonzero_baseline(params)
-    kept = []
-    for r in r_values:
-        try:
-            kept.append((float(r), photon_budget(params.n_eff, r)))
-        except PhotonBudgetExceeded:
-            continue
-    r_arr, n_mod = np.array(kept, dtype=float).reshape(-1, 2).T
+    r_arr = np.fromiter(r_values, dtype=float)
+    n_mod, admissible = photon_budgets(params.n_eff, r_arr)
+    r_arr, n_mod = r_arr[admissible], n_mod[admissible]
     i_mu, i_zeta, i_joint, i_r = _closed_form(params, r_arr, n_mod)
     gain = np.where(r_arr == 0.0, 0.0, (i_r - base.i_r) / base.i_r)
     info = InfoBreakdown(

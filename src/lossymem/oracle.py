@@ -28,6 +28,7 @@ from .channel_model import (
     build_input_kernel,
     build_memory_kernel,
     photon_budget,
+    photon_budgets,
 )
 from .errors import DimensionMismatch, GridTooCoarse, InvalidSpec
 from .information import LN2
@@ -87,7 +88,10 @@ def pipeline_covariance(params, r):
     """
     n, eta = params.n, params.eta
     r_flat = np.asarray(r, dtype=float).ravel()
-    n_mod = np.array([photon_budget(params.n_eff, float(x)) for x in r_flat])
+    n_mod, admissible = photon_budgets(params.n_eff, r_flat)
+    if not admissible.all():
+        # raises PhotonBudgetExceeded, naming the first such r
+        photon_budget(params.n_eff, float(r_flat[admissible.argmin()]))
     a_in = build_input_kernel(n, r_flat)
     a_mem = build_memory_kernel(n, params.s)
     eye = np.eye(2 * n)

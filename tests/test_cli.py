@@ -145,6 +145,31 @@ def test_sweep_rows_match_scalar_rate_gain(tmp_path):
             assert abs(got - want) <= 1e-14 * abs(want)
 
 
+def test_csv_lines_match_the_rows_value_by_value(tmp_path):
+    # each line is the row's values through _fmt: -0.0 prints as 0, small and
+    # large values in e-notation, on grids with skipped points and on r = 0
+    path = tmp_path / "out.csv"
+    saw_exponent = False
+    for n in (1, 2, 5):
+        for n_eff in (1e-3, 2.0, 1e4):
+            lim = r_limit(n_eff)
+            for r_min, r_max, steps in ((-1.5 * lim, 1.5 * lim, 13), (0.0, 0.0, 2)):
+                spec = small_spec(path, n=n, n_eff=n_eff, s_list=(2.0, -0.0, -3.5, 2.0, 0.0),
+                                  r_min=r_min, r_max=r_max, r_steps=steps)
+                rows = sweep(spec, stream=io.StringIO())
+                lines = path.read_text(encoding="ascii").splitlines()
+                assert lines[1:] == [",".join(cli._fmt(v) for v in row) for row in rows]
+                assert len(rows) == 5 * (9 if steps == 13 else 2)
+                saw_exponent = saw_exponent or "e" in "".join(lines[1:])
+    assert saw_exponent
+
+
+def test_sweep_rows_are_immutable(tmp_path):
+    row = sweep(small_spec(tmp_path / "out.csv"), stream=io.StringIO())[0]
+    with pytest.raises(AttributeError):
+        row.gain = 1.0
+
+
 def test_sweep_summary_format(tmp_path):
     path = tmp_path / "out.csv"
     buf = io.StringIO()
@@ -327,6 +352,17 @@ def test_main_rejects_unwritable_output():
 
 def test_main_verify_quick_exit_code():
     assert main(["verify"]) == 0
+
+
+def test_parser_reads_negative_values_in_any_float_form(tmp_path):
+    assert build_parser().parse_args(["optimize", "--s", "-2,1"]).s == (-2.0, 1.0)
+    args = build_parser().parse_args(["sweep", "--r-min", "-1e-1", "--s", "-.5"])
+    assert (args.r_min, args.s) == (-0.1, (-0.5,))
+    assert main(["sweep", "--s", "-1,2", "--r-min", "-1e-1",
+                 "--out", str(tmp_path / "x.csv")]) == 0
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["sweep", "--bogus"])
+    assert exc.value.code == 2
 
 
 def test_parser_rejects_unknown_level():

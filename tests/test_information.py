@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from lossymem.channel_model import ChannelParams, assemble_model
+from lossymem.channel_model import N_EFF_MAX, N_MIN, ChannelParams, assemble_model, photon_budgets
 from lossymem.errors import DegenerateBaseline, PhotonBudgetExceeded
 from lossymem.information import (
     input_entropy,
@@ -15,6 +15,7 @@ from lossymem.information import (
     photon_budget,
     r_limit,
     rate_gain,
+    rate_gains,
 )
 
 LN2 = math.log(2.0)
@@ -48,6 +49,37 @@ def test_r_limit_is_admissible_on_log_grid():
         lim = r_limit(n_eff)
         photon_budget(n_eff, lim)
         photon_budget(n_eff, -lim)
+
+
+def test_element_wise_budget_matches_per_r_calls():
+    # bit-equal where photon_budget admits r, inadmissible where it raises,
+    # and rate_gains keeps exactly the admitted r, in input order
+    specials = [math.nan, math.inf, -math.inf, 0.0, -0.0]
+    for size in (355.0, 356.0, 710.0, 711.0):
+        specials += [size, -size]
+    rng = np.random.default_rng(5)
+    for n_eff in (1e-3, 2.0, 20.0, 1e4, N_EFF_MAX):
+        lim = r_limit(n_eff)
+        # near_edge leaves a modulation in (0, N_MIN) where n_eff is small
+        near_edge = math.asinh(math.sqrt(n_eff - 0.5 * N_MIN))
+        r_values = np.array(specials + [lim, -lim, math.nextafter(lim, math.inf), near_edge]
+                            + (lim * rng.uniform(-1.5, 1.5, 200)).tolist())
+        n_mod, admissible = photon_budgets(n_eff, r_values)
+        assert n_mod.shape == admissible.shape == r_values.shape
+        kept = []
+        for r, spare, ok in zip(r_values.tolist(), n_mod.tolist(), admissible.tolist()):
+            try:
+                budget = photon_budget(n_eff, r)
+            except PhotonBudgetExceeded:
+                assert not ok and not spare >= N_MIN, (n_eff, r, spare)
+                continue
+            assert ok and spare.hex() == budget.hex(), (n_eff, r)
+            kept.append((r, budget))
+        assert 0 < len(kept) < len(r_values)
+        r_ok, n_ok, _, _ = rate_gains(params_at(n_eff=n_eff), r_values.tolist())
+        assert [(r.hex(), n.hex()) for r, n in zip(r_ok.tolist(), n_ok.tolist())] == [
+            (r.hex(), n.hex()) for r, n in kept]
+    assert photon_budgets(2.0, np.array([]))[0].shape == (0,)
 
 
 # ---------------------------------------------------------------- entropies

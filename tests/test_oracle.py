@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from lossymem.channel_model import (
+    N_MIN,
     ChannelParams,
     assemble_model,
     build_input_kernel,
@@ -135,6 +136,18 @@ def test_pipeline_covariance_matches_a_per_r_loop():
         np.testing.assert_array_equal(cov, reference.reshape(cov.shape))
         # every matrix is exactly symmetric, however ill-conditioned its kernels
         np.testing.assert_array_equal(cov, np.swapaxes(cov, -1, -2))
+
+
+def test_pipeline_covariance_names_the_inadmissible_r():
+    params = ChannelParams(n=2, eta=0.6, s=1.0, n_eff=2.0)
+    lim = r_limit(2.0)
+    # the last one leaves a modulation in (0, N_MIN)
+    near_edge = -math.asinh(math.sqrt(2.0 - 0.5 * N_MIN))
+    for bad in (math.nan, math.inf, -711.0, 356.0, 1.1 * lim, near_edge):
+        r = np.array([[0.5 * lim, bad], [-0.5 * lim, -1.2 * lim]])
+        with pytest.raises(PhotonBudgetExceeded) as exc:
+            pipeline_covariance(params, r)
+        assert str(exc.value).startswith(f"r={bad!r} leaves modulation ")
 
 
 def test_moment_formula_at_strong_memory_and_many_uses():
