@@ -11,11 +11,11 @@ from .channel_model import (
     ModelMatrices,
     assemble_model,
     build_beam_splitter,
-    build_heterodyne_kernel,
     build_input_kernel,
     build_memory_kernel,
     photon_budget,
     r_limit,
+    single_use_kernels,
 )
 from .errors import (
     DegenerateBaseline,
@@ -56,11 +56,11 @@ __all__ = [
     "ModelMatrices",
     "assemble_model",
     "build_beam_splitter",
-    "build_heterodyne_kernel",
     "build_input_kernel",
     "build_memory_kernel",
     "photon_budget",
     "r_limit",
+    "single_use_kernels",
     "DegenerateBaseline",
     "DimensionMismatch",
     "GridTooCoarse",

@@ -2,7 +2,9 @@
 
 `ChannelParams`, `photon_budget` (or `photon_budgets` over an array of r)
 and `r_limit` decide which points are admissible; `assemble_model(params, r)`
-builds the reference chain.
+runs the reference chain on its per-use (signal, environment) pairs and
+keeps the pair scalars, and `single_use_kernels` lays them out as the
+n = 1 kernels that the quadrature oracle integrates.
 
 Phase-space conventions: row vectors, densities proportional to
 exp(-w M w^T), quadrature ordering (x_1..x_n, p_1..p_n) per 2n-block and
@@ -94,24 +96,27 @@ def r_limit(n_eff):
 class ModelMatrices:
     """The reference chain's outputs for one (params, r) point.
 
-    r_p, s_p, t_p are the leading 2n x 2n blocks of the full conditional-
-    output chain; u_p is the output kernel, v_n the joint (mu, zeta) kernel
-    including the 1/N modulation shift; logdet_gl is ln det(G + L); n_mod is
-    the modulation variance N the chain was built at. All are plain float64
-    arrays built from the 2x2 pair chain, with no dense 4n x 4n G.
+    The chain splits into two (signal, environment) pair classes, co and
+    rel, each n-fold (see `assemble_model`). r_pair, s_pair, t_pair and
+    u_pair hold the signal entries of R', S', T' and of the output kernel
+    U' for (co, rel), as shape-(2,) arrays; logdet_gl is ln det(G + L) over
+    all n uses; n_mod is the modulation variance N the chain was built at.
     """
 
-    r_p: np.ndarray
-    s_p: np.ndarray
-    t_p: np.ndarray
-    u_p: np.ndarray
-    v_n: np.ndarray
-    logdet_gl: float
+    n: int
     n_mod: float
+    logdet_gl: float
+    r_pair: np.ndarray
+    s_pair: np.ndarray
+    t_pair: np.ndarray
+    u_pair: np.ndarray
 
-    @property
-    def n(self):  # channel uses, read from the 2n x 2n blocks
-        return self.r_p.shape[0] // 2
+    def joint_pairs(self):
+        """The joint (mu, zeta) kernel of each class, including the 1/N
+        modulation shift: [[R' + 1/N, -S'/2], [-S'/2, T']], a (2, 2, 2) stack."""
+        cross = -self.s_pair / 2.0
+        return np.moveaxis(
+            np.array([[self.r_pair + 1.0 / self.n_mod, cross], [cross, self.t_pair]]), -1, 0)
 
 
 def build_input_kernel(n, r):
@@ -155,13 +160,6 @@ def build_beam_splitter(n, eta):
     return np.block([[rt * eye, rr * eye], [-rr * eye, rt * eye]])
 
 
-def build_heterodyne_kernel(n):
-    """Measurement kernel: 2I on the 2n signal quadratures, zero elsewhere."""
-    out = np.zeros((4 * n, 4 * n))
-    out[:2 * n, :2 * n] = 2.0 * np.eye(2 * n)
-    return out
-
-
 def _pair_chain(a_sig, a_env, eta, n_mod):
     """Run the full matrix chain on one decoupled (signal, environment) pair.
 
@@ -185,48 +183,41 @@ def _pair_chain(a_sig, a_env, eta, n_mod):
     return gl.logdet(), r_s, s_s, t_s, u_s
 
 
-def _sector_form(n, c_co, c_rel):
-    """Signal-space 2n x 2n matrix from per-pair scalars.
-
-    c_co sits on the collective x quadrature and the n-1 relative p
-    quadratures, c_rel on their complements (the two quadrature sectors are
-    mirrored).
-    """
-    proj = np.full((n, n), 1.0 / n)
-    eye = np.eye(n)
-    out = np.zeros((2 * n, 2 * n))
-    out[:n, :n] = c_co * proj + c_rel * (eye - proj)
-    out[n:, n:] = c_rel * proj + c_co * (eye - proj)
-    return out
-
-
 def assemble_model(params, r):
     """Assemble the reference chain at r, with N = photon_budget(n_eff, r).
 
     The kernels share one orthogonal mode rotation under which the whole
     chain splits into independent (signal, environment) quadrature pairs:
-    one pair class per use couples (2e^{-2r}, 2e^{-2s}), the other
-    (2e^{2r}, 2e^{2s}), each with multiplicity n. The chain formulas run
-    verbatim on those 2x2 pairs and the results are rebuilt in the literal
-    basis; this keeps the solve-derived matrices accurate in their small
-    eigendirections for large |r| and |s|, where factoring the assembled
-    4n x 4n forms directly loses several digits.
+    one pair class per use, co, couples (2e^{-2r}, 2e^{-2s}) and sits on the
+    collective x and the n - 1 relative p quadratures; the other, rel,
+    couples (2e^{2r}, 2e^{2s}) on their complements. Each has multiplicity
+    n. The chain formulas run verbatim on those 2x2 pairs, which keeps every
+    factorization O(1)-conditioned for large |r| and |s|, where factoring
+    the assembled 4n x 4n forms loses several digits. Every 2n x 2n or
+    4n x 4n form of the chain is block-diagonal in that basis, with n
+    copies of each class, so its log-determinant is n times the pair sum.
     """
-    n, eta, s = params.n, params.eta, params.s
+    eta, s = params.eta, params.s
     n_mod = photon_budget(params.n_eff, r)
-
-    ld_co, r_co, s_co, t_co, u_co = _pair_chain(
-        2.0 * math.exp(-2 * r), 2.0 * math.exp(-2 * s), eta, n_mod)
-    ld_rel, r_rel, s_rel, t_rel, u_rel = _pair_chain(
-        2.0 * math.exp(2 * r), 2.0 * math.exp(2 * s), eta, n_mod)
-
-    r_p = _sector_form(n, r_co, r_rel)
-    s_p = _sector_form(n, s_co, s_rel)
-    t_p = _sector_form(n, t_co, t_rel)
-    u_p = _sector_form(n, u_co, u_rel)
-    rpin = r_p + np.eye(2 * n) / n_mod
-    v_n = np.block([[rpin, -s_p / 2.0], [-s_p.T / 2.0, t_p]])
-    logdet_gl = n * (ld_co + ld_rel)
-
+    co = _pair_chain(2.0 * math.exp(-2 * r), 2.0 * math.exp(-2 * s), eta, n_mod)
+    rel = _pair_chain(2.0 * math.exp(2 * r), 2.0 * math.exp(2 * s), eta, n_mod)
+    ld_gl, r_pair, s_pair, t_pair, u_pair = (np.array(pair) for pair in zip(co, rel))
     return ModelMatrices(
-        r_p=r_p, s_p=s_p, t_p=t_p, u_p=u_p, v_n=v_n, logdet_gl=logdet_gl, n_mod=n_mod)
+        n=params.n, n_mod=n_mod, logdet_gl=params.n * float(ld_gl.sum()),
+        r_pair=r_pair, s_pair=s_pair, t_pair=t_pair, u_pair=u_pair)
+
+
+def single_use_kernels(model):
+    """The n = 1 output (2x2) and joint (4x4) kernels of a model, for quadrature.
+
+    At n = 1 the co class is the x quadrature and rel the p quadrature, so
+    the output kernel is diag(U') and the joint kernel, over
+    (mu_x, mu_p, zeta_x, zeta_p), holds each class's joint pair on its x or
+    p coordinates. Raises InvalidSpec for n != 1.
+    """
+    if model.n != 1:
+        raise InvalidSpec(f"single-use kernels need n = 1, got n = {model.n!r}")
+    joint = np.zeros((4, 4))
+    for cls, pair in enumerate(model.joint_pairs()):
+        joint[cls::2, cls::2] = pair
+    return np.diag(model.u_pair), joint

@@ -21,6 +21,7 @@ from .channel_model import (
     build_input_kernel,
     build_memory_kernel,
     r_limit,
+    single_use_kernels,
 )
 from .errors import (
     DegenerateBaseline,
@@ -260,9 +261,10 @@ def _check_positive_definite_grid():
                     params = ChannelParams(
                         n=2, eta=eta, s=s, n_eff=n_mod + math.sinh(r) ** 2)
                     model = assemble_model(params, r)
-                    matrices = (g, model.u_p, model.v_n, model.r_p + np.eye(4) / model.n_mod)
-                    for family, matrix in zip(families, matrices):
-                        family.append(matrix)
+                    families[0].append(g)
+                    families[1].extend(model.u_pair[:, None, None])
+                    families[2].extend(model.joint_pairs())
+                    families[3].extend((model.r_pair + 1.0 / model.n_mod)[:, None, None])
     for family in families:
         spd_logdet(np.array(family))
     return True, f"points={len(families[0])}"
@@ -317,22 +319,17 @@ def _check_information_bounds(rng):
 
 
 def _check_rate_additivity(rng):
-    # on the matrix chain: the closed-form core is n-independent by construction
+    # on the moment oracle, which inverts the literal n-use kernels: the
+    # closed-form core and the pair chain are n-independent by construction.
+    # The first point also runs at n = 32 (128 x 128 covariances).
     worst = 0.0
-    for _ in range(5):
+    for k in range(5):
         eta, s, n_eff, r = _random_point(rng)
-        rates = [_chain_mi(ChannelParams(n=n, eta=eta, s=s, n_eff=n_eff), r) / n
-                 for n in (2, 3, 4)]
-        worst = max(worst, abs(rates[0] - rates[1]), abs(rates[1] - rates[2]))
+        lengths = (2, 3, 4, 32) if k == 0 else (2, 3, 4)
+        rates = [gaussian_mi_from_moments(ChannelParams(n=n, eta=eta, s=s, n_eff=n_eff), r) / n
+                 for n in lengths]
+        worst = max(worst, max(rates) - min(rates))
     return worst <= 1e-7, f"max_dev={worst:.3e}"
-
-
-def _chain_mi(params, r):
-    """Mutual information (bits) on the paper's matrix chain."""
-    model = assemble_model(params, r)
-    i_zeta, _ = output_entropy(model)
-    i_joint, _ = joint_entropy(model)
-    return input_entropy(params.n, model.n_mod) + i_zeta - i_joint
 
 
 def _check_moment_oracle_grid():
@@ -399,7 +396,7 @@ def _check_quadrature_input():
 def _quadrature_output_dev(eta, s, r, n_eff):
     model = assemble_model(ChannelParams(n=1, eta=eta, s=s, n_eff=n_eff), r)
     norm = math.exp(_ln_output_norm(model)[0])
-    value = quadrature_entropy_n1(model.u_p, norm)
+    value = quadrature_entropy_n1(single_use_kernels(model)[0], norm)
     closed, _ = output_entropy(model)
     return abs(value - closed)
 
@@ -413,7 +410,7 @@ def _check_quadrature_output():
 def _check_quadrature_joint():
     model = assemble_model(ChannelParams(n=1, eta=0.8, s=1.0, n_eff=2.0), 0.3)
     norm = math.exp(_ln_joint_norm(model))
-    value = quadrature_entropy_n1(model.v_n, norm, points=65)
+    value = quadrature_entropy_n1(single_use_kernels(model)[1], norm, points=65)
     closed, _ = joint_entropy(model)
     dev = abs(value - closed)
     return dev <= 1e-4, f"dev={dev:.3e}"

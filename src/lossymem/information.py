@@ -14,8 +14,11 @@ slope, since the rate has exactly one peak in r.
 The paper's matrix chain is the reference that the tests and `verify` check
 the core against: `output_entropy(model)` and `joint_entropy(model)` take
 the entropies, in log space, of the model that `assemble_model(params, r)`
-builds (powers like 2^{3n}, N^n and pi^n enter only as sums of logarithms);
-the photon budget is channel_model's. Each also returns the normalization
+builds (powers like 2^{3n}, N^n and pi^n enter only as sums of logarithms).
+Each log-determinant of a 2n x 2n or 4n x 4n chain form is n times the sum
+over the model's two pair classes, taken by `spd_logdet` on the pair stack,
+so a pair that is not positive definite raises NotPositiveDefinite. The
+photon budget is channel_model's. Each also returns the normalization
 coefficient multiplying its entropy bracket, c_out or c_joint, computed
 rather than assumed to be 1; it equals 1 up to round-off for valid
 parameters. The core has no such coefficient. Internal unit is nats;
@@ -65,10 +68,16 @@ def input_entropy(n, n_mod):
     return (n + n * np.log(math.pi * n_mod)) / LN2
 
 
+def _pair_logdet(model, pairs):
+    """ln det of a chain form that is n copies of each class's pair: n times
+    the sum over the (2, d, d) stack, each pair pivot-tested by spd_logdet."""
+    return model.n * float(spd_logdet(pairs).sum())
+
+
 def _ln_output_norm(model):
     """ln of the output density's normalization, and the ln det(R' + I/N) in it."""
     n, n_mod = model.n, model.n_mod
-    ld_rpin = spd_logdet(model.r_p + np.eye(2 * n) / n_mod)
+    ld_rpin = _pair_logdet(model, (model.r_pair + 1.0 / n_mod)[:, None, None])
     ln_norm = 3 * n * LN2 - n * LN_PI - n * math.log(n_mod) - 0.5 * (model.logdet_gl + ld_rpin)
     return ln_norm, ld_rpin
 
@@ -83,7 +92,7 @@ def output_entropy(model):
     """Entropy of the measured output, in bits, plus the c_out coefficient."""
     n, n_mod = model.n, model.n_mod
     ln_norm, ld_rpin = _ln_output_norm(model)
-    ld_up = spd_logdet(model.u_p)
+    ld_up = _pair_logdet(model, model.u_pair[:, None, None])
     ln_c = 3 * n * LN2 - n * math.log(n_mod) - 0.5 * (model.logdet_gl + ld_rpin + ld_up)
     c_out = math.exp(ln_c)
     return c_out * (n - ln_norm) / LN2, c_out
@@ -92,7 +101,7 @@ def output_entropy(model):
 def joint_entropy(model):
     """Entropy of the joint (modulation, output) density, in bits, plus c_joint."""
     n, n_mod = model.n, model.n_mod
-    ld_v = spd_logdet(model.v_n)
+    ld_v = _pair_logdet(model, model.joint_pairs())
     ln_c = 3 * n * LN2 - n * math.log(n_mod) - 0.5 * (model.logdet_gl + ld_v)
     c_joint = math.exp(ln_c)
     return c_joint * (2 * n - _ln_joint_norm(model)) / LN2, c_joint

@@ -1,10 +1,11 @@
 """SPD Cholesky with a typed pivot test, log-determinants, solves.
 
-NumPy alone, on plain float64 arrays. The reference matrix chain of
-channel_model and the oracles factor through `spd_factor`, or through
-`spd_logdet` on a (..., d, d) stack, under one symmetry and pivot test, so
-a matrix that fails it raises NotPositiveDefinite instead of yielding a
-silently wrong log-determinant.
+NumPy alone, on plain float64 arrays. The pair chain of channel_model
+factors its 2x2 pairs through `spd_factor`; the chain's entropies in
+information and the oracles take log-determinants through `spd_logdet` on a
+(..., d, d) stack, the chain's a stack of its 1x1 or 2x2 pairs. Both apply
+one symmetry and pivot test, so a matrix that fails it raises
+NotPositiveDefinite instead of yielding a silently wrong log-determinant.
 """
 import numpy as np
 

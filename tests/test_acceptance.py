@@ -14,6 +14,7 @@ from lossymem.channel_model import (
     assemble_model,
     build_beam_splitter,
     build_input_kernel,
+    single_use_kernels,
 )
 from lossymem.information import (
     input_entropy,
@@ -168,15 +169,15 @@ def test_oracle_equivalence():
     for eta, s, r in ((0.8, 0.0, 0.0), (0.7, 1.5, 0.4)):
         params = ChannelParams(n=1, eta=eta, s=s, n_eff=2.0)
         model = assemble_model(params, r)
-        norm = math.exp(0.5 * spd_logdet(model.u_p) - math.log(math.pi))
-        dev = abs(quadrature_entropy_n1(model.u_p, norm)
+        norm = math.exp(0.5 * spd_logdet(single_use_kernels(model)[0]) - math.log(math.pi))
+        dev = abs(quadrature_entropy_n1(single_use_kernels(model)[0], norm)
                   - output_entropy(model)[0])
         quad_worst = max(quad_worst, dev)
     # joint 4-dim density
     params = ChannelParams(n=1, eta=0.8, s=1.0, n_eff=2.0)
     model = assemble_model(params, 0.3)
-    norm = math.exp(0.5 * spd_logdet(model.v_n) - 2 * math.log(math.pi))
-    dev = abs(quadrature_entropy_n1(model.v_n, norm, points=65)
+    norm = math.exp(0.5 * spd_logdet(single_use_kernels(model)[1]) - 2 * math.log(math.pi))
+    dev = abs(quadrature_entropy_n1(single_use_kernels(model)[1], norm, points=65)
               - joint_entropy(model)[0])
     quad_worst = max(quad_worst, dev)
     assert quad_worst <= 1e-4

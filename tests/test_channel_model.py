@@ -8,14 +8,16 @@ from lossymem.channel_model import (
     ChannelParams,
     assemble_model,
     build_beam_splitter,
-    build_heterodyne_kernel,
     build_input_kernel,
     build_memory_kernel,
     photon_budget,
     r_limit,
+    single_use_kernels,
 )
 from lossymem.errors import InvalidSpec, NotPositiveDefinite, PhotonBudgetExceeded
 from lossymem.matrix_core import block_diag, spd_factor, spd_logdet, symmetrize
+
+from chain_reference import joint_kernel, sector_form
 
 
 def model_at(n, eta, s, r, n_mod):
@@ -123,15 +125,6 @@ def test_beam_splitter_orthogonal_on_eta_grid():
         assert np.abs(b.T @ b - np.eye(8)).max() <= 1e-12
 
 
-def test_heterodyne_kernel_shape():
-    np.testing.assert_array_equal(build_heterodyne_kernel(1),
-                                  np.diag([2.0, 2.0, 0.0, 0.0]))
-    for n in (1, 3):
-        k = build_heterodyne_kernel(n)
-        assert k.trace() == 4 * n
-        assert np.count_nonzero(k.diagonal()) == 2 * n
-
-
 # ---------------------------------------------------------------- validation
 
 def test_params_validation():
@@ -173,7 +166,8 @@ def test_vacuum_model_reduces_to_scaled_identities():
     expected = 2 * n * math.log(4.0) + 2 * n * math.log(2.0)
     assert model.logdet_gl == pytest.approx(expected, abs=1e-12)
     # conditioned signal block is diagonal and uniform across uses
-    np.testing.assert_allclose(model.r_p, 0.37 * np.eye(2 * n), atol=1e-12)
+    np.testing.assert_allclose(model.r_pair, [0.37, 0.37], atol=1e-12)
+    np.testing.assert_allclose(sector_form(n, model.r_pair), 0.37 * np.eye(2 * n), atol=1e-12)
 
 
 def test_single_use_chain_memoryless_point():
@@ -183,14 +177,15 @@ def test_single_use_chain_memoryless_point():
     eta = 0.8
     model = model_at(1, eta, 0.0, 0.0, 2.0)
     rt = math.sqrt(eta)
-    np.testing.assert_allclose(model.r_p, eta * np.eye(2), atol=1e-12)
-    np.testing.assert_allclose(model.s_p, 2 * rt * np.eye(2), atol=1e-12)
-    np.testing.assert_allclose(model.t_p, np.eye(2), atol=1e-12)
-    np.testing.assert_allclose(model.u_p,
-                               (1.0 - eta / (eta + 0.5)) * np.eye(2), atol=1e-12)
+    np.testing.assert_allclose(model.r_pair, [eta, eta], atol=1e-12)
+    np.testing.assert_allclose(model.s_pair, [2 * rt, 2 * rt], atol=1e-12)
+    np.testing.assert_allclose(model.t_pair, [1.0, 1.0], atol=1e-12)
+    np.testing.assert_allclose(model.u_pair, [1.0 - eta / (eta + 0.5)] * 2, atol=1e-12)
+    u_kernel, v_kernel = single_use_kernels(model)
+    np.testing.assert_allclose(u_kernel, (1.0 - eta / (eta + 0.5)) * np.eye(2), atol=1e-12)
     expected_v = np.block([[(eta + 0.5) * np.eye(2), -rt * np.eye(2)],
                            [-rt * np.eye(2), np.eye(2)]])
-    np.testing.assert_allclose(model.v_n, expected_v, atol=1e-12)
+    np.testing.assert_allclose(v_kernel, expected_v, atol=1e-12)
     assert model.logdet_gl == pytest.approx(math.log(64.0), abs=1e-12)
 
 
@@ -200,21 +195,38 @@ def test_single_use_chain_memory_point():
     n_mod = 1.907267390878866148124043
     model = model_at(1, 0.7, 1.0, 0.3, n_mod)
     np.testing.assert_allclose(
-        model.r_p, np.diag([0.3116513074064602, 0.9826156135300038]), atol=1e-12)
+        model.r_pair, [0.3116513074064602, 0.9826156135300038], atol=1e-12)
     np.testing.assert_allclose(
-        model.s_p, np.diag([0.7449891174973381, 2.3489005865394569]), atol=1e-12)
+        model.s_pair, [0.7449891174973381, 2.3489005865394569], atol=1e-12)
     np.testing.assert_allclose(
-        model.t_p, np.diag([0.4452161534378003, 1.4037365907571483]), atol=1e-12)
+        model.t_pair, [0.4452161534378003, 1.4037365907571483], atol=1e-12)
     np.testing.assert_allclose(
-        model.u_p,
-        np.diag([0.2792370107796712, 0.4884072775040943]), atol=1e-12)
+        model.u_pair, [0.2792370107796712, 0.4884072775040943], atol=1e-12)
+    u_kernel, v_kernel = single_use_kernels(model)
+    np.testing.assert_allclose(
+        u_kernel, np.diag([0.2792370107796712, 0.4884072775040943]), atol=1e-12)
     expected_v = np.array([
         [0.8359616399703706, 0.0, -0.3724945587486690, 0.0],
         [0.0, 1.5069259460939142, 0.0, -1.1744502932697285],
         [-0.3724945587486690, 0.0, 0.4452161534378003, 0.0],
         [0.0, -1.1744502932697285, 0.0, 1.4037365907571483]])
-    np.testing.assert_allclose(model.v_n, expected_v, atol=1e-12)
+    np.testing.assert_allclose(v_kernel, expected_v, atol=1e-12)
     assert model.logdet_gl == pytest.approx(4.6289407854644554, abs=1e-12)
+
+
+def test_single_use_kernels_lay_out_the_pairs():
+    # at n = 1 the diagonal forms are the dense sector forms, bit for bit
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        n_eff = float(rng.uniform(0.5, 30.0))
+        params = ChannelParams(n=1, eta=float(rng.uniform(0.0, 1.0)),
+                               s=float(rng.uniform(-5.0, 5.0)), n_eff=n_eff)
+        model = assemble_model(params, float(rng.uniform(-0.9, 0.9)) * r_limit(n_eff))
+        u_kernel, v_kernel = single_use_kernels(model)
+        np.testing.assert_array_equal(u_kernel, sector_form(1, model.u_pair))
+        np.testing.assert_array_equal(v_kernel, joint_kernel(model))
+    with pytest.raises(InvalidSpec):
+        single_use_kernels(model_at(2, 0.8, 1.0, 0.3, 2.0))
 
 
 def test_chain_matches_literal_route_at_moderate_memory():
@@ -224,7 +236,8 @@ def test_chain_matches_literal_route_at_moderate_memory():
     model = model_at(n, eta, s, r, n_mod)
     a = block_diag(build_input_kernel(n, r), build_memory_kernel(n, s))
     b = build_beam_splitter(n, eta)
-    l = build_heterodyne_kernel(n)
+    l = np.zeros((4 * n, 4 * n))  # heterodyne kernel: 2I on the signal quadratures
+    l[:2 * n, :2 * n] = 2.0 * np.eye(2 * n)
     f = a @ b
     g = symmetrize(b.T @ f)
     gl = spd_factor(g + l)
@@ -238,10 +251,10 @@ def test_chain_matches_literal_route_at_moderate_memory():
     shift = r_p + np.eye(2 * n) / n_mod
     u_p = t_p - 0.25 * s_p @ spd_factor(shift).solve(s_p.T)
 
-    assert np.abs(model.r_p - r_p).max() <= 1e-9
-    assert np.abs(model.s_p - s_p).max() <= 1e-9
-    assert np.abs(model.t_p - t_p).max() <= 1e-9
-    assert np.abs(model.u_p - u_p).max() <= 1e-9
+    assert np.abs(sector_form(n, model.r_pair) - r_p).max() <= 1e-9
+    assert np.abs(sector_form(n, model.s_pair) - s_p).max() <= 1e-9
+    assert np.abs(sector_form(n, model.t_pair) - t_p).max() <= 1e-9
+    assert np.abs(sector_form(n, model.u_pair) - u_p).max() <= 1e-9
     assert abs(model.logdet_gl - gl.logdet()) <= 1e-9
 
 
@@ -260,8 +273,8 @@ def test_positive_definite_across_parameter_grid():
                 for n_mod in (0.01, 50.0):
                     model = model_at(2, eta, s, r, n_mod)
                     spd_factor(dense_g(2, eta, r, s)[0])
-                    spd_factor(model.u_p)
-                    spd_factor(model.v_n)
+                    spd_logdet(model.u_pair[:, None, None])
+                    spd_logdet(model.joint_pairs())
 
 
 def test_permutation_of_uses_leaves_model_invariant():
@@ -274,14 +287,10 @@ def test_permutation_of_uses_leaves_model_invariant():
     kernel = build_input_kernel(n, 0.7)
     np.testing.assert_allclose(p @ kernel @ p.T, kernel, atol=1e-12)
 
-    model = model_at(n, 0.6, 1.5, 0.4, 1.2)
-    for block in (model.r_p, model.s_p, model.t_p, model.u_p):
-        np.testing.assert_allclose(p @ block @ p.T, block, atol=1e-12)
-
 
 def test_extreme_memory_stays_positive_definite():
     # the solve-derived kernels keep tiny eigenvalues clean even at s=5
     model = model_at(2, 0.8, 5.0, -1.0, 1.0)
-    spd_factor(model.u_p)
-    spd_factor(model.v_n)
+    spd_logdet(model.u_pair[:, None, None])
+    spd_logdet(model.joint_pairs())
     assert math.isfinite(model.logdet_gl)

@@ -1,11 +1,12 @@
 """Entropies, mutual information, relative gain, and the gain optimizer."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from lossymem.channel_model import N_EFF_MAX, N_MIN, ChannelParams, assemble_model, photon_budgets
-from lossymem.errors import DegenerateBaseline, PhotonBudgetExceeded
+from lossymem.errors import DegenerateBaseline, NotPositiveDefinite, PhotonBudgetExceeded
 from lossymem.information import (
     input_entropy,
     joint_entropy,
@@ -128,6 +129,19 @@ def test_normalization_coefficients_are_one():
         _, c_joint = joint_entropy(model)
         assert abs(c_out - 1.0) <= 1e-8
         assert abs(c_joint - 1.0) <= 1e-8
+
+
+def test_non_positive_pairs_raise_not_positive_definite():
+    # a pair the pivot test refuses raises the typed error, never nan or a
+    # math domain ValueError from a log of the pair scalars
+    model = assemble_model(params_at(n=2, s=1.0), 0.3)
+    with pytest.raises(NotPositiveDefinite):
+        output_entropy(dataclasses.replace(model, u_pair=np.array([-1e-3, 1.0])))
+    for field in ("r_pair", "s_pair", "t_pair"):
+        pair = getattr(model, field).copy()
+        pair[0] = math.nan
+        with pytest.raises(NotPositiveDefinite):
+            joint_entropy(dataclasses.replace(model, **{field: pair}))
 
 
 # ---------------------------------------------------------------- information

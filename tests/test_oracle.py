@@ -11,6 +11,7 @@ from lossymem.channel_model import (
     build_input_kernel,
     build_memory_kernel,
     photon_budget,
+    single_use_kernels,
 )
 from lossymem.errors import (
     DimensionMismatch,
@@ -41,7 +42,14 @@ from lossymem.oracle import (
     sample_joint,
 )
 
+from chain_reference import joint_kernel
+
 LN2 = math.log(2.0)
+
+
+def kernels_n1(eta, s, r):
+    """The chain's n = 1 (output, joint) kernels at N_eff = 2."""
+    return single_use_kernels(assemble_model(ChannelParams(n=1, eta=eta, s=s, n_eff=2.0), r))
 
 
 def det_norm(kernel):
@@ -189,7 +197,7 @@ def test_sampled_covariance_matches_model():
     m = 50000
     data = sample_joint(params, 0.3, McConfig(samples=m, seed=11))
     assert data.shape == (m, 8)
-    target = np.linalg.inv(model.v_n) / 2.0
+    target = np.linalg.inv(joint_kernel(model)) / 2.0
     assert np.abs(np.cov(data, rowvar=False) - target).max() <= 5.0 / math.sqrt(m)
 
 
@@ -199,7 +207,7 @@ def test_sampled_covariance_scales_with_entry_size():
     model = assemble_model(params, 0.4)
     m = 50000
     data = sample_joint(params, 0.4, McConfig(samples=m, seed=17))
-    target = np.linalg.inv(model.v_n) / 2.0
+    target = np.linalg.inv(joint_kernel(model)) / 2.0
     diag = np.diag(target)
     scale = np.sqrt((np.outer(diag, diag) + target ** 2) / m)
     assert np.abs((np.cov(data, rowvar=False) - target) / scale).max() <= 5.0
@@ -328,14 +336,16 @@ def test_quadrature_input_density():
 def test_quadrature_output_density():
     for eta, s, r in ((0.8, 0.0, 0.0), (0.7, 1.5, 0.4)):
         model = assemble_model(ChannelParams(n=1, eta=eta, s=s, n_eff=2.0), r)
-        value = quadrature_entropy_n1(model.u_p, det_norm(model.u_p))
+        u_kernel = single_use_kernels(model)[0]
+        value = quadrature_entropy_n1(u_kernel, det_norm(u_kernel))
         closed, _ = output_entropy(model)
         assert abs(value - closed) <= 1e-4
 
 
 def test_quadrature_joint_density():
     model = assemble_model(ChannelParams(n=1, eta=0.8, s=1.0, n_eff=2.0), 0.3)
-    value = quadrature_entropy_n1(model.v_n, det_norm(model.v_n), points=65)
+    v_kernel = single_use_kernels(model)[1]
+    value = quadrature_entropy_n1(v_kernel, det_norm(v_kernel), points=65)
     closed, _ = joint_entropy(model)
     assert abs(value - closed) <= 1e-4
 
@@ -375,13 +385,12 @@ def _reference_entropy_on_grid(kernel, norm_const, sigmas, half_width, points):
 
 
 def test_slab_quadrature_matches_outer_point_loop():
-    u_p = assemble_model(ChannelParams(n=1, eta=0.7, s=1.5, n_eff=2.0), 0.4).u_p
-    v_n = assemble_model(ChannelParams(n=1, eta=0.8, s=1.0, n_eff=2.0), 0.3).v_n
+    u_p = kernels_n1(0.7, 1.5, 0.4)[0]
+    v_n = kernels_n1(0.8, 1.0, 0.3)[1]
     kernels = (u_p, v_n,
                np.array([[1.0, 0.3, -0.2, 0.1], [0.3, 2.0, 0.4, -0.5],
                          [-0.2, 0.4, 1.5, 0.2], [0.1, -0.5, 0.2, 0.9]]))
-    kernels += (np.array([[1.0, 0.3], [0.3, 2.0]]),
-                assemble_model(ChannelParams(n=1, eta=0.7, s=1.5, n_eff=2.0), 0.4).u_p[:2, :2])
+    kernels += (np.array([[1.0, 0.3], [0.3, 2.0]]), u_p[:2, :2])
     # 17 points have a centre slab, counted once; 16 points have none
     for kernel in kernels:
         sigmas = np.sqrt(np.diag(np.linalg.inv(kernel) / 2.0))
@@ -395,7 +404,7 @@ def test_slab_quadrature_matches_outer_point_loop():
 
 
 def test_kernel_splits_into_independent_blocks():
-    v_n = assemble_model(ChannelParams(n=1, eta=0.8, s=1.0, n_eff=2.0), 0.3).v_n
+    v_n = kernels_n1(0.8, 1.0, 0.3)[1]
     assert _independent_blocks(v_n) == [[0, 2], [1, 3]]
     assert _independent_blocks(np.diag([1.0, 2.0, 3.0, 4.0])) == [[0], [1], [2], [3]]
     chain = np.array([[2.0, 0.5, 0.0, 0.0], [0.5, 2.0, 0.4, 0.0],
@@ -411,7 +420,7 @@ def test_kernel_splits_into_independent_blocks():
 
 
 def test_block_quadrature_matches_outer_point_loop():
-    v_n = assemble_model(ChannelParams(n=1, eta=0.8, s=1.0, n_eff=2.0), 0.3).v_n
+    v_n = kernels_n1(0.8, 1.0, 0.3)[1]
     # the tridiagonal kernel has exact zeros in its corners but is one block
     chain = np.array([[1.0, 0.3, 0.0, 0.0], [0.3, 2.0, 0.4, 0.0],
                       [0.0, 0.4, 1.5, 0.2], [0.0, 0.0, 0.2, 0.9]])
