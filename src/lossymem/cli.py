@@ -137,7 +137,7 @@ def sweep(spec, stream=None):
     summary = []
     for s in sorted(spec.s_list):
         params = ChannelParams(n=spec.n, eta=spec.eta, s=s, n_eff=spec.n_eff)
-        r_ok, n_mod, gain, info = rate_gains(params, grid)
+        r_ok, n_mod, gain, info, base = rate_gains(params, grid)
         table = np.column_stack((
             np.full(len(r_ok), s), r_ok, n_mod, info.i_mu, info.i_zeta, info.i_joint,
             info.i_r, info.rate, gain))
@@ -148,8 +148,7 @@ def sweep(spec, stream=None):
         if len(gain):
             best = int(np.argmax(gain))
             best_gain, best_r = float(gain[best]), float(r_ok[best])
-        summary.append((s, len(r_ok), len(grid) - len(r_ok),
-                        mutual_information(params, 0.0).rate, best_gain, best_r))
+        summary.append((s, len(r_ok), len(grid) - len(r_ok), base.rate, best_gain, best_r))
 
     try:
         with open(spec.output_path, "w", encoding="ascii", newline="") as handle:
@@ -340,7 +339,7 @@ def _check_moment_oracle_grid():
         for s in _STANDARD_S:
             for n_eff in _STANDARD_NEFF:
                 params = ChannelParams(n=2, eta=eta, s=s, n_eff=n_eff)
-                r_ok, _, _, info = rate_gains(params, r_values)
+                r_ok, _, _, info, _ = rate_gains(params, r_values)
                 moments = gaussian_mi_from_moments(params, r_ok)
                 worst = max(worst, float(np.max(np.abs(info.i_r - moments))))
                 count += len(r_ok)

@@ -166,8 +166,9 @@ def rate_gains(params, r_values):
 
     Values of r outside the photon budget, by the element-wise test of
     `photon_budgets`, are dropped. Returns arrays (r, n_mod, gain) of the
-    admissible points, in input order, and their InfoBreakdown of arrays;
-    element by element they equal rate_gain's.
+    admissible points, in input order, their InfoBreakdown of arrays
+    (element by element they equal rate_gain's), and the r = 0 baseline's
+    InfoBreakdown of floats that the gains divide by.
     """
     base = _nonzero_baseline(params)
     r_arr = np.fromiter(r_values, dtype=float)
@@ -177,7 +178,7 @@ def rate_gains(params, r_values):
     gain = np.where(r_arr == 0.0, 0.0, (i_r - base.i_r) / base.i_r)
     info = InfoBreakdown(
         i_mu=i_mu, i_zeta=i_zeta, i_joint=i_joint, i_r=i_r, rate=i_r / params.n)
-    return r_arr, n_mod, gain, info
+    return r_arr, n_mod, gain, info, base
 
 
 def _descent(params, r):

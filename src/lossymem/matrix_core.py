@@ -1,11 +1,13 @@
-"""SPD Cholesky with a typed pivot test, log-determinants, solves.
+"""Pivot-tested Cholesky factor of a matrix or a stack, and log-determinants.
 
-NumPy alone, on plain float64 arrays. The pair chain of channel_model
-factors its 2x2 pairs through `spd_factor`; the chain's entropies in
-information and the oracles take log-determinants through `spd_logdet` on a
-(..., d, d) stack, the chain's a stack of its 1x1 or 2x2 pairs. Both apply
-one symmetry and pivot test, so a matrix that fails it raises
-NotPositiveDefinite instead of yielding a silently wrong log-determinant.
+NumPy alone, on plain float64 arrays. `spd_factor` returns the lower
+Cholesky factor of a matrix or of every matrix of a (..., d, d) stack; the
+reference chain of channel_model factors its (co, rel) pair stack through
+it, and the oracle's sampler and quadrature read the factor directly.
+`spd_logdet` reads the factor's diagonal; the chain's entropies in
+information and the oracles take log-determinants through it. One symmetry
+and pivot test guards both, so a matrix that fails it raises
+NotPositiveDefinite instead of yielding a silently wrong result.
 """
 import numpy as np
 
@@ -14,55 +16,29 @@ from .errors import DimensionMismatch, NotPositiveDefinite
 _EPS = np.finfo(np.float64).eps
 
 
-def _as_square(m):
-    a = np.asarray(m, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got {a.shape}")
-    return a
-
-
 def symmetrize(m):
-    """(M + M^T)/2; stops round-off drift on mathematically symmetric products."""
-    a = _as_square(m)
-    return (a + a.T) / 2.0
+    """(M + M^T)/2 of a matrix or of each matrix of a (..., d, d) stack;
+    stops round-off drift on mathematically symmetric products."""
+    a = np.asarray(m, dtype=np.float64)
+    return (a + np.swapaxes(a, -1, -2)) / 2.0
 
 
-class CholFactor:
-    """Lower Cholesky factor of an SPD matrix, reusable for logdet and solves."""
+def spd_factor(m):
+    """Lower Cholesky factor of an SPD matrix, or of each matrix of a
+    (..., d, d) stack, as an array of the input's shape.
 
-    __slots__ = ("lower",)
-
-    def __init__(self, lower):
-        self.lower = lower
-
-    @property
-    def dim(self):
-        return self.lower.shape[0]
-
-    def logdet(self):
-        return 2.0 * float(np.sum(np.log(np.diag(self.lower))))
-
-    def solve(self, rhs):
-        b = np.asarray(rhs, dtype=np.float64)
-        vector = b.ndim == 1
-        if vector:
-            b = b[:, None]
-        if b.ndim != 2 or b.shape[0] != self.dim:
-            raise DimensionMismatch(
-                f"rhs rows {b.shape} do not match factor dim {self.dim}")
-        x = np.linalg.solve(self.lower.T, np.linalg.solve(self.lower, b))
-        return x[:, 0] if vector else x
-
-
-def _pivot_tested_cholesky(a):
-    """Lower Cholesky factors of a square matrix or a (..., d, d) stack.
-
-    Raises NotPositiveDefinite when, in any matrix of the stack, max|A - A^T|
-    is not <= d * eps * max(diag) of that matrix, or a pivot is not > it. The
-    symmetry test guards the upper triangle, which the factor never reads; it
-    allows round-off because a numerical inverse is symmetric only to that.
-    The tests are written so that a NaN fails them.
+    Raises DimensionMismatch unless the input is a square matrix or a stack
+    of them. Raises NotPositiveDefinite when, in any matrix of the stack,
+    max|A - A^T| is not <= d * eps * max(diag) of that matrix, or a squared
+    pivot is not > it. The symmetry test guards the upper triangle, which
+    the factor never reads; it allows round-off because a numerical inverse
+    is symmetric only to that. The tests are written so that a NaN fails
+    them. For valid channel parameters a failure only happens on malformed
+    inputs, so it is a diagnostic, not a recoverable condition.
     """
+    a = np.asarray(m, dtype=np.float64)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DimensionMismatch(f"expected a square matrix or a stack of them, got {a.shape}")
     d = a.shape[-1]
     failure = f"matrix of dim {d} failed Cholesky pivot test"
     max_diag = np.diagonal(a, axis1=-2, axis2=-1).max(axis=-1)
@@ -81,34 +57,17 @@ def _pivot_tested_cholesky(a):
     return lower
 
 
-def spd_factor(m):
-    """Cholesky-factor an SPD matrix.
-
-    Raises NotPositiveDefinite when the matrix is not symmetric to
-    dim * eps * max(diag) or a pivot is <= dim * eps * max(diag); for
-    valid channel parameters that only happens on malformed inputs, so the
-    failure is a diagnostic, not a recoverable condition.
-    """
-    return CholFactor(_pivot_tested_cholesky(_as_square(m)))
-
-
 def spd_logdet(m):
     """Natural-log determinant of an SPD matrix, or an array of them for a
-    (..., d, d) stack; every matrix passes spd_factor's pivot test."""
-    a = np.asarray(m, dtype=np.float64)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise DimensionMismatch(f"expected a square matrix or a stack of them, got {a.shape}")
-    lower = _pivot_tested_cholesky(a)
+    (..., d, d) stack, read from the diagonal of spd_factor's factor."""
+    lower = spd_factor(m)
     logdet = 2.0 * np.sum(np.log(np.diagonal(lower, axis1=-2, axis2=-1)), axis=-1)
-    return float(logdet) if a.ndim == 2 else logdet
+    return float(logdet) if lower.ndim == 2 else logdet
 
 
 def block_diag(a, b):
-    """Direct sum of two square matrices."""
-    a = _as_square(a)
-    b = _as_square(b)
-    da, db = a.shape[0], b.shape[0]
-    out = np.zeros((da + db, da + db))
-    out[:da, :da] = a
-    out[da:, da:] = b
-    return out
+    """Direct sum of two matrices."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    return np.block([[a, np.zeros((a.shape[0], b.shape[1]))],
+                     [np.zeros((b.shape[0], a.shape[1])), b]])

@@ -32,7 +32,7 @@ from .channel_model import (
 )
 from .errors import DimensionMismatch, GridTooCoarse, InvalidSpec
 from .information import LN2
-from .matrix_core import spd_factor, spd_logdet
+from .matrix_core import spd_factor, spd_logdet, symmetrize
 
 _JACKKNIFE_BLOCKS = 20
 # grid points the quadrature evaluates per step, unless one slab holds more
@@ -72,8 +72,7 @@ def _symmetric_inverse(a):
     test's symmetry tolerance, and the lower triangle alone, which the
     Cholesky factor reads, put the moment MI off by up to 3e-6 bits.
     """
-    inv = np.linalg.inv(a)
-    return (inv + np.swapaxes(inv, -1, -2)) / 2.0
+    return symmetrize(np.linalg.inv(a))
 
 
 def pipeline_covariance(params, r):
@@ -124,7 +123,7 @@ def gaussian_mi_from_moments(params, r):
 
 def _kernel_sampler(kernel, rng_normal):
     """Draw rows with covariance kernel^{-1}/2 from standard-normal rows."""
-    lower = spd_factor(kernel).lower
+    lower = spd_factor(kernel)
     # row x = z L^-1 solves x L = z, so cov(x) = L^-T L^-1 = kernel^-1; scale by 1/sqrt(2)
     return rng_normal @ np.linalg.inv(lower) / math.sqrt(2.0)
 
@@ -319,7 +318,8 @@ def quadrature_entropy_n1(kernel, norm_const, half_width=8.0, points=257):
         raise GridTooCoarse(f"points={points!r} cannot resolve the density")
     if not norm_const > 0.0:
         raise GridTooCoarse(f"density mass cannot be 1 with norm_const={norm_const!r}")
-    cov = spd_factor(k).solve(np.eye(k.shape[0])) / 2.0
+    lower = spd_factor(k)
+    cov = np.linalg.solve(lower.T, np.linalg.solve(lower, np.eye(k.shape[0]))) / 2.0
     sigmas = np.sqrt(np.diag(cov))
 
     coarse_pts = (points + 1) // 2

@@ -54,7 +54,8 @@ def test_r_limit_is_admissible_on_log_grid():
 
 def test_element_wise_budget_matches_per_r_calls():
     # bit-equal where photon_budget admits r, inadmissible where it raises,
-    # and rate_gains keeps exactly the admitted r, in input order
+    # and rate_gains keeps exactly the admitted r, in input order, with its
+    # r = 0 baseline
     specials = [math.nan, math.inf, -math.inf, 0.0, -0.0]
     for size in (355.0, 356.0, 710.0, 711.0):
         specials += [size, -size]
@@ -77,9 +78,11 @@ def test_element_wise_budget_matches_per_r_calls():
             assert ok and spare.hex() == budget.hex(), (n_eff, r)
             kept.append((r, budget))
         assert 0 < len(kept) < len(r_values)
-        r_ok, n_ok, _, _ = rate_gains(params_at(n_eff=n_eff), r_values.tolist())
+        params = params_at(n_eff=n_eff)
+        r_ok, n_ok, _, _, base = rate_gains(params, r_values.tolist())
         assert [(r.hex(), n.hex()) for r, n in zip(r_ok.tolist(), n_ok.tolist())] == [
             (r.hex(), n.hex()) for r, n in kept]
+        assert base == mutual_information(params, 0.0)
     assert photon_budgets(2.0, np.array([]))[0].shape == (0,)
 
 

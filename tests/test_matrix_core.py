@@ -1,4 +1,4 @@
-"""SPD factorization, logdet, solves and block assembly."""
+"""Pivot-tested SPD factor of a matrix or a stack, logdet and block assembly."""
 import math
 
 import numpy as np
@@ -37,42 +37,6 @@ def test_logdet_diagonal():
     assert spd_logdet(np.diag([2.0, 4.0])) == pytest.approx(math.log(8.0), abs=1e-14)
 
 
-def test_solve_identity_returns_rhs():
-    rhs = np.array([1.0, -2.0, 3.0])
-    out = spd_factor(np.eye(3)).solve(rhs)
-    np.testing.assert_allclose(out, rhs, atol=1e-14)
-
-
-def test_solve_diagonal_inverse():
-    out = spd_factor(np.diag([2.0, 4.0])).solve(np.eye(2))
-    np.testing.assert_allclose(out, np.diag([0.5, 0.25]), atol=1e-14)
-
-
-def test_solve_self_gives_identity():
-    rng = np.random.default_rng(3)
-    m = random_spd(rng, 6)
-    out = spd_factor(m).solve(m)
-    assert np.abs(out - np.eye(6)).max() <= 1e-10
-
-
-def test_solve_residual_bound():
-    rng = np.random.default_rng(4)
-    for dim in (2, 5, 9, 16):
-        m = random_spd(rng, dim)
-        rhs = rng.standard_normal((dim, 3))
-        out = spd_factor(m).solve(rhs)
-        residual = np.linalg.norm(m @ out - rhs)
-        assert residual <= 1e-10 * np.linalg.norm(rhs)
-
-
-def test_solve_composed_with_matrix_is_identity():
-    rng = np.random.default_rng(5)
-    for dim in range(1, 17):
-        m = random_spd(rng, dim)
-        inv = spd_factor(m).solve(np.eye(dim))
-        assert np.abs(m @ inv - np.eye(dim)).max() <= 1e-10
-
-
 def test_logdet_matches_cofactor_determinant():
     rng = np.random.default_rng(6)
     for dim in range(1, 7):
@@ -81,13 +45,12 @@ def test_logdet_matches_cofactor_determinant():
         assert math.exp(spd_logdet(m)) == pytest.approx(direct, rel=1e-10)
 
 
-def test_factor_exposes_logdet_and_solve():
+def test_factor_reconstructs_matrix_and_logdet():
     rng = np.random.default_rng(7)
     m = random_spd(rng, 5)
-    factor = spd_factor(m)
-    assert factor.logdet() == pytest.approx(spd_logdet(m), abs=1e-12)
-    rhs = rng.standard_normal((5, 2))
-    np.testing.assert_allclose(factor.solve(rhs), np.linalg.solve(m, rhs), atol=1e-12)
+    lower = spd_factor(m)
+    np.testing.assert_allclose(lower @ lower.T, m, rtol=0.0, atol=1e-12)
+    assert 2.0 * np.log(np.diag(lower)).sum() == pytest.approx(spd_logdet(m), abs=1e-12)
 
 
 def test_not_positive_definite_raises():
@@ -108,6 +71,14 @@ def test_not_positive_definite_raises():
             spd_logdet(bad)
         with pytest.raises(NotPositiveDefinite):
             spd_factor(bad)
+    # one bad matrix fails the whole stack, whichever test it fails
+    for bad in (np.diag([1.0, -1.0]), np.array([[1.0, 2.0], [2.0, 1.0]]),
+                np.diag([1.0, 1e-17]), np.diag([1.0, np.nan])):
+        stack = np.stack([np.eye(2), bad, 2.0 * np.eye(2)])
+        with pytest.raises(NotPositiveDefinite):
+            spd_factor(stack)
+        with pytest.raises(NotPositiveDefinite):
+            spd_logdet(stack)
 
 
 def test_asymmetric_input_fails_the_pivot_test():
@@ -119,8 +90,11 @@ def test_asymmetric_input_fails_the_pivot_test():
             spd_logdet(bad)
         with pytest.raises(NotPositiveDefinite):
             spd_factor(bad)
+        stack = np.stack([np.eye(2), bad, 2.0 * np.eye(2)])
         with pytest.raises(NotPositiveDefinite):
-            spd_logdet(np.stack([np.eye(2), bad, 2.0 * np.eye(2)]))
+            spd_logdet(stack)
+        with pytest.raises(NotPositiveDefinite):
+            spd_factor(stack)
 
 
 def test_round_off_asymmetry_passes_the_pivot_test():
@@ -130,15 +104,17 @@ def test_round_off_asymmetry_passes_the_pivot_test():
         inv = np.linalg.inv(m)
         assert spd_logdet(inv) == pytest.approx(-spd_logdet(m), abs=1e-10)
         spd_factor(inv)
-        spd_logdet(np.stack([inv, inv.T]))
+        stack = np.stack([inv, inv.T, m])
+        np.testing.assert_array_equal(spd_factor(stack)[0], spd_factor(inv))
+        spd_logdet(stack)
 
 
-def test_solve_rejects_mismatched_rhs():
-    m = np.eye(3)
-    with pytest.raises(DimensionMismatch):
-        spd_factor(m).solve(np.ones((2, 2)))
-    with pytest.raises(DimensionMismatch):
-        spd_factor(m).solve(np.ones(4))
+def test_non_square_input_raises_dimension_mismatch():
+    for bad in (np.ones(3), np.ones((2, 3)), np.ones((4, 2, 3))):
+        with pytest.raises(DimensionMismatch):
+            spd_factor(bad)
+        with pytest.raises(DimensionMismatch):
+            spd_logdet(bad)
 
 
 def test_block_diag_of_identities():
