@@ -9,6 +9,7 @@ import argparse
 import math
 import re
 import sys
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -46,6 +47,7 @@ from .information import (
 from .matrix_core import block_diag, spd_logdet, symmetrize
 from .oracle import (
     McConfig,
+    _mi_from_covariance,
     gaussian_mi_from_moments,
     monte_carlo_mi,
     pipeline_covariance,
@@ -306,24 +308,22 @@ def _check_zero_r_gain():
     return True, "gain==0 at 4 baseline points"
 
 
-def _check_information_bounds(rng):
+def _check_information_bounds(points):
     low = 0.0
     high = 0.0
-    for _ in range(20):
-        eta, s, n_eff, r = _random_point(rng)
+    for eta, s, n_eff, r in points:
         info = mutual_information(ChannelParams(n=2, eta=eta, s=s, n_eff=n_eff), r)
         low = min(low, info.i_r)
         high = max(high, info.i_r - info.i_mu)
     return low >= -1e-9 and high <= 1e-9, f"min_mi={low:.3e} max_excess={high:.3e}"
 
 
-def _check_rate_additivity(rng):
+def _check_rate_additivity(points):
     # on the moment oracle, which inverts the literal n-use kernels: the
     # closed-form core and the pair chain are n-independent by construction.
     # The first point also runs at n = 32 (128 x 128 covariances).
     worst = 0.0
-    for k in range(5):
-        eta, s, n_eff, r = _random_point(rng)
+    for k, (eta, s, n_eff, r) in enumerate(points):
         lengths = (2, 3, 4, 32) if k == 0 else (2, 3, 4)
         rates = [gaussian_mi_from_moments(ChannelParams(n=n, eta=eta, s=s, n_eff=n_eff), r) / n
                  for n in lengths]
@@ -332,18 +332,20 @@ def _check_rate_additivity(rng):
 
 
 def _check_moment_oracle_grid():
-    worst = 0.0
-    count = 0
+    # one stacked log-determinant call for all 72 (eta, s, N_eff) points;
+    # LAPACK factors each matrix of the stack on its own
+    closed, covs = [], []
     r_values = [k / 10 for k in range(-10, 11)]
     for eta in _STANDARD_ETAS:
         for s in _STANDARD_S:
             for n_eff in _STANDARD_NEFF:
                 params = ChannelParams(n=2, eta=eta, s=s, n_eff=n_eff)
                 r_ok, _, _, info, _ = rate_gains(params, r_values)
-                moments = gaussian_mi_from_moments(params, r_ok)
-                worst = max(worst, float(np.max(np.abs(info.i_r - moments))))
-                count += len(r_ok)
-    return worst <= 1e-7, f"max_dev={worst:.3e} points={count}"
+                closed.append(info.i_r)
+                covs.append(pipeline_covariance(params, r_ok))
+    dev = np.abs(np.concatenate(closed) - _mi_from_covariance(np.concatenate(covs), 2))
+    worst = float(dev.max())
+    return worst <= 1e-7, f"max_dev={worst:.3e} points={dev.size}"
 
 
 def _check_spot_point(params):
@@ -381,7 +383,9 @@ def _check_sampler_moments(samples, seed):
     cfg = McConfig(samples=samples, seed=seed + 3)
     data = sample_joint(params, r, cfg)
     target = pipeline_covariance(params, r)
-    dev = float(np.abs(np.cov(data, rowvar=False) - target).max())
+    # the sample covariance of the draw centred in place: np.cov would copy it
+    data -= data.mean(axis=0)
+    dev = float(np.abs(data.T @ data / (cfg.samples - 1) - target).max())
     tol = 5.0 / math.sqrt(cfg.samples)
     return dev <= tol, f"max_dev={dev:.3e} tol={tol:.3e}"
 
@@ -415,17 +419,23 @@ def _check_quadrature_joint():
     return dev <= 1e-4, f"dev={dev:.3e}"
 
 
-def verify(level, seed=12345, samples=100000, n=2, eta=0.8, n_eff=2.0, stream=None):
-    """Run the named check suite; returns True when every check passes."""
-    stream = sys.stdout if stream is None else stream
-    if level not in ("quick", "full"):
-        raise InvalidSpec(f"level must be 'quick' or 'full', got {level!r}")
-    # the Monte Carlo checks seed with seed .. seed + 3; McConfig checks samples
-    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed <= 2 ** 64 - 4:
-        raise InvalidSpec(f"seed must be an integer in [0, 2**64 - 4], got {seed!r}")
-    McConfig(samples=samples, seed=seed)
+# The checks verify runs on its worker thread; the rest run on the calling
+# thread. Both are 1e5-sample checks, which spend most of their time in
+# Philox fills and matrix products that release the interpreter lock, so
+# the two lanes overlap on two cores. Run one after the other at 1e5
+# samples (2-core VM, one BLAS thread), the worker's two checks take 53 ms
+# and the calling thread's, the third 1e5-sample check among them, 61 ms;
+# the two lanes together take 80 ms.
+_WORKER_LANE = frozenset({"monte-carlo-anchor", "sampler-moments"})
+
+
+def _checks(level, seed, samples, n, eta, n_eff):
+    """verify's registry: (name, check) pairs in print order, each check
+    a call without arguments returning (ok, detail)."""
     spot = ChannelParams(n=n, eta=eta, s=1.0, n_eff=n_eff)
     rng = np.random.default_rng(seed)
+    bounds_points = [_random_point(rng) for _ in range(20)]
+    additivity_points = [_random_point(rng) for _ in range(5)]
     checks = [
         ("memoryless-anchor", _check_memoryless_anchor),
         ("beam-splitter-orthogonality", _check_beam_splitter_orthogonality),
@@ -437,8 +447,8 @@ def verify(level, seed=12345, samples=100000, n=2, eta=0.8, n_eff=2.0, stream=No
         ("eta-zero-mutual-information", _check_eta_zero_mi),
         ("eta-one-memory-independence", _check_eta_one_memory_independence),
         ("zero-r-gain", _check_zero_r_gain),
-        ("information-bounds", lambda: _check_information_bounds(rng)),
-        ("rate-n-additivity", lambda: _check_rate_additivity(rng)),
+        ("information-bounds", lambda: _check_information_bounds(bounds_points)),
+        ("rate-n-additivity", lambda: _check_rate_additivity(additivity_points)),
         ("moment-oracle-grid", _check_moment_oracle_grid),
         ("spot-point-oracle", lambda: _check_spot_point(spot)),
     ]
@@ -452,13 +462,58 @@ def verify(level, seed=12345, samples=100000, n=2, eta=0.8, n_eff=2.0, stream=No
             ("quadrature-output-entropy", _check_quadrature_output),
             ("quadrature-joint-entropy", _check_quadrature_joint),
         ]
+    return checks
+
+
+def _run_lane(lane, outcomes):
+    """Run the (name, check) pairs in order, storing in outcomes[name] the
+    (ok, detail) result, a LossyChannelError as a failed result, or any
+    other exception, which stops the lane."""
+    for name, check in lane:
+        try:
+            outcomes[name] = check()
+        except LossyChannelError as exc:
+            outcomes[name] = False, f"raised {type(exc).__name__}: {exc}"
+        except BaseException as exc:  # verify re-raises it in registry order
+            outcomes[name] = exc
+            return
+
+
+def verify(level, seed=12345, samples=100000, n=2, eta=0.8, n_eff=2.0, stream=None):
+    """Run the named check suite; returns True when every check passes.
+
+    The checks named in _WORKER_LANE run on one worker thread while the
+    calling thread runs the rest. Every check is a pure function of the
+    arguments (the seeded ones build their own Philox streams), and the
+    lines print in registry order once both lanes are done, so the output
+    does not depend on scheduling. An exception other than a
+    LossyChannelError re-raises here after the lines of the checks before
+    it in the registry.
+    """
+    stream = sys.stdout if stream is None else stream
+    if level not in ("quick", "full"):
+        raise InvalidSpec(f"level must be 'quick' or 'full', got {level!r}")
+    # the Monte Carlo checks seed with seed .. seed + 3; McConfig checks samples
+    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed <= 2 ** 64 - 4:
+        raise InvalidSpec(f"seed must be an integer in [0, 2**64 - 4], got {seed!r}")
+    McConfig(samples=samples, seed=seed)
+    checks = _checks(level, seed, samples, n, eta, n_eff)
+
+    outcomes, worker_outcomes = {}, {}
+    worker = threading.Thread(
+        target=_run_lane, name="lossymem-verify-worker",
+        args=([c for c in checks if c[0] in _WORKER_LANE], worker_outcomes))
+    worker.start()
+    _run_lane([c for c in checks if c[0] not in _WORKER_LANE], outcomes)
+    worker.join()
+    outcomes.update(worker_outcomes)
 
     failures = 0
-    for name, fn in checks:
-        try:
-            ok, detail = fn()
-        except LossyChannelError as exc:
-            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
+    for name, _ in checks:
+        outcome = outcomes[name]
+        if isinstance(outcome, BaseException):
+            raise outcome
+        ok, detail = outcome
         failures += 0 if ok else 1
         print(f"{'PASS' if ok else 'FAIL'} {name} {detail}", file=stream)
     print(f"verify {level}: {len(checks)} checks, {len(checks) - failures} passed, "

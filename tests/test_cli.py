@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import time
 import warnings
 
@@ -12,7 +13,12 @@ import pytest
 import lossymem
 from lossymem import cli
 from lossymem.cli import SweepSpec, build_parser, main, optimize, sweep, verify
-from lossymem.errors import InvalidSpec, NotPositiveDefinite, PhotonBudgetExceeded
+from lossymem.errors import (
+    InvalidSpec,
+    LossyChannelError,
+    NotPositiveDefinite,
+    PhotonBudgetExceeded,
+)
 from lossymem.information import mutual_information, optimize_r, r_limit, rate_gain
 from lossymem.channel_model import N_EFF_MAX, S_MAX, ChannelParams
 
@@ -270,6 +276,81 @@ def test_verify_reports_a_raising_check(monkeypatch, capsys):
     assert lines[-1] == "verify quick: 14 checks, 13 passed, 1 failed"
     assert main(["verify"]) == 1
     assert "raised NotPositiveDefinite" in capsys.readouterr().out
+
+
+def _serial_verify(level, seed, samples=100000, n=2, eta=0.8, n_eff=2.0):
+    """What verify prints when its registry runs in order on one thread."""
+    lines = []
+    failures = 0
+    for name, check in cli._checks(level, seed, samples, n, eta, n_eff):
+        try:
+            ok, detail = check()
+        except LossyChannelError as exc:
+            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
+        failures += 0 if ok else 1
+        lines.append(f"{'PASS' if ok else 'FAIL'} {name} {detail}")
+    lines.append(f"verify {level}: {len(lines)} checks, {len(lines) - failures} passed, "
+                 f"{failures} failed")
+    return "\n".join(lines) + "\n"
+
+
+def _registry_names():
+    return [name for name, _ in cli._checks("full", 42, 100000, 2, 0.8, 2.0)]
+
+
+def test_verify_lanes_print_the_serial_output():
+    assert cli._WORKER_LANE <= set(_registry_names())
+    for seed in (1, 42, 12345):
+        buf = io.StringIO()
+        verify("full", seed=seed, stream=buf)
+        assert buf.getvalue() == _serial_verify("full", seed)
+
+
+def test_verify_reports_a_raising_worker_lane_check(monkeypatch):
+    def raising(samples, seed):
+        raise NotPositiveDefinite("pivot 0 at index 3")
+
+    monkeypatch.setattr(cli, "_check_mc_anchor", raising)
+    buf = io.StringIO()
+    assert verify("full", seed=42, stream=buf) is False
+    lines = buf.getvalue().splitlines()
+    assert lines[_registry_names().index("monte-carlo-anchor")] == (
+        "FAIL monte-carlo-anchor raised NotPositiveDefinite: pivot 0 at index 3")
+    assert lines[-1] == "verify full: 21 checks, 20 passed, 1 failed"
+
+
+@pytest.mark.parametrize("function, name", [
+    ("_check_sampler_moments", "sampler-moments"),  # worker lane
+    ("_check_mc_memory_point", "monte-carlo-memory-point"),  # calling lane
+])
+def test_verify_re_raises_another_error_in_the_caller(monkeypatch, function, name):
+    hooked = []
+    monkeypatch.setattr(threading, "excepthook", hooked.append)
+
+    def broken(samples, seed):
+        raise RuntimeError(f"{name} broke")
+
+    monkeypatch.setattr(cli, function, broken)
+    result = {}
+
+    def call():
+        buf = io.StringIO()
+        try:
+            verify("full", seed=42, samples=2000, stream=buf)
+        except RuntimeError as exc:
+            result["error"] = exc
+        result["lines"] = buf.getvalue().splitlines()
+
+    runner = threading.Thread(target=call)
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive()
+    assert str(result["error"]) == f"{name} broke"
+    assert hooked == []
+    # the checks before it in the registry print, the summary does not
+    names = _registry_names()
+    assert [line.split()[1] for line in result["lines"]] == names[:names.index(name)]
+    assert not any(t.name == "lossymem-verify-worker" for t in threading.enumerate())
 
 
 # ---------------------------------------------------------------- main

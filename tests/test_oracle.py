@@ -1,5 +1,6 @@
 """Moment-formula, Monte Carlo, and quadrature verification paths."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from lossymem.channel_model import (
     N_MIN,
     ChannelParams,
     assemble_model,
+    build_beam_splitter,
     build_input_kernel,
     build_memory_kernel,
     photon_budget,
@@ -33,7 +35,7 @@ from lossymem.oracle import (
     MiEstimate,
     _entropy_on_grid,
     _independent_blocks,
-    _kernel_sampler,
+    _sampling_factor,
     _mi_from_covariance,
     gaussian_mi_from_moments,
     monte_carlo_mi,
@@ -226,10 +228,49 @@ def test_kernel_sampler_matches_triangular_solve():
         kernels = [build_memory_kernel(n, s) for s in (-5.0, -1.0, 0.0, 2.0, 5.0)]
         kernels += [build_input_kernel(n, r) for r in (-5.0, -0.5, 0.0, 1.0, 5.0)]
         for kernel in kernels:
-            rows = _kernel_sampler(kernel, z)
+            rows = z @ _sampling_factor(kernel)
             ref = _reference_kernel_rows(kernel, z)
             assert rows.shape == z.shape
             assert np.abs(rows - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def _reference_sample_joint(params, r, cfg):
+    """The pipeline with four fresh draws, the signal and environment rows
+    stacked and mixed by the beam splitter's first 2n columns."""
+    n = params.n
+    rng = np.random.Generator(np.random.Philox(cfg.seed))
+    shape = (cfg.samples, 2 * n)
+    mu = rng.standard_normal(shape) * math.sqrt(photon_budget(params.n_eff, r) / 2.0)
+    sig = mu + _reference_kernel_rows(build_input_kernel(n, r), rng.standard_normal(shape))
+    env = _reference_kernel_rows(build_memory_kernel(n, params.s), rng.standard_normal(shape))
+    zeta = np.hstack([sig, env]) @ build_beam_splitter(n, params.eta)[:, :2 * n]
+    zeta += rng.standard_normal(shape) * 0.5
+    return np.hstack([mu, zeta])
+
+
+def test_sampler_matches_the_stacked_beam_splitter_pipeline():
+    # 40 and 5003 rows: below the mixing block and not a multiple of it
+    for n in (1, 2, 3):
+        for eta in (0.0, 0.3, 1.0):
+            for s, r, m in ((0.0, 0.0, 40), (4.0, 0.4, 5003), (-2.0, -0.6, 5003)):
+                params = ChannelParams(n=n, eta=eta, s=s, n_eff=2.0)
+                cfg = McConfig(samples=m, seed=n + m)
+                data = sample_joint(params, r, cfg)
+                ref = _reference_sample_joint(params, r, cfg)
+                assert data.shape == ref.shape
+                assert np.abs(data - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_sampler_holds_one_draw_buffer():
+    # the output plus one (samples, 2n) buffer is 1.5 times the output
+    params = ChannelParams(n=2, eta=0.8, s=1.0, n_eff=2.0)
+    tracemalloc.start()
+    try:
+        data = sample_joint(params, 0.3, McConfig(samples=100000, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * data.nbytes
 
 
 def test_sampling_is_reproducible():
