@@ -7,8 +7,9 @@ amplitudes sqrt(eta) and sqrt(1 - eta) themselves. The moment oracle
 propagates the exact covariance of the encode -> loss -> heterodyne pipeline
 and takes the mutual information from the Gaussian block-determinant
 formula. A physical Monte Carlo simulation of the same pipeline estimates it
-from sampled moments, with a jackknife error bar. Direct numerical quadrature
-evaluates the single-use entropy integrals of a given kernel.
+from the sample covariance, with the bias and standard error of that
+estimate's sampling law. Direct numerical quadrature evaluates the
+single-use entropy integrals of a given kernel.
 
 The quadrature integrates each independent block of the kernel (a connected
 component of its nonzero pattern; the n = 1 joint kernel splits into its x
@@ -22,11 +23,8 @@ The sampler draws its four standard-normal blocks into one reused
 (samples, 2n) buffer and mixes each into the output in place, so a draw of
 (samples, 4n) rows peaks at 1.5 times the output's size (9.5 MiB at n = 2
 and 1e5 samples). Its Philox fills and matrix products release the
-interpreter lock, and each seeded check builds its own stream, so
-`lossymem verify full` runs two of its three 1e5-sample checks on a worker
-thread while the calling thread runs the third and the rest. The output
-does not depend on that scheduling: the checks are pure functions of their
-seeds, and their lines print in registry order.
+interpreter lock, so `lossymem verify full` makes its two 1e5-sample draws
+on two threads at once, each from its own seeded stream.
 """
 import functools
 import math
@@ -44,7 +42,8 @@ from .errors import DimensionMismatch, GridTooCoarse, InvalidSpec
 from .information import LN2
 from .matrix_core import spd_factor, spd_logdet, symmetrize
 
-_JACKKNIFE_BLOCKS = 20
+# the sampling law of monte_carlo_mi is asymptotic in the sample count
+_MIN_SAMPLES = 40
 # sample rows sample_joint mixes per matrix product
 _MIX_ROWS = 8192
 # grid points the quadrature evaluates per step, unless one slab holds more
@@ -60,9 +59,9 @@ class McConfig:
 
     def __post_init__(self):
         if (not isinstance(self.samples, int) or isinstance(self.samples, bool)
-                or self.samples < 2 * _JACKKNIFE_BLOCKS):
+                or self.samples < _MIN_SAMPLES):
             raise InvalidSpec(
-                f"samples must be an integer >= {2 * _JACKKNIFE_BLOCKS}, got {self.samples!r}")
+                f"samples must be an integer >= {_MIN_SAMPLES}, got {self.samples!r}")
         if (not isinstance(self.seed, int) or isinstance(self.seed, bool)
                 or not 0 <= self.seed < 2 ** 64):
             raise InvalidSpec(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
@@ -70,7 +69,7 @@ class McConfig:
 
 @dataclass(frozen=True)
 class MiEstimate:
-    """Sampled mutual information with a jackknife standard error (bits)."""
+    """Bias-corrected sampled mutual information per use and its standard error (bits)."""
 
     value: float
     std_error: float
@@ -164,9 +163,7 @@ def sample_joint(params, r, cfg):
 
     Every block is drawn into one reused (samples, 2n) buffer and mixed into
     the output in place, _MIX_ROWS rows per product, so the peak memory is
-    the output plus that buffer: 1.5 times the output's size. The fills
-    release the interpreter lock, and verify runs two seeded checks that
-    call this at once, one on its worker thread.
+    the output plus that buffer: 1.5 times the output's size.
     """
     n = params.n
     n_mod = photon_budget(params.n_eff, r)
@@ -192,39 +189,32 @@ def sample_joint(params, r, cfg):
     return out
 
 
-def _whole_and_leave_outs(per_block):
-    """Stack the total over blocks, then the total without each block."""
-    total = per_block.sum(axis=0)
-    return np.concatenate([total[None], total - per_block])
-
-
-def monte_carlo_mi(params, r, cfg):
-    """Estimate the mutual information per channel use from simulated samples.
-
-    MI comes from the Gaussian moment formula on the empirical covariance of
-    the sampled (mu, zeta), divided by the number of uses; the error bar is a
-    20-block jackknife on the same quantity. Every leave-one-block-out
-    covariance comes from the totals minus that block's sum and Gram matrix,
-    on samples centred in place.
-    """
-    n = params.n
-    m = cfg.samples
+def sample_covariance(params, r, cfg):
+    """Sample covariance (4n x 4n) of the rows sample_joint draws, centred in
+    place: np.cov would copy the draw."""
     data = sample_joint(params, r, cfg)
     data -= data.mean(axis=0)
+    return data.T @ data / (cfg.samples - 1)
 
-    bounds = np.linspace(0, m, _JACKKNIFE_BLOCKS + 1).astype(int)
-    # row 0 is the whole sample, row 1 + b the sample without block b
-    counts = np.concatenate([[m], m - np.diff(bounds)])[:, None, None]
-    sums = _whole_and_leave_outs(np.add.reduceat(data, bounds[:-1], axis=0))[:, :, None]
-    grams = _whole_and_leave_outs(np.array([
-        data[lo:hi].T @ data[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]))
-    covs = (grams - sums * sums.transpose(0, 2, 1) / counts) / (counts - 1)
-    mi = _mi_from_covariance(covs, n)
 
-    value, leave_outs = float(mi[0]), mi[1:]
-    dev = leave_outs - leave_outs.mean()
-    blocks = _JACKKNIFE_BLOCKS
-    std_error = math.sqrt((blocks - 1) / blocks * float(dev @ dev))
+def monte_carlo_mi(params, r, cfg, covariance=sample_covariance):
+    """Estimate the mutual information per channel use from simulated samples.
+
+    With p = q = 2n and m samples, the value is the moment formula on
+    covariance(params, r, cfg) less its first-order bias pq / (2m) nats, the
+    same for every covariance. The standard error is sqrt((sum rho_i^2 +
+    pq / (2m)) / m) nats: the rho_i^2 are the eigenvalues of S_mu^-1 S_mu,zeta
+    S_zeta^-1 S_zeta,mu of pipeline_covariance, and pq / (2m^2), the null
+    chi^2 variance, keeps it nonzero at eta = 0. Both are divided by n ln 2.
+    """
+    n, m = params.n, cfg.samples
+    exact = pipeline_covariance(params, r)
+    cross = exact[:2 * n, 2 * n:]
+    rho2 = float(np.trace(np.linalg.solve(exact[:2 * n, :2 * n], cross)
+                          @ np.linalg.solve(exact[2 * n:, 2 * n:], cross.T)))
+    bias = (2 * n) ** 2 / (2.0 * m)
+    value = _mi_from_covariance(covariance(params, r, cfg), n) - bias / LN2
+    std_error = math.sqrt((rho2 + bias) / m) / LN2
     return MiEstimate(value=value / n, std_error=std_error / n)
 
 

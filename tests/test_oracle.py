@@ -41,6 +41,7 @@ from lossymem.oracle import (
     monte_carlo_mi,
     pipeline_covariance,
     quadrature_entropy_n1,
+    sample_covariance,
     sample_joint,
 )
 
@@ -312,28 +313,38 @@ def _reference_mi(data, n):
             - spd_logdet(cov)) / (2.0 * LN2)
 
 
-def _reference_jackknife(params, r, cfg, blocks=20):
-    """The leave-one-block-out loop over np.delete copies of the samples."""
-    n = params.n
-    data = sample_joint(params, r, cfg)
-    bounds = np.linspace(0, cfg.samples, blocks + 1).astype(int)
-    leave_outs = np.array([_reference_mi(np.delete(data, slice(lo, hi), axis=0), n)
-                           for lo, hi in zip(bounds[:-1], bounds[1:])])
-    dev = leave_outs - leave_outs.mean()
-    return _reference_mi(data, n) / n, math.sqrt((blocks - 1) / blocks * float(dev @ dev)) / n
-
-
-def test_block_sum_jackknife_matches_leave_out_loop():
+def test_value_is_the_bias_corrected_plug_in():
+    # the moment formula on np.cov of the draw, less pq / (2m) nats, p = q = 2n
     for n, eta, s, n_eff, r, m, seed in ((2, 0.8, 0.0, 2.0, 0.0, 20000, 1),
-                                         (2, 0.8, 2.0, 2.0, 0.4, 5003, 42),
                                          (1, 0.5, 5.0, 20.0, -0.7, 5003, 12345),
                                          (3, 0.3, 1.0, 5.0, 0.6, 4019, 7)):
         params = ChannelParams(n=n, eta=eta, s=s, n_eff=n_eff)
         cfg = McConfig(samples=m, seed=seed)
-        value, std_error = _reference_jackknife(params, r, cfg)
+        plug_in = _reference_mi(sample_joint(params, r, cfg), n)
         est = monte_carlo_mi(params, r, cfg)
-        assert abs(est.value - value) <= 1e-12
-        assert abs(est.std_error - std_error) <= 1e-10 * std_error
+        assert abs(est.value - (plug_in - (2 * n) ** 2 / (2.0 * m) / LN2) / n) <= 1e-12
+
+
+def test_std_error_matches_the_anchor_closed_form():
+    # at the anchor each of the 2n = 4 canonical correlations has rho^2 = 8/13
+    params = ChannelParams(n=2, eta=0.8, s=0.0, n_eff=2.0)
+    for m in (5003, 100000):
+        est = monte_carlo_mi(params, 0.0, McConfig(samples=m, seed=1))
+        closed = math.sqrt((32.0 / 13.0 + 8.0 / m) / m) / (2.0 * LN2)
+        assert abs(est.std_error - closed) <= 1e-12 * closed
+
+
+def test_a_given_covariance_replaces_the_draw():
+    params = ChannelParams(n=2, eta=0.8, s=2.0, n_eff=2.0)
+    cfg = McConfig(samples=5003, seed=42)
+    calls = []
+
+    def covariance(*args):
+        calls.append(args)
+        return sample_covariance(*args)
+
+    assert monte_carlo_mi(params, 0.4, cfg, covariance) == monte_carlo_mi(params, 0.4, cfg)
+    assert calls == [(params, 0.4, cfg)]
 
 
 def test_error_bar_shrinks_with_samples():
