@@ -219,11 +219,16 @@ def _check_beam_splitter_orthogonality():
 
 
 def _check_kernel_determinant():
+    # det A(r) = 2^{2n}, and A(r) A(-r) / 4 = I, the identity by which the
+    # oracles invert the kernels; a shifted r keeps the first, not the second
     worst = 0.0
     for n in range(1, 9):
+        eye = np.eye(2 * n)
         for r in (-3.0, -1.5, 0.0, 1.5, 3.0):
-            ld = spd_logdet(build_input_kernel(n, r))
-            worst = max(worst, abs(ld - 2 * n * LN2))
+            kernel = build_input_kernel(n, r)
+            ld = spd_logdet(kernel)
+            identity = np.abs(kernel @ build_input_kernel(n, -r) / 4.0 - eye).max()
+            worst = max(worst, abs(ld - 2 * n * LN2), float(identity))
     return worst <= 1e-10, f"max_dev={worst:.3e}"
 
 
@@ -323,7 +328,7 @@ def _check_information_bounds(points):
 
 
 def _check_rate_additivity(points):
-    # on the moment oracle, which inverts the literal n-use kernels: the
+    # on the moment oracle, built from the literal n-use kernels: the
     # closed-form core and the pair chain are n-independent by construction.
     # The first point also runs at n = 32 (128 x 128 covariances).
     worst = 0.0

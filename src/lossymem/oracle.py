@@ -6,10 +6,13 @@ kernel builders and the photon budget, and mix at the beam splitter's
 amplitudes sqrt(eta) and sqrt(1 - eta) themselves. The moment oracle
 propagates the exact covariance of the encode -> loss -> heterodyne pipeline
 and takes the mutual information from the Gaussian block-determinant
-formula. A physical Monte Carlo simulation of the same pipeline estimates it
-from the sample covariance, with the bias and standard error of that
-estimate's sampling law. Direct numerical quadrature evaluates the
-single-use entropy integrals of a given kernel.
+formula. Neither it nor the sampler inverts a kernel numerically: the input
+and memory kernels are one family, whose spectrum 2e^{-+2x} inverts to
+e^{+-2x}/2, so A(x)^-1 = A(-x)/4 exactly, and both read A(-x). A physical
+Monte Carlo simulation of the same pipeline estimates it from the sample
+covariance, with the bias and standard error of that estimate's sampling
+law. Direct numerical quadrature evaluates the single-use entropy integrals
+of a given kernel.
 
 The quadrature integrates each independent block of the kernel (a connected
 component of its nonzero pattern; the n = 1 joint kernel splits into its x
@@ -40,7 +43,7 @@ from .channel_model import (
 )
 from .errors import DimensionMismatch, GridTooCoarse, InvalidSpec
 from .information import LN2
-from .matrix_core import spd_factor, spd_logdet, symmetrize
+from .matrix_core import spd_factor, spd_logdet
 
 # the sampling law of monte_carlo_mi is asymptotic in the sample count
 _MIN_SAMPLES = 40
@@ -75,26 +78,15 @@ class MiEstimate:
     std_error: float
 
 
-def _symmetric_inverse(a):
-    """np.linalg.inv of a symmetric matrix or stack, made exactly symmetric.
-
-    np.linalg.inv is symmetric only to a round-off that grows with the
-    condition number. At n = 8, |s| = 5 that round-off exceeds the pivot
-    test's symmetry tolerance, and the lower triangle alone, which the
-    Cholesky factor reads, put the moment MI off by up to 3e-6 bits.
-    """
-    return symmetrize(np.linalg.inv(a))
-
-
 def pipeline_covariance(params, r):
     """Exact covariance of the (mu, zeta) rows that sample_joint draws.
 
     r is a float or an array; the result has shape np.shape(r) + (4n, 4n).
     With N = photon_budget(n_eff, r) the modulation block is (N/2) I, the
     cross block sqrt(eta) (N/2) I, and the output block
-    eta ((N/2) I + A_in^{-1}/2) + (1 - eta) A_mem^{-1}/2 + I/4, with the
-    input and memory kernels inverted numerically and each inverse
-    symmetrised, so every matrix is exactly symmetric.
+    eta ((N/2) I + A_in(-r)/8) + (1 - eta) A_mem(-s)/8 + I/4, each kernel
+    inverse A(x)^-1 / 2 taken as A(-x)/8 from the family identity. The
+    kernel builders are exactly symmetric, so every matrix is.
     """
     n, eta = params.n, params.eta
     r_flat = np.asarray(r, dtype=float).ravel()
@@ -102,15 +94,14 @@ def pipeline_covariance(params, r):
     if not admissible.all():
         # raises PhotonBudgetExceeded, naming the first such r
         photon_budget(params.n_eff, float(r_flat[admissible.argmin()]))
-    a_in = build_input_kernel(n, r_flat)
-    a_mem = build_memory_kernel(n, params.s)
+    a_in = build_input_kernel(n, -r_flat)
+    a_mem = build_memory_kernel(n, -params.s)
     eye = np.eye(2 * n)
     sigma_mu = (n_mod / 2.0)[:, None, None] * eye
     cov = np.empty((r_flat.size, 4 * n, 4 * n))
     cov[:, :2 * n, :2 * n] = sigma_mu
     cov[:, :2 * n, 2 * n:] = cov[:, 2 * n:, :2 * n] = math.sqrt(eta) * sigma_mu
-    cov[:, 2 * n:, 2 * n:] = (eta * (sigma_mu + _symmetric_inverse(a_in) / 2.0)
-                              + (1.0 - eta) * _symmetric_inverse(a_mem) / 2.0
+    cov[:, 2 * n:, 2 * n:] = (eta * (sigma_mu + a_in / 8.0) + (1.0 - eta) * a_mem / 8.0
                               + eye / 4.0)
     return cov.reshape(np.shape(r) + (4 * n, 4 * n))
 
@@ -133,9 +124,16 @@ def gaussian_mi_from_moments(params, r):
 
 
 def _sampling_factor(kernel):
-    """F = L^-1 / sqrt(2) for the factor L of kernel = L L^T: rows z F of
-    standard normals z have covariance F^T F = kernel^-1 / 2."""
-    return np.linalg.inv(spd_factor(kernel)) / math.sqrt(2.0)
+    """F = U^T / sqrt(8) for the upper factor U of kernel = A(-x) = U U^T:
+    rows z F of standard normals z have covariance A(-x)/8 = A(x)^-1 / 2.
+
+    U is the Cholesky factor of the index-reversed matrix, reversed back.
+    F is lower triangular with a positive diagonal, as L^-1 / sqrt(2) for
+    A(x) = L L^T is, and both square A(x)^-1 / 2, so the two are one matrix
+    up to round-off and a seed keeps its samples.
+    """
+    upper = spd_factor(kernel[::-1, ::-1])[::-1, ::-1]
+    return upper.T / math.sqrt(8.0)
 
 
 def _add_product(acc, z, f, scale):
@@ -159,7 +157,8 @@ def sample_joint(params, r, cfg):
     Philox stream, so a seed fixes the samples. Only the signal output of the
     beam splitter is formed: zeta = sqrt(eta) (mu + z F_in)
     - sqrt(1 - eta) (z F_mem) + z / 2, each z the next block and
-    F = _sampling_factor of the kernel.
+    F = _sampling_factor of the kernel at -r or -s, so that its rows have
+    the covariance A(x)^-1 / 2 of the ensemble's noise.
 
     Every block is drawn into one reused (samples, 2n) buffer and mixed into
     the output in place, _MIX_ROWS rows per product, so the peak memory is
@@ -167,8 +166,8 @@ def sample_joint(params, r, cfg):
     """
     n = params.n
     n_mod = photon_budget(params.n_eff, r)
-    f_in = _sampling_factor(build_input_kernel(n, r))
-    f_mem = _sampling_factor(build_memory_kernel(n, params.s))
+    f_in = _sampling_factor(build_input_kernel(n, -r))
+    f_mem = _sampling_factor(build_memory_kernel(n, -params.s))
     rt, rr = math.sqrt(params.eta), math.sqrt(1.0 - params.eta)
     m = cfg.samples
     rng = np.random.Generator(np.random.Philox(cfg.seed))

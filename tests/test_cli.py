@@ -250,6 +250,17 @@ def test_sampler_moments_catches_a_three_percent_sampler_fault(monkeypatch):
                for line in buf.getvalue().splitlines())
 
 
+def test_kernel_determinant_catches_a_broken_inverse_identity(monkeypatch):
+    # A(r + 1e-3) keeps det A = 2^{2n}, so only the identity
+    # A(r) A(-r) / 4 = I, which the oracles invert the kernels by, sees it
+    exact = cli.build_input_kernel
+    monkeypatch.setattr(cli, "build_input_kernel", lambda n, r: exact(n, r + 1e-3))
+    buf = io.StringIO()
+    assert verify("quick", stream=buf) is False
+    assert any(line.startswith("FAIL input-kernel-determinant max_dev=")
+               for line in buf.getvalue().splitlines())
+
+
 def test_verify_rejects_unknown_level():
     with pytest.raises(InvalidSpec):
         verify("bogus", stream=io.StringIO())

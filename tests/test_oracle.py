@@ -1,6 +1,8 @@
 """Moment-formula, Monte Carlo, and quadrature verification paths."""
+import decimal
 import math
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -11,7 +13,6 @@ from lossymem.channel_model import (
     assemble_model,
     build_beam_splitter,
     build_input_kernel,
-    build_memory_kernel,
     photon_budget,
     single_use_kernels,
 )
@@ -121,21 +122,25 @@ def test_moment_formula_on_an_array_matches_points():
         assert gaussian_mi_from_moments(params, grid).shape == (7, 1)
 
 
-def _reference_pipeline_covariance(params, r):
-    """The covariance at one float r, from per-r kernels and np.block."""
+def _reference_pipeline_covariance(params, r, inverse):
+    """The covariance at one float r, from per-r kernels and np.block, with
+    each kernel inverse A(x)^-1 taken as inverse(n, x)."""
     n, eta = params.n, params.eta
     eye = np.eye(2 * n)
-
-    def sym_inv(a):
-        inv = np.linalg.inv(a)
-        return (inv + inv.T) / 2.0
-
     sigma_mu = (photon_budget(params.n_eff, r) / 2.0) * eye
-    sigma_zeta = (eta * (sigma_mu + sym_inv(build_input_kernel(n, r)) / 2.0)
-                  + (1.0 - eta) * sym_inv(build_memory_kernel(n, params.s)) / 2.0
-                  + eye / 4.0)
+    sigma_zeta = (eta * (sigma_mu + inverse(n, r) / 2.0)
+                  + (1.0 - eta) * inverse(n, params.s) / 2.0 + eye / 4.0)
     cross = math.sqrt(eta) * sigma_mu
     return np.block([[sigma_mu, cross], [cross, sigma_zeta]])
+
+
+def _identity_inverse(n, x):
+    """A(x)^-1 = A(-x) / 4, the kernel family's identity."""
+    return build_input_kernel(n, -x) / 4.0
+
+
+def _numerical_inverse(n, x):
+    return np.linalg.inv(build_input_kernel(n, x))
 
 
 def test_pipeline_covariance_matches_a_per_r_loop():
@@ -143,10 +148,17 @@ def test_pipeline_covariance_matches_a_per_r_loop():
         params = ChannelParams(n=n, eta=0.6, s=-1.5, n_eff=5.0)
         r = np.linspace(-0.9, 0.9, 6).reshape(2, 3) * r_limit(5.0)
         cov = pipeline_covariance(params, r)
-        reference = np.array([_reference_pipeline_covariance(params, x) for x in r.ravel()])
+        reference = np.array([_reference_pipeline_covariance(params, x, _identity_inverse)
+                              for x in r.ravel()])
         np.testing.assert_array_equal(cov, reference.reshape(cov.shape))
         # every matrix is exactly symmetric, however ill-conditioned its kernels
         np.testing.assert_array_equal(cov, np.swapaxes(cov, -1, -2))
+        # at |r|, |s| <= 1.5 the numerical inverses are good to round-off
+        # (1.8e-14 of the largest entry)
+        inverted = np.array([_reference_pipeline_covariance(params, x, _numerical_inverse)
+                             for x in r.ravel()])
+        np.testing.assert_allclose(cov, inverted.reshape(cov.shape), rtol=0,
+                                   atol=1e-13 * np.abs(inverted).max())
 
 
 def test_pipeline_covariance_names_the_inadmissible_r():
@@ -162,16 +174,20 @@ def test_pipeline_covariance_names_the_inadmissible_r():
 
 
 def test_moment_formula_at_strong_memory_and_many_uses():
-    # np.linalg.inv of the n = 8 kernels at |s| = 5 is asymmetric far past
-    # the covariance's round-off; its lower triangle alone, which the
-    # Cholesky factor reads, puts the MI off by up to 3.3e-6 bits here
-    for s in (-5.0, 5.0):
-        for eta in (0.3, 0.7):
-            for n_eff in (1.0, 20.0):
-                params = ChannelParams(n=8, eta=eta, s=s, n_eff=n_eff)
-                r = np.linspace(-0.9, 0.9, 7) * min(r_limit(n_eff), 1.5)
-                closed = [mutual_information(params, float(x)).i_r for x in r]
-                assert np.abs(gaussian_mi_from_moments(params, r) - closed).max() <= 1e-9
+    # the n = 8 kernels at |s| = 5 have condition number e^20: their inverses
+    # by np.linalg.inv put the MI 6.4e-11 bits off here, A(-s)/4 3.4e-12. At
+    # |s| = 7.5 the relative errors are 2.45e-9 and 3.5e-10.
+    for s, bound, relative in ((5.0, 2e-11, False), (7.5, 2e-9, True)):
+        for sign in (-1.0, 1.0):
+            for eta in (0.3, 0.7):
+                for n_eff in (1.0, 20.0):
+                    params = ChannelParams(n=8, eta=eta, s=sign * s, n_eff=n_eff)
+                    r = np.linspace(-0.9, 0.9, 7) * min(r_limit(n_eff), 1.5)
+                    closed = np.array([mutual_information(params, float(x)).i_r for x in r])
+                    dev = np.abs(gaussian_mi_from_moments(params, r) - closed)
+                    if relative:
+                        dev /= np.abs(closed)
+                    assert dev.max() <= bound
 
 
 def test_stacked_logdet_keeps_the_pivot_test():
@@ -216,41 +232,67 @@ def test_sampled_covariance_scales_with_entry_size():
     assert np.abs((np.cov(data, rowvar=False) - target) / scale).max() <= 5.0
 
 
-def _reference_kernel_rows(kernel, z):
-    """The triangular system x L = z solved by a general LU solve."""
-    lower = np.linalg.cholesky(kernel)
-    return np.linalg.solve(lower.T, z.T).T / math.sqrt(2.0)
+def _exact_sampling_factor(n, x):
+    """L^-1 / sqrt(2) for the Cholesky factor L of A(x) = L L^T, with A(x)
+    built from its formula and factored and inverted in 50-digit decimal
+    arithmetic, then rounded to float."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        shrink, grow = (-2 * Decimal(x)).exp(), (2 * Decimal(x)).exp()
+        d = 2 * n
+        a = [[Decimal(0)] * d for _ in range(d)]
+        for off, (small, big) in ((0, (shrink, grow)), (n, (grow, shrink))):
+            for i in range(n):
+                for j in range(n):
+                    a[off + i][off + j] = 2 * (small - big + (n * big if i == j else 0)) / n
+        lower = [[Decimal(0)] * d for _ in range(d)]
+        for j in range(d):
+            lower[j][j] = (a[j][j] - sum(lower[j][k] ** 2 for k in range(j))).sqrt()
+            for i in range(j + 1, d):
+                lower[i][j] = (a[i][j] - sum(lower[i][k] * lower[j][k] for k in range(j))
+                               ) / lower[j][j]
+        # forward substitution, one column of L^-1 at a time
+        inv = [[Decimal(0)] * d for _ in range(d)]
+        for j in range(d):
+            for i in range(j, d):
+                rhs = (1 if i == j else 0) - sum(lower[i][k] * inv[k][j] for k in range(j, i))
+                inv[i][j] = rhs / lower[i][i]
+        root2 = Decimal(2).sqrt()
+        return np.array([[float(v / root2) for v in row] for row in inv])
 
 
 def test_kernel_sampler_matches_triangular_solve():
+    # the factor of A(-x) squares A(x)^-1 / 2 with no numerical inverse:
+    # 2.3e-12 of the largest row entry off at |x| = 5, where inv(L) / sqrt(2)
+    # of A(x) is 2.4e-8 off
     rng = np.random.default_rng(5)
     for n in (1, 2, 3):
         z = rng.standard_normal((1000, 2 * n))
-        kernels = [build_memory_kernel(n, s) for s in (-5.0, -1.0, 0.0, 2.0, 5.0)]
-        kernels += [build_input_kernel(n, r) for r in (-5.0, -0.5, 0.0, 1.0, 5.0)]
-        for kernel in kernels:
-            rows = z @ _sampling_factor(kernel)
-            ref = _reference_kernel_rows(kernel, z)
+        for x in (-5.0, -1.0, -0.5, 0.0, 1.0, 2.0, 5.0):
+            rows = z @ _sampling_factor(build_input_kernel(n, -x))
+            ref = z @ _exact_sampling_factor(n, x)
             assert rows.shape == z.shape
-            assert np.abs(rows - ref).max() <= 1e-12 * np.abs(ref).max()
+            assert np.abs(rows - ref).max() <= 1e-11 * np.abs(ref).max()
 
 
 def _reference_sample_joint(params, r, cfg):
     """The pipeline with four fresh draws, the signal and environment rows
-    stacked and mixed by the beam splitter's first 2n columns."""
+    (noise from the exact factors) stacked and mixed by the beam splitter's
+    first 2n columns."""
     n = params.n
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     shape = (cfg.samples, 2 * n)
     mu = rng.standard_normal(shape) * math.sqrt(photon_budget(params.n_eff, r) / 2.0)
-    sig = mu + _reference_kernel_rows(build_input_kernel(n, r), rng.standard_normal(shape))
-    env = _reference_kernel_rows(build_memory_kernel(n, params.s), rng.standard_normal(shape))
+    sig = mu + rng.standard_normal(shape) @ _exact_sampling_factor(n, r)
+    env = rng.standard_normal(shape) @ _exact_sampling_factor(n, params.s)
     zeta = np.hstack([sig, env]) @ build_beam_splitter(n, params.eta)[:, :2 * n]
     zeta += rng.standard_normal(shape) * 0.5
     return np.hstack([mu, zeta])
 
 
 def test_sampler_matches_the_stacked_beam_splitter_pipeline():
-    # 40 and 5003 rows: below the mixing block and not a multiple of it
+    # 40 and 5003 rows: below the mixing block and not a multiple of it. At
+    # s = 4 the sampler's rows are 4.4e-13 of the largest off the exact factor's
     for n in (1, 2, 3):
         for eta in (0.0, 0.3, 1.0):
             for s, r, m in ((0.0, 0.0, 40), (4.0, 0.4, 5003), (-2.0, -0.6, 5003)):
@@ -259,7 +301,7 @@ def test_sampler_matches_the_stacked_beam_splitter_pipeline():
                 data = sample_joint(params, r, cfg)
                 ref = _reference_sample_joint(params, r, cfg)
                 assert data.shape == ref.shape
-                assert np.abs(data - ref).max() <= 1e-13 * np.abs(ref).max()
+                assert np.abs(data - ref).max() <= 2e-12 * np.abs(ref).max()
 
 
 def test_sampler_holds_one_draw_buffer():
