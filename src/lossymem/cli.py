@@ -431,11 +431,9 @@ def _check_quadrature_joint():
 
 
 # The checks verify runs on its worker thread; the rest, among them the
-# other 1e5-sample draw's two checks, run on the calling thread. The draws
-# release the interpreter lock, so the lanes overlap on two cores. At 1e5
-# samples (2-core VM, one BLAS thread) the worker's checks take 42 ms and
-# the caller's 69 ms, a pass 74 ms (112 ms serial). Both draws on the
-# worker took 94 ms a pass, for 55.5 MB peak RSS against 62 MB.
+# other 1e5-sample draw's two checks, run on the calling thread. The draws'
+# normal fills and matrix products release the interpreter lock, so the
+# lanes can overlap on two cores.
 _WORKER_LANE = frozenset({"monte-carlo-anchor", "monte-carlo-repeatability"})
 
 
@@ -497,7 +495,7 @@ def verify(level, seed=12345, samples=100000, n=2, eta=0.8, n_eff=2.0, stream=No
 
     The checks named in _WORKER_LANE run on one worker thread while the
     calling thread runs the rest. Every check is a pure function of the
-    arguments (the seeded ones build their own Philox streams), and the
+    arguments (the seeded ones spawn their own SFC64 streams), and the
     lines print in registry order once both lanes are done, so the output
     does not depend on scheduling. An exception other than a
     LossyChannelError re-raises here after the lines of the checks before

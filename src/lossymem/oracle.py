@@ -22,12 +22,14 @@ weights, so the trapezoid sums of the whole grid are exact combinations of
 the blocks' sums: no approximation enters, only a different order of
 round-off.
 
-The sampler draws its four standard-normal blocks into one reused
-(samples, 2n) buffer and mixes each into the output in place, so a draw of
-(samples, 4n) rows peaks at 1.5 times the output's size (9.5 MiB at n = 2
-and 1e5 samples). Its Philox fills and matrix products release the
+The sampler draws each physical noise source (modulation, input ensemble,
+environment, detector) from its own SFC64 stream, spawned from the seed,
+and mixes the rows in blocks of _MIX_ROWS through buffers of a fixed size.
+sample_covariance sums each block's column sums and Gram matrix, so it
+holds about 1 MiB however many samples it draws; sample_joint copies the
+blocks into its output. The normal fills and matrix products release the
 interpreter lock, so `lossymem verify full` makes its two 1e5-sample draws
-on two threads at once, each from its own seeded stream.
+on two threads at once.
 """
 import functools
 import math
@@ -47,7 +49,7 @@ from .matrix_core import spd_factor, spd_logdet
 
 # the sampling law of monte_carlo_mi is asymptotic in the sample count
 _MIN_SAMPLES = 40
-# sample rows sample_joint mixes per matrix product
+# sample rows per block of _sample_blocks; the rows do not depend on it
 _MIX_ROWS = 8192
 # grid points the quadrature evaluates per step, unless one slab holds more
 _SLAB_BATCH = 1 << 16
@@ -136,15 +138,44 @@ def _sampling_factor(kernel):
     return upper.T / math.sqrt(8.0)
 
 
-def _add_product(acc, z, f, scale):
-    """acc += scale * (z @ f), _MIX_ROWS rows at a time through one reused
-    block, so no temporary grows with the number of rows."""
-    block = np.empty((min(len(z), _MIX_ROWS), f.shape[1]))
-    for lo in range(0, len(z), _MIX_ROWS):
-        hi = min(lo + _MIX_ROWS, len(z))
-        part = np.matmul(z[lo:hi], f, out=block[:hi - lo])
-        part *= scale
-        acc[lo:hi] += part
+def _sample_blocks(params, r, cfg):
+    """Yield sample_joint's (mu, zeta) rows in order, at most _MIX_ROWS at a time.
+
+    Each block is a view of one reused (rows, 4n) buffer, valid until the
+    next block is drawn. Each noise source reads its own SFC64 stream, one
+    of four children of SeedSequence(cfg.seed) in the order modulation,
+    input ensemble, environment, detector, and reads it in row order, so
+    the rows do not depend on the block size.
+    """
+    n = params.n
+    mod_scale = math.sqrt(photon_budget(params.n_eff, r) / 2.0)
+    rt = math.sqrt(params.eta)
+    # the beam splitter's amplitudes folded into the noise factors
+    f_in = _sampling_factor(build_input_kernel(n, -r)) * rt
+    f_mem = _sampling_factor(build_memory_kernel(n, -params.s)) * -math.sqrt(1.0 - params.eta)
+    modulation, ensemble, environment, detector = (
+        np.random.Generator(np.random.SFC64(seq))
+        for seq in np.random.SeedSequence(cfg.seed).spawn(4))
+
+    rows = min(cfg.samples, _MIX_ROWS)
+    buf = np.empty((rows, 4 * n))
+    z = np.empty((rows, 2 * n))
+    prod = np.empty((rows, 2 * n))
+    for lo in range(0, cfg.samples, rows):
+        k = min(rows, cfg.samples - lo)
+        block, z_k, prod_k = buf[:k], z[:k], prod[:k]
+        mu, zeta = block[:, :2 * n], block[:, 2 * n:]
+        modulation.standard_normal(out=z_k)
+        np.multiply(z_k, mod_scale, out=mu)
+        np.multiply(mu, rt, out=zeta)
+        ensemble.standard_normal(out=z_k)
+        zeta += np.matmul(z_k, f_in, out=prod_k)
+        environment.standard_normal(out=z_k)
+        zeta += np.matmul(z_k, f_mem, out=prod_k)
+        detector.standard_normal(out=z_k)
+        z_k *= 0.5
+        zeta += z_k
+        yield block
 
 
 def sample_joint(params, r, cfg):
@@ -153,47 +184,36 @@ def sample_joint(params, r, cfg):
     Per sample: draw the modulation mu, add input-ensemble noise to get the
     signal quadratures, draw environment quadratures, mix at the beam
     splitter, then heterodyne the signal output (adds variance 1/4 per
-    quadrature). The four standard-normal blocks come in that order from one
-    Philox stream, so a seed fixes the samples. Only the signal output of the
-    beam splitter is formed: zeta = sqrt(eta) (mu + z F_in)
-    - sqrt(1 - eta) (z F_mem) + z / 2, each z the next block and
+    quadrature). Each of the four noise sources draws its standard normals
+    z from its own SFC64 stream, spawned in that order from cfg.seed, so a
+    seed fixes the samples. Only the signal output of the beam splitter is
+    formed: zeta = sqrt(eta) (mu + z F_in) - sqrt(1 - eta) (z F_mem) + z / 2,
     F = _sampling_factor of the kernel at -r or -s, so that its rows have
     the covariance A(x)^-1 / 2 of the ensemble's noise.
 
-    Every block is drawn into one reused (samples, 2n) buffer and mixed into
-    the output in place, _MIX_ROWS rows per product, so the peak memory is
-    the output plus that buffer: 1.5 times the output's size.
+    The rows are drawn in blocks of _MIX_ROWS (_sample_blocks) and copied
+    into the output, so the peak memory is the output plus about 1 MiB.
     """
-    n = params.n
-    n_mod = photon_budget(params.n_eff, r)
-    f_in = _sampling_factor(build_input_kernel(n, -r))
-    f_mem = _sampling_factor(build_memory_kernel(n, -params.s))
-    rt, rr = math.sqrt(params.eta), math.sqrt(1.0 - params.eta)
-    m = cfg.samples
-    rng = np.random.Generator(np.random.Philox(cfg.seed))
-
-    out = np.empty((m, 4 * n))
-    mu, zeta = out[:, :2 * n], out[:, 2 * n:]
-    z = np.empty((m, 2 * n))
-    rng.standard_normal(out=z)
-    np.multiply(z, math.sqrt(n_mod / 2.0), out=mu)
-    np.multiply(mu, rt, out=zeta)
-    rng.standard_normal(out=z)
-    _add_product(zeta, z, f_in, rt)
-    rng.standard_normal(out=z)
-    _add_product(zeta, z, f_mem, -rr)
-    rng.standard_normal(out=z)
-    z *= 0.5
-    zeta += z
+    out = np.empty((cfg.samples, 4 * params.n))
+    lo = 0
+    for block in _sample_blocks(params, r, cfg):
+        out[lo:lo + len(block)] = block
+        lo += len(block)
     return out
 
 
 def sample_covariance(params, r, cfg):
-    """Sample covariance (4n x 4n) of the rows sample_joint draws, centred in
-    place: np.cov would copy the draw."""
-    data = sample_joint(params, r, cfg)
-    data -= data.mean(axis=0)
-    return data.T @ data / (cfg.samples - 1)
+    """Sample covariance (4n x 4n) of the rows sample_joint draws, summed
+    block by block: the draw itself is never held."""
+    d = 4 * params.n
+    total = np.zeros(d)
+    gram = np.zeros((d, d))
+    for block in _sample_blocks(params, r, cfg):
+        total += block.sum(axis=0)
+        gram += block.T @ block
+    m = cfg.samples
+    mean = total / m
+    return (gram - m * np.outer(mean, mean)) / (m - 1)
 
 
 def monte_carlo_mi(params, r, cfg, covariance=sample_covariance):

@@ -7,6 +7,7 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
+from lossymem import oracle
 from lossymem.channel_model import (
     N_MIN,
     ChannelParams,
@@ -276,23 +277,26 @@ def test_kernel_sampler_matches_triangular_solve():
 
 
 def _reference_sample_joint(params, r, cfg):
-    """The pipeline with four fresh draws, the signal and environment rows
-    (noise from the exact factors) stacked and mixed by the beam splitter's
-    first 2n columns."""
+    """The pipeline with each noise source's whole block drawn from its own
+    SFC64 stream (modulation, input ensemble, environment, detector, spawned
+    from the seed), the signal and environment rows (noise from the exact
+    factors) stacked and mixed by the beam splitter's first 2n columns."""
     n = params.n
-    rng = np.random.Generator(np.random.Philox(cfg.seed))
+    modulation, ensemble, environment, detector = (
+        np.random.Generator(np.random.SFC64(seq))
+        for seq in np.random.SeedSequence(cfg.seed).spawn(4))
     shape = (cfg.samples, 2 * n)
-    mu = rng.standard_normal(shape) * math.sqrt(photon_budget(params.n_eff, r) / 2.0)
-    sig = mu + rng.standard_normal(shape) @ _exact_sampling_factor(n, r)
-    env = rng.standard_normal(shape) @ _exact_sampling_factor(n, params.s)
+    mu = modulation.standard_normal(shape) * math.sqrt(photon_budget(params.n_eff, r) / 2.0)
+    sig = mu + ensemble.standard_normal(shape) @ _exact_sampling_factor(n, r)
+    env = environment.standard_normal(shape) @ _exact_sampling_factor(n, params.s)
     zeta = np.hstack([sig, env]) @ build_beam_splitter(n, params.eta)[:, :2 * n]
-    zeta += rng.standard_normal(shape) * 0.5
+    zeta += detector.standard_normal(shape) * 0.5
     return np.hstack([mu, zeta])
 
 
 def test_sampler_matches_the_stacked_beam_splitter_pipeline():
     # 40 and 5003 rows: below the mixing block and not a multiple of it. At
-    # s = 4 the sampler's rows are 4.4e-13 of the largest off the exact factor's
+    # s = 4 the sampler's rows are 4.9e-13 of the largest off the exact factor's
     for n in (1, 2, 3):
         for eta in (0.0, 0.3, 1.0):
             for s, r, m in ((0.0, 0.0, 40), (4.0, 0.4, 5003), (-2.0, -0.6, 5003)):
@@ -304,16 +308,49 @@ def test_sampler_matches_the_stacked_beam_splitter_pipeline():
                 assert np.abs(data - ref).max() <= 2e-12 * np.abs(ref).max()
 
 
-def test_sampler_holds_one_draw_buffer():
-    # the output plus one (samples, 2n) buffer is 1.5 times the output
+def test_sampler_rows_do_not_depend_on_the_block_size(monkeypatch):
     params = ChannelParams(n=2, eta=0.8, s=1.0, n_eff=2.0)
+    cfg = McConfig(samples=5003, seed=99)
+    default = sample_joint(params, 0.3, cfg)
+    for rows in (7, 1000):
+        monkeypatch.setattr(oracle, "_MIX_ROWS", rows)
+        assert np.array_equal(sample_joint(params, 0.3, cfg), default)
+
+
+def test_streamed_covariance_matches_the_covariance_of_the_draw():
+    for n in (1, 2, 3):
+        params = ChannelParams(n=n, eta=0.7, s=2.0, n_eff=2.0)
+        cfg = McConfig(samples=20011, seed=n)
+        ref = np.cov(sample_joint(params, 0.4, cfg), rowvar=False)
+        cov = sample_covariance(params, 0.4, cfg)
+        assert cov.shape == ref.shape
+        assert np.abs(cov - ref).max() <= 1e-13 * np.abs(ref).max()
+        np.testing.assert_array_equal(cov, cov.T)
+
+
+def _traced_peak(fn, *args):
     tracemalloc.start()
     try:
-        data = sample_joint(params, 0.3, McConfig(samples=100000, seed=1))
-        peak = tracemalloc.get_traced_memory()[1]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.6 * data.nbytes
+
+
+def test_sampler_holds_one_draw_buffer():
+    # the output plus the (8192, 4n) block and two (8192, 2n) buffers, 1 MiB
+    # at n = 2 (1.13 MiB measured), padded to 2 MiB
+    params = ChannelParams(n=2, eta=0.8, s=1.0, n_eff=2.0)
+    data, peak = _traced_peak(sample_joint, params, 0.3, McConfig(samples=100000, seed=1))
+    assert peak <= data.nbytes + 2 * 2 ** 20
+
+
+def test_streamed_covariance_holds_nothing_sized_by_the_samples():
+    # 1.13 MiB measured at both counts: the block buffers, never the draw
+    params = ChannelParams(n=2, eta=0.8, s=1.0, n_eff=2.0)
+    for m in (20000, 200000):
+        _, peak = _traced_peak(sample_covariance, params, 0.3, McConfig(samples=m, seed=1))
+        assert peak <= 2 * 2 ** 20
 
 
 def test_sampling_is_reproducible():
