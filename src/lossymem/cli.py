@@ -10,7 +10,6 @@ import functools
 import math
 import re
 import sys
-import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -430,13 +429,6 @@ def _check_quadrature_joint():
     return dev <= 1e-4, f"dev={dev:.3e}"
 
 
-# The checks verify runs on its worker thread; the rest, among them the
-# other 1e5-sample draw's two checks, run on the calling thread. The draws'
-# normal fills and matrix products release the interpreter lock, so the
-# lanes can overlap on two cores.
-_WORKER_LANE = frozenset({"monte-carlo-anchor", "monte-carlo-repeatability"})
-
-
 def _checks(level, seed, samples, n, eta, n_eff):
     """verify's registry: (name, check) pairs in print order, each check
     a call without arguments returning (ok, detail)."""
@@ -444,7 +436,7 @@ def _checks(level, seed, samples, n, eta, n_eff):
     rng = np.random.default_rng(seed)
     bounds_points = [_random_point(rng) for _ in range(20)]
     additivity_points = [_random_point(rng) for _ in range(5)]
-    # one draw's 8 x 8 covariance for two checks on one lane (_memory_point)
+    # one draw's 8 x 8 covariance for the memory point's two checks (_memory_point)
     covariance = functools.cache(sample_covariance)
     checks = [
         ("memoryless-anchor", _check_memoryless_anchor),
@@ -476,30 +468,13 @@ def _checks(level, seed, samples, n, eta, n_eff):
     return checks
 
 
-def _run_lane(lane, outcomes):
-    """Run the (name, check) pairs in order, storing in outcomes[name] the
-    (ok, detail) result, a LossyChannelError as a failed result, or any
-    other exception, which stops the lane."""
-    for name, check in lane:
-        try:
-            outcomes[name] = check()
-        except LossyChannelError as exc:
-            outcomes[name] = False, f"raised {type(exc).__name__}: {exc}"
-        except BaseException as exc:  # verify re-raises it in registry order
-            outcomes[name] = exc
-            return
-
-
 def verify(level, seed=12345, samples=100000, n=2, eta=0.8, n_eff=2.0, stream=None):
     """Run the named check suite; returns True when every check passes.
 
-    The checks named in _WORKER_LANE run on one worker thread while the
-    calling thread runs the rest. Every check is a pure function of the
-    arguments (the seeded ones spawn their own SFC64 streams), and the
-    lines print in registry order once both lanes are done, so the output
-    does not depend on scheduling. An exception other than a
-    LossyChannelError re-raises here after the lines of the checks before
-    it in the registry.
+    The checks run in registry order on the calling thread, and each line
+    prints as its check returns. A LossyChannelError raised by a check is
+    that check's FAIL line; any other exception propagates after the lines
+    of the checks before it.
     """
     stream = sys.stdout if stream is None else stream
     if level not in ("quick", "full"):
@@ -510,21 +485,12 @@ def verify(level, seed=12345, samples=100000, n=2, eta=0.8, n_eff=2.0, stream=No
     McConfig(samples=samples, seed=seed)
     checks = _checks(level, seed, samples, n, eta, n_eff)
 
-    outcomes, worker_outcomes = {}, {}
-    worker = threading.Thread(
-        target=_run_lane, name="lossymem-verify-worker",
-        args=([c for c in checks if c[0] in _WORKER_LANE], worker_outcomes))
-    worker.start()
-    _run_lane([c for c in checks if c[0] not in _WORKER_LANE], outcomes)
-    worker.join()
-    outcomes.update(worker_outcomes)
-
     failures = 0
-    for name, _ in checks:
-        outcome = outcomes[name]
-        if isinstance(outcome, BaseException):
-            raise outcome
-        ok, detail = outcome
+    for name, check in checks:
+        try:
+            ok, detail = check()
+        except LossyChannelError as exc:
+            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         failures += 0 if ok else 1
         print(f"{'PASS' if ok else 'FAIL'} {name} {detail}", file=stream)
     print(f"verify {level}: {len(checks)} checks, {len(checks) - failures} passed, "

@@ -27,9 +27,7 @@ environment, detector) from its own SFC64 stream, spawned from the seed,
 and mixes the rows in blocks of _MIX_ROWS through buffers of a fixed size.
 sample_covariance sums each block's column sums and Gram matrix, so it
 holds about 1 MiB however many samples it draws; sample_joint copies the
-blocks into its output. The normal fills and matrix products release the
-interpreter lock, so `lossymem verify full` makes its two 1e5-sample draws
-on two threads at once.
+blocks into its output.
 """
 import functools
 import math

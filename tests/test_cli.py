@@ -15,7 +15,6 @@ from lossymem import cli, oracle
 from lossymem.cli import SweepSpec, build_parser, main, optimize, sweep, verify
 from lossymem.errors import (
     InvalidSpec,
-    LossyChannelError,
     NotPositiveDefinite,
     PhotonBudgetExceeded,
 )
@@ -293,98 +292,64 @@ def test_verify_reports_a_failing_check(monkeypatch, capsys):
     assert "FAIL memoryless-anchor" in capsys.readouterr().out
 
 
-def test_verify_reports_a_raising_check(monkeypatch, capsys):
-    def raising():
-        raise NotPositiveDefinite("pivot 0 at index 3")
-
-    monkeypatch.setattr(cli, "_check_kernel_determinant", raising)
-    buf = io.StringIO()
-    assert verify("quick", stream=buf) is False
-    lines = buf.getvalue().splitlines()
-    assert ("FAIL input-kernel-determinant raised NotPositiveDefinite: "
-            "pivot 0 at index 3") in lines
-    assert lines[-1] == "verify quick: 14 checks, 13 passed, 1 failed"
-    assert main(["verify"]) == 1
-    assert "raised NotPositiveDefinite" in capsys.readouterr().out
-
-
-def _serial_verify(level, seed, samples=100000, n=2, eta=0.8, n_eff=2.0):
-    """What verify prints when its registry runs in order on one thread."""
-    lines = []
-    failures = 0
-    for name, check in cli._checks(level, seed, samples, n, eta, n_eff):
-        try:
-            ok, detail = check()
-        except LossyChannelError as exc:
-            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        failures += 0 if ok else 1
-        lines.append(f"{'PASS' if ok else 'FAIL'} {name} {detail}")
-    lines.append(f"verify {level}: {len(lines)} checks, {len(lines) - failures} passed, "
-                 f"{failures} failed")
-    return "\n".join(lines) + "\n"
-
-
 def _registry_names():
     return [name for name, _ in cli._checks("full", 42, 100000, 2, 0.8, 2.0)]
 
 
-def test_verify_lanes_print_the_serial_output():
-    assert cli._WORKER_LANE <= set(_registry_names())
-    # the two checks of the memory point's draw share one cached covariance
-    assert (("monte-carlo-memory-point" in cli._WORKER_LANE)
-            == ("sampler-moments" in cli._WORKER_LANE))
-    for seed in (1, 42, 12345):
-        buf = io.StringIO()
-        verify("full", seed=seed, stream=buf)
-        assert buf.getvalue() == _serial_verify("full", seed)
-
-
-def test_verify_reports_a_raising_worker_lane_check(monkeypatch):
-    def raising(samples, seed):
+@pytest.mark.parametrize("level, function, name, summary", [
+    ("quick", "_check_kernel_determinant", "input-kernel-determinant",
+     "verify quick: 14 checks, 13 passed, 1 failed"),
+    ("full", "_check_mc_anchor", "monte-carlo-anchor",
+     "verify full: 21 checks, 20 passed, 1 failed"),
+], ids=["quick", "full"])
+def test_verify_reports_a_raising_check(monkeypatch, capsys, level, function, name, summary):
+    def raising(*args):
         raise NotPositiveDefinite("pivot 0 at index 3")
 
-    monkeypatch.setattr(cli, "_check_mc_anchor", raising)
+    monkeypatch.setattr(cli, function, raising)
     buf = io.StringIO()
-    assert verify("full", seed=42, stream=buf) is False
+    assert verify(level, seed=42, stream=buf) is False
     lines = buf.getvalue().splitlines()
-    assert lines[_registry_names().index("monte-carlo-anchor")] == (
-        "FAIL monte-carlo-anchor raised NotPositiveDefinite: pivot 0 at index 3")
-    assert lines[-1] == "verify full: 21 checks, 20 passed, 1 failed"
+    assert lines[_registry_names().index(name)] == (
+        f"FAIL {name} raised NotPositiveDefinite: pivot 0 at index 3")
+    assert lines[-1] == summary
+    assert main(["verify", level, "--seed", "42"]) == 1
+    assert f"FAIL {name} raised NotPositiveDefinite" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("function, name", [
-    ("_check_mc_repeatability", "monte-carlo-repeatability"),  # worker lane
-    ("_check_mc_memory_point", "monte-carlo-memory-point"),  # calling lane
-    ("_check_sampler_moments", "sampler-moments"),  # calling lane, same draw
+    ("_check_mc_repeatability", "monte-carlo-repeatability"),
+    ("_check_mc_memory_point", "monte-carlo-memory-point"),
+    ("_check_sampler_moments", "sampler-moments"),  # reads the memory point's draw
 ])
 def test_verify_re_raises_another_error_in_the_caller(monkeypatch, function, name):
-    hooked = []
-    monkeypatch.setattr(threading, "excepthook", hooked.append)
-
     def broken(*args):
         raise RuntimeError(f"{name} broke")
 
     monkeypatch.setattr(cli, function, broken)
-    result = {}
-
-    def call():
-        buf = io.StringIO()
-        try:
-            verify("full", seed=42, samples=2000, stream=buf)
-        except RuntimeError as exc:
-            result["error"] = exc
-        result["lines"] = buf.getvalue().splitlines()
-
-    runner = threading.Thread(target=call)
-    runner.start()
-    runner.join(timeout=60)
-    assert not runner.is_alive()
-    assert str(result["error"]) == f"{name} broke"
-    assert hooked == []
+    buf = io.StringIO()
+    with pytest.raises(RuntimeError, match=f"^{name} broke$"):
+        verify("full", seed=42, samples=2000, stream=buf)
     # the checks before it in the registry print, the summary does not
     names = _registry_names()
-    assert [line.split()[1] for line in result["lines"]] == names[:names.index(name)]
-    assert not any(t.name == "lossymem-verify-worker" for t in threading.enumerate())
+    assert [line.split()[1] for line in buf.getvalue().splitlines()] == names[:names.index(name)]
+
+
+def test_verify_runs_each_check_on_the_calling_thread_and_prints_as_it_returns(monkeypatch):
+    buf = io.StringIO()
+    seen = {}
+    anchor = cli._check_mc_anchor
+
+    def recording(samples, seed):
+        seen["thread"] = threading.get_ident()
+        seen["text"] = buf.getvalue()
+        return anchor(samples, seed)
+
+    monkeypatch.setattr(cli, "_check_mc_anchor", recording)
+    assert verify("full", seed=42, samples=2000, stream=buf) is True
+    assert seen["thread"] == threading.get_ident()
+    before = _registry_names().index("monte-carlo-anchor")
+    assert seen["text"] == "".join(buf.getvalue().splitlines(keepends=True)[:before])
 
 
 # ---------------------------------------------------------------- main
