@@ -4,7 +4,9 @@
 and `r_limit` decide which points are admissible; `assemble_model(params, r)`
 runs the reference chain on its per-use (signal, environment) pairs and
 keeps the pair scalars, and `single_use_kernels` lays them out as the
-n = 1 kernels that the quadrature oracle integrates.
+n = 1 kernels that the quadrature oracle integrates. `assemble_model` is
+the one-point form of `_pair_chain`, which runs the chain on 1-D arrays of
+points (eta, s, r, N) in one stacked pass.
 
 Phase-space conventions: row vectors, densities proportional to
 exp(-w M w^T), quadrature ordering (x_1..x_n, p_1..p_n) per 2n-block and
@@ -67,19 +69,20 @@ def photon_budget(n_eff, r):
 def photon_budgets(n_eff, r_values):
     """photon_budget element-wise over a 1-D array of r, raising nothing.
 
-    Returns (n_mod, admissible): n_eff - sinh^2(r) per element, -inf where
-    that overflows, and the mask of entries >= N_MIN, which a NaN fails.
-    Each element takes photon_budget's float path, math.sinh and Python's
-    ** 2 (numpy's sinh and square differ from them in the last bit), so an
-    admissible entry is bit-equal to photon_budget's value.
+    n_eff is a float, or an array of r_values' shape holding each point's
+    budget. Returns (n_mod, admissible): n_eff - sinh^2(r) per element,
+    -inf where sinh^2(r) overflows, and the mask of entries >= N_MIN, which
+    a NaN fails. sinh^2(r) takes photon_budget's float path, math.sinh and
+    Python's ** 2 (numpy's sinh and square differ from them in the last
+    bit), so an admissible entry is bit-equal to photon_budget's value.
     """
-    spare = []
+    spent = []
     for r in r_values.tolist():
         try:
-            spare.append(n_eff - math.sinh(r) ** 2)
+            spent.append(math.sinh(r) ** 2)
         except OverflowError:
-            spare.append(-math.inf)
-    n_mod = np.array(spare, dtype=float)
+            spent.append(math.inf)
+    n_mod = n_eff - np.array(spent, dtype=float)
     return n_mod, n_mod >= N_MIN
 
 
@@ -94,13 +97,15 @@ def r_limit(n_eff):
 
 @dataclass(frozen=True, eq=False)
 class ModelMatrices:
-    """The reference chain's outputs for one (params, r) point.
+    """The reference chain's outputs for one (params, r) point, or for P.
 
     The chain splits into two (signal, environment) pair classes, co and
     rel, each n-fold (see `assemble_model`). r_pair, s_pair, t_pair and
     u_pair hold the signal entries of R', S', T' and of the output kernel
     U' for (co, rel), as shape-(2,) arrays; logdet_gl is ln det(G + L) over
     all n uses; n_mod is the modulation variance N the chain was built at.
+    `assemble_model` gives floats and (2,) pairs; `_pair_chain` stacks P
+    points: n_mod and logdet_gl of shape (P,), pairs of shape (P, 2).
     """
 
     n: int
@@ -113,10 +118,20 @@ class ModelMatrices:
 
     def joint_pairs(self):
         """The joint (mu, zeta) kernel of each class, including the 1/N
-        modulation shift: [[R' + 1/N, -S'/2], [-S'/2, T']], a (2, 2, 2) stack."""
+        modulation shift: [[R' + 1/N, -S'/2], [-S'/2, T']], a (2, 2, 2)
+        stack, or (P, 2, 2, 2) for P points."""
         cross = -self.s_pair / 2.0
-        return np.moveaxis(
-            np.array([[self.r_pair + 1.0 / self.n_mod, cross], [cross, self.t_pair]]), -1, 0)
+        shifted = self.r_pair + 1.0 / np.expand_dims(self.n_mod, -1)
+        return np.stack([np.stack([shifted, cross], -1), np.stack([cross, self.t_pair], -1)], -2)
+
+
+def _exp(x):
+    """math.exp of a float, or of each element of an array (numpy's vector
+    exp can differ from it in the last bit), so that an array gives the bits
+    of the per-element calls."""
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    return math.exp(x)
 
 
 def build_input_kernel(n, r):
@@ -133,13 +148,11 @@ def build_input_kernel(n, r):
     """
     if n < 1:
         raise InvalidSpec(f"n must be >= 1, got {n!r}")
-    r_arr = np.asarray(r, dtype=float)
-    exps = np.array([(math.exp(-2 * x), math.exp(2 * x)) for x in r_arr.ravel().tolist()])
-    exps = exps.reshape(r_arr.shape + (2, 1, 1))
-    shrink, grow = exps[..., 0, :, :], exps[..., 1, :, :]
+    r_arr = np.asarray(r, dtype=float)[..., None, None]
+    shrink, grow = _exp(-2.0 * r_arr), _exp(2.0 * r_arr)
     ones = np.ones((n, n))
     eye = np.eye(n)
-    out = np.zeros(r_arr.shape + (2 * n, 2 * n))
+    out = np.zeros(np.shape(r) + (2 * n, 2 * n))
     out[..., :n, :n] = (shrink - grow) * ones + (n * grow) * eye
     out[..., n:, n:] = (grow - shrink) * ones + (n * shrink) * eye
     out *= 2.0 / n
@@ -152,11 +165,15 @@ def build_memory_kernel(n, s):
 
 
 def build_beam_splitter(n, eta):
-    """Orthogonal 4n x 4n mixing matrix of the signal/environment coupling."""
-    if not (0.0 <= eta <= 1.0):
+    """Orthogonal 4n x 4n mixing matrix of the signal/environment coupling.
+
+    eta is a float or an array; the result has shape np.shape(eta) + (4n, 4n).
+    """
+    eta_arr = np.asarray(eta, dtype=float)
+    if not np.all((0.0 <= eta_arr) & (eta_arr <= 1.0)):
         raise InvalidSpec(f"eta must lie in [0, 1], got {eta!r}")
     eye = np.eye(2 * n)
-    rt, rr = math.sqrt(eta), math.sqrt(1.0 - eta)
+    rt, rr = np.sqrt(eta_arr)[..., None, None], np.sqrt(1.0 - eta_arr)[..., None, None]
     return np.block([[rt * eye, rr * eye], [-rr * eye, rt * eye]])
 
 
@@ -168,36 +185,58 @@ def assemble_model(params, r):
     one pair class per use, co, couples (2e^{-2r}, 2e^{-2s}) and sits on the
     collective x and the n - 1 relative p quadratures; the other, rel,
     couples (2e^{2r}, 2e^{2s}) on their complements. Each has multiplicity
-    n. The chain formulas run verbatim, in one pass, on the (2, 2, 2) stack
-    of the co and rel pairs, with one spd_factor call for both. On pairs
-    every factorization stays O(1)-conditioned for large |r| and |s|, where
-    factoring the assembled 4n x 4n forms loses several digits. Every
-    2n x 2n or 4n x 4n form of the chain is block-diagonal in that basis,
-    with n copies of each class, so its log-determinant is n times the pair
-    sum.
+    n. Every 2n x 2n or 4n x 4n form of the chain is block-diagonal in that
+    basis, with n copies of each class, so its log-determinant is n times
+    the pair sum. This is `_pair_chain` at one point: the pairs and
+    logdet_gl are bit-equal to that point's row of a stacked call.
     """
-    eta, s = params.eta, params.s
     n_mod = photon_budget(params.n_eff, r)
-    a = np.zeros((2, 2, 2))
-    a[:, 0, 0] = 2.0 * math.exp(-2 * r), 2.0 * math.exp(2 * r)
-    a[:, 1, 1] = 2.0 * math.exp(-2 * s), 2.0 * math.exp(2 * s)
-    rt, rr = math.sqrt(eta), math.sqrt(1.0 - eta)
-    b = np.array([[rt, rr], [-rr, rt]])
-    # l as a (2, 2, 2) stack: numpy < 2 solves a (2, 2, 2) stack against a
+    point = _pair_chain(params.n, *np.array([[params.eta], [params.s], [r], [n_mod]]))
+    return ModelMatrices(
+        n=params.n, n_mod=n_mod, logdet_gl=float(point.logdet_gl[0]),
+        r_pair=point.r_pair[0], s_pair=point.s_pair[0], t_pair=point.t_pair[0],
+        u_pair=point.u_pair[0])
+
+
+def _pair_chain(n, eta, s, r, n_mod):
+    """The reference chain at P points, given as 1-D arrays of eta, s, r and
+    the modulation variance N, for blocks of n uses.
+
+    The chain formulas run verbatim, in one pass, on the (P, 2, 2, 2) stack
+    of each point's co and rel pairs, with one spd_factor call for all of
+    them; LAPACK factors and solves each 2 x 2 matrix of the stack on its
+    own, so a point's row does not depend on the others. On pairs every
+    factorization stays O(1)-conditioned for large |r| and |s|, where
+    factoring the assembled 4n x 4n forms loses several digits. The
+    e^{+-2r} and e^{+-2s} entries come from math.exp element by element.
+    Returns a ModelMatrices of stacks: n_mod and logdet_gl of shape (P,),
+    each pair field of shape (P, 2).
+    """
+    # the (co, rel) kernel pairs: (2e^{-2r}, 2e^{-2s}) and (2e^{2r}, 2e^{2s})
+    a = np.zeros(r.shape + (2, 2, 2))
+    a[..., 0, 0] = 2.0 * _exp(np.multiply.outer(r, [-2.0, 2.0]))
+    a[..., 1, 1] = 2.0 * _exp(np.multiply.outer(s, [-2.0, 2.0]))
+    # each point's 2 x 2 rotation, shared by its two classes
+    b = np.empty(r.shape + (1, 2, 2))
+    b[:, 0, 0, 0] = b[:, 0, 1, 1] = np.sqrt(eta)
+    b[:, 0, 0, 1] = np.sqrt(1.0 - eta)
+    b[:, 0, 1, 0] = -b[:, 0, 0, 1]
+    # l as a full stack: numpy < 2 solves a (2, 2, 2) stack against a
     # (2, 2) right-hand side as against two vectors
-    l = np.broadcast_to(np.diag([2.0, 0.0]), a.shape)
+    l = np.zeros(a.shape)
+    l[..., 0, 0] = 2.0
     f = a @ b
-    g = symmetrize(b.T @ f)
+    g = symmetrize(np.swapaxes(b, -1, -2) @ f)
     lower = spd_factor(g + l)
     upper = np.swapaxes(lower, -1, -2)
     x = np.linalg.solve(upper, np.linalg.solve(lower, np.swapaxes(f, -1, -2)))
-    r_pair = (a - f @ x)[:, 0, 0]
-    s_pair = (2.0 * (l @ x))[:, 0, 0]
-    t_pair = (l - l @ np.linalg.solve(upper, np.linalg.solve(lower, l)))[:, 0, 0]
-    u_pair = t_pair - 0.25 * s_pair * s_pair / (r_pair + 1.0 / n_mod)
+    r_pair = (a - f @ x)[..., 0, 0]
+    s_pair = (2.0 * (l @ x))[..., 0, 0]
+    t_pair = (l - l @ np.linalg.solve(upper, np.linalg.solve(lower, l)))[..., 0, 0]
+    u_pair = t_pair - 0.25 * s_pair * s_pair / (r_pair + 1.0 / n_mod[:, None])
     ld_gl = 2.0 * np.sum(np.log(np.diagonal(lower, axis1=-2, axis2=-1)), axis=-1)
     return ModelMatrices(
-        n=params.n, n_mod=n_mod, logdet_gl=params.n * float(ld_gl.sum()),
+        n=n, n_mod=n_mod, logdet_gl=n * ld_gl.sum(axis=-1),
         r_pair=r_pair, s_pair=s_pair, t_pair=t_pair, u_pair=u_pair)
 
 

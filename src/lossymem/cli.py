@@ -17,10 +17,12 @@ import numpy as np
 
 from .channel_model import (
     ChannelParams,
+    _pair_chain,
     assemble_model,
     build_beam_splitter,
     build_input_kernel,
     build_memory_kernel,
+    photon_budgets,
     r_limit,
     single_use_kernels,
 )
@@ -34,6 +36,7 @@ from .errors import (
 )
 from .information import (
     LN2,
+    _closed_form,
     _ln_joint_norm,
     _ln_output_norm,
     input_entropy,
@@ -47,6 +50,7 @@ from .information import (
 from .matrix_core import block_diag, spd_logdet, symmetrize
 from .oracle import (
     McConfig,
+    _covariances,
     _mi_from_covariance,
     gaussian_mi_from_moments,
     monte_carlo_mi,
@@ -220,14 +224,13 @@ def _check_beam_splitter_orthogonality():
 def _check_kernel_determinant():
     # det A(r) = 2^{2n}, and A(r) A(-r) / 4 = I, the identity by which the
     # oracles invert the kernels; a shifted r keeps the first, not the second
+    r = np.array([-3.0, -1.5, 0.0, 1.5, 3.0])
     worst = 0.0
     for n in range(1, 9):
-        eye = np.eye(2 * n)
-        for r in (-3.0, -1.5, 0.0, 1.5, 3.0):
-            kernel = build_input_kernel(n, r)
-            ld = spd_logdet(kernel)
-            identity = np.abs(kernel @ build_input_kernel(n, -r) / 4.0 - eye).max()
-            worst = max(worst, abs(ld - 2 * n * LN2), float(identity))
+        kernels = build_input_kernel(n, r)
+        ld_dev = np.abs(spd_logdet(kernels) - 2 * n * LN2)
+        identity = np.abs(kernels @ build_input_kernel(n, -r) / 4.0 - np.eye(2 * n))
+        worst = max(worst, float(ld_dev.max()), float(identity.max()))
     return worst <= 1e-10, f"max_dev={worst:.3e}"
 
 
@@ -243,40 +246,48 @@ def _check_kernel_row_sums():
     return worst <= 1e-12, f"max_dev={worst:.3e}"
 
 
+def _grid(*axes):
+    """The points of the axes' Cartesian product, one 1-D array per axis,
+    the last axis varying fastest."""
+    return [coords.ravel() for coords in np.meshgrid(*axes, indexing="ij")]
+
+
 def _dense_g(n, eta, r, s):
-    """(G, A_tot) of the literal chain: G = B^T A_tot B, A_tot = A_in(r) (+) A_mem(s)."""
+    """(G, A_tot) of the literal chain at 1-D arrays of (eta, r, s), one
+    (4n, 4n) matrix per point: G = B^T A_tot B, A_tot = A_in(r) (+) A_mem(s)."""
     a_tot = block_diag(build_input_kernel(n, r), build_memory_kernel(n, s))
     b = build_beam_splitter(n, eta)
-    return symmetrize(b.T @ (a_tot @ b)), a_tot
+    return symmetrize(np.swapaxes(b, -1, -2) @ (a_tot @ b)), a_tot
 
 
 def _check_block_determinant_additivity():
-    worst = 0.0
-    for eta in (0.1, 0.3, 0.5, 0.7, 0.9):
-        for r, s in ((0.0, 0.0), (0.5, 1.0), (-1.0, 2.0), (0.8, -1.5)):
-            g, a_tot = _dense_g(2, eta, r, s)
-            worst = max(worst, abs(spd_logdet(g) - spd_logdet(a_tot)))
+    # each eta at the (r, s) pairs (0, 0), (0.5, 1), (-1, 2) and (0.8, -1.5)
+    eta = np.repeat([0.1, 0.3, 0.5, 0.7, 0.9], 4)
+    r = np.tile([0.0, 0.5, -1.0, 0.8], 5)
+    s = np.tile([0.0, 1.0, 2.0, -1.5], 5)
+    g, a_tot = _dense_g(2, eta, r, s)
+    worst = float(np.abs(spd_logdet(g) - spd_logdet(a_tot)).max())
     return worst <= 1e-10, f"max_dev={worst:.3e}"
+
+
+def _positive_definite_points():
+    """(eta, s, r, n_eff) of positive-definite-grid: every (eta, r, s, N) of
+    the grid, with the budget n_eff = N + sinh^2 r that leaves N at r."""
+    eta, r, s, n_mod = _grid((0.1, 0.5, 0.9), (-2.0, 0.0, 2.0), (-2.0, 0.0, 2.0),
+                             (0.01, 1.0, 50.0))
+    n_eff = np.array([m + math.sinh(x) ** 2 for m, x in zip(n_mod.tolist(), r.tolist())])
+    return eta, s, r, n_eff
 
 
 def _check_positive_definite_grid():
     # one stack per matrix family; spd_logdet pivot-tests each matrix in it
-    families = ([], [], [], [])
-    for eta in (0.1, 0.5, 0.9):
-        for r in (-2.0, 0.0, 2.0):
-            for s in (-2.0, 0.0, 2.0):
-                g = _dense_g(2, eta, r, s)[0]
-                for n_mod in (0.01, 1.0, 50.0):
-                    params = ChannelParams(
-                        n=2, eta=eta, s=s, n_eff=n_mod + math.sinh(r) ** 2)
-                    model = assemble_model(params, r)
-                    families[0].append(g)
-                    families[1].extend(model.u_pair[:, None, None])
-                    families[2].extend(model.joint_pairs())
-                    families[3].extend((model.r_pair + 1.0 / model.n_mod)[:, None, None])
-    for family in families:
-        spd_logdet(np.array(family))
-    return True, f"points={len(families[0])}"
+    eta, s, r, n_eff = _positive_definite_points()
+    n_mod, _ = photon_budgets(n_eff, r)
+    model = _pair_chain(2, eta, s, r, n_mod)
+    for family in (_dense_g(2, eta, r, s)[0], model.u_pair[..., None, None],
+                   model.joint_pairs(), (model.r_pair + 1.0 / n_mod[:, None])[..., None, None]):
+        spd_logdet(family)
+    return True, f"points={eta.size}"
 
 
 def _check_permutation_symmetry():
@@ -330,28 +341,37 @@ def _check_rate_additivity(points):
     # on the moment oracle, built from the literal n-use kernels: the
     # closed-form core and the pair chain are n-independent by construction.
     # The first point also runs at n = 32 (128 x 128 covariances).
-    worst = 0.0
-    for k, (eta, s, n_eff, r) in enumerate(points):
-        lengths = (2, 3, 4, 32) if k == 0 else (2, 3, 4)
-        rates = [gaussian_mi_from_moments(ChannelParams(n=n, eta=eta, s=s, n_eff=n_eff), r) / n
-                 for n in lengths]
-        worst = max(worst, max(rates) - min(rates))
+    eta, s, n_eff, r = (np.array(axis) for axis in zip(*points))
+    n_mod, _ = photon_budgets(n_eff, r)
+
+    def rates(n, k):
+        # the moment-oracle rate per use at n uses for the first k points
+        cov = _covariances(n, eta[:k], s[:k], r[:k], n_mod[:k])
+        return _mi_from_covariance(cov, n) / n
+
+    by_n = np.array([rates(n, r.size) for n in (2, 3, 4)])
+    spread = by_n.max(axis=0) - by_n.min(axis=0)
+    first = np.append(by_n[:, 0], rates(32, 1))
+    spread[0] = first.max() - first.min()
+    worst = float(spread.max())
     return worst <= 1e-7, f"max_dev={worst:.3e}"
 
 
+def _moment_grid_points():
+    """(eta, s, n_eff, r) of moment-oracle-grid: the 72 standard
+    (eta, s, N_eff) triples, each at r = -1, -0.9, ..., 1."""
+    return _grid(_STANDARD_ETAS, _STANDARD_S, _STANDARD_NEFF, [k / 10 for k in range(-10, 11)])
+
+
 def _check_moment_oracle_grid():
-    # one stacked log-determinant call for all 72 (eta, s, N_eff) points;
-    # LAPACK factors each matrix of the stack on its own
-    closed, covs = [], []
-    r_values = [k / 10 for k in range(-10, 11)]
-    for eta in _STANDARD_ETAS:
-        for s in _STANDARD_S:
-            for n_eff in _STANDARD_NEFF:
-                params = ChannelParams(n=2, eta=eta, s=s, n_eff=n_eff)
-                r_ok, _, _, info, _ = rate_gains(params, r_values)
-                closed.append(info.i_r)
-                covs.append(pipeline_covariance(params, r_ok))
-    dev = np.abs(np.concatenate(closed) - _mi_from_covariance(np.concatenate(covs), 2))
+    # one stacked call per layer for all 1512 points: the closed form, the
+    # covariances and their log-determinants, which LAPACK factors one
+    # matrix at a time
+    eta, s, n_eff, r = _moment_grid_points()
+    n_mod, admissible = photon_budgets(n_eff, r)
+    points = (eta[admissible], s[admissible], r[admissible], n_mod[admissible])
+    closed = _closed_form(2, *points)[3]
+    dev = np.abs(closed - _mi_from_covariance(_covariances(2, *points), 2))
     worst = float(dev.max())
     return worst <= 1e-7, f"max_dev={worst:.3e} points={dev.size}"
 

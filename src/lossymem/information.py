@@ -6,7 +6,8 @@ uses the fact that the channel splits into n copies of two decoupled
 quadrature is Gaussian, so each entropy is a sum of log-variances and the
 information per pair class is one `log1p` term, the one-mode Gaussian-channel
 reduction of Holevo & Werner, PRA 63, 032312 (2001). It is written in numpy
-ufuncs, so a float r and an array of r give the same bits element by element.
+ufuncs, with e^{+-2s} from math.exp element by element, so floats and 1-D
+arrays of points (eta, s, r, N) give the same bits element by element.
 `mutual_information`, `rate_gain`, `rate_gains` and `optimize_r` run on it and
 build no matrix. `optimize_r` bisects on the sign of the rate's closed-form
 slope, since the rate has exactly one peak in r.
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_model import N_MIN, photon_budget, photon_budgets, r_limit
+from .channel_model import N_MIN, _exp, photon_budget, photon_budgets, r_limit
 from .errors import DegenerateBaseline, PhotonBudgetExceeded
 from .matrix_core import spd_logdet
 
@@ -107,19 +108,20 @@ def joint_entropy(model):
     return c_joint * (2 * n - _ln_joint_norm(model)) / LN2, c_joint
 
 
-def _closed_form(params, r, n_mod):
-    """Closed-form core: (i_mu, i_zeta, i_joint, i_r) in bits at entanglement r.
+def _closed_form(n, eta, s, r, n_mod):
+    """Closed-form core: (i_mu, i_zeta, i_joint, i_r) in bits for blocks of n uses.
 
-    r and n_mod are floats, or arrays of one shape, of admissible points with
-    n_mod = photon_budget(n_eff, r). Given the modulation, each use carries
-    one output quadrature of noise variance plus/4 and one of minus/4; the
-    modulation adds eta N / 2 to both. So h_noise, the output entropy given
-    the modulation, is a sum of log-variances, and the information is one
-    log1p term per quadrature class.
+    eta, s, r and n_mod are floats, or 1-D arrays of one length P holding P
+    points (a float among arrays stands for every point), all admissible,
+    with n_mod = photon_budget(n_eff, r). Given the modulation, each use
+    carries one output quadrature of noise variance plus/4 and one of
+    minus/4; the modulation adds eta N / 2 to both. So h_noise, the output
+    entropy given the modulation, is a sum of log-variances, and the
+    information is one log1p term per quadrature class. Each element of an
+    array result is bit-equal to the call at that point's floats.
     """
-    n, eta, s = params.n, params.eta, params.s
-    plus = 1.0 + eta * np.exp(2.0 * r) + (1.0 - eta) * math.exp(2.0 * s)
-    minus = 1.0 + eta * np.exp(-2.0 * r) + (1.0 - eta) * math.exp(-2.0 * s)
+    plus = 1.0 + eta * np.exp(2.0 * r) + (1.0 - eta) * _exp(2.0 * s)
+    minus = 1.0 + eta * np.exp(-2.0 * r) + (1.0 - eta) * _exp(-2.0 * s)
     signal = 2.0 * eta * n_mod
     h_noise = n * _LN_2PI_E + 0.5 * n * (np.log(plus / 4.0) + np.log(minus / 4.0))
     info = 0.5 * n * (np.log1p(signal / plus) + np.log1p(signal / minus))
@@ -132,7 +134,8 @@ def _closed_form(params, r, n_mod):
 def mutual_information(params, r):
     """Full information breakdown at entanglement r within the photon budget."""
     n_mod = photon_budget(params.n_eff, r)
-    i_mu, i_zeta, i_joint, i_r = (float(v) for v in _closed_form(params, r, n_mod))
+    i_mu, i_zeta, i_joint, i_r = (
+        float(v) for v in _closed_form(params.n, params.eta, params.s, r, n_mod))
     return InfoBreakdown(
         i_mu=i_mu, i_zeta=i_zeta, i_joint=i_joint, i_r=i_r, rate=i_r / params.n)
 
@@ -174,7 +177,7 @@ def rate_gains(params, r_values):
     r_arr = np.fromiter(r_values, dtype=float)
     n_mod, admissible = photon_budgets(params.n_eff, r_arr)
     r_arr, n_mod = r_arr[admissible], n_mod[admissible]
-    i_mu, i_zeta, i_joint, i_r = _closed_form(params, r_arr, n_mod)
+    i_mu, i_zeta, i_joint, i_r = _closed_form(params.n, params.eta, params.s, r_arr, n_mod)
     gain = np.where(r_arr == 0.0, 0.0, (i_r - base.i_r) / base.i_r)
     info = InfoBreakdown(
         i_mu=i_mu, i_zeta=i_zeta, i_joint=i_joint, i_r=i_r, rate=i_r / params.n)

@@ -66,8 +66,9 @@ def spd_logdet(m):
 
 
 def block_diag(a, b):
-    """Direct sum of two matrices."""
+    """Direct sum of two matrices, or of each pair of matrices of two
+    (..., d, d) stacks of one leading shape."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    return np.block([[a, np.zeros((a.shape[0], b.shape[1]))],
-                     [np.zeros((b.shape[0], a.shape[1])), b]])
+    return np.block([[a, np.zeros(a.shape[:-1] + b.shape[-1:])],
+                     [np.zeros(b.shape[:-1] + a.shape[-1:]), b]])

@@ -26,8 +26,13 @@ The sampler draws each physical noise source (modulation, input ensemble,
 environment, detector) from its own SFC64 stream, spawned from the seed,
 and mixes the rows in blocks of _MIX_ROWS through buffers of a fixed size.
 sample_covariance sums each block's column sums and Gram matrix, so it
-holds about 1 MiB however many samples it draws; sample_joint copies the
-blocks into its output.
+holds about 1.25 MiB however many samples it draws; sample_joint copies
+the blocks into its output.
+
+`pipeline_covariance` is the per-params form of `_covariances`, which
+builds the covariance at 1-D arrays of points (eta, s, r, N) in one
+stacked pass, so that verify's grid checks make one call for all their
+points.
 """
 import functools
 import math
@@ -81,29 +86,39 @@ class MiEstimate:
 def pipeline_covariance(params, r):
     """Exact covariance of the (mu, zeta) rows that sample_joint draws.
 
-    r is a float or an array; the result has shape np.shape(r) + (4n, 4n).
-    With N = photon_budget(n_eff, r) the modulation block is (N/2) I, the
+    r is a float or an array; the result has shape np.shape(r) + (4n, 4n),
+    each matrix bit-equal to `_covariances` at that r. An r outside the
+    photon budget raises PhotonBudgetExceeded, naming the first such r.
+    """
+    r_flat = np.asarray(r, dtype=float).ravel()
+    n_mod, admissible = photon_budgets(params.n_eff, r_flat)
+    if not admissible.all():
+        photon_budget(params.n_eff, float(r_flat[admissible.argmin()]))
+    cov = _covariances(params.n, params.eta, params.s, r_flat, n_mod)
+    return cov.reshape(np.shape(r) + cov.shape[-2:])
+
+
+def _covariances(n, eta, s, r, n_mod):
+    """pipeline_covariance at P points for blocks of n uses: a (P, 4n, 4n) stack.
+
+    r and n_mod are 1-D arrays of length P, with N = n_mod; eta and s are
+    floats or arrays of that length. The modulation block is (N/2) I, the
     cross block sqrt(eta) (N/2) I, and the output block
     eta ((N/2) I + A_in(-r)/8) + (1 - eta) A_mem(-s)/8 + I/4, each kernel
     inverse A(x)^-1 / 2 taken as A(-x)/8 from the family identity. The
     kernel builders are exactly symmetric, so every matrix is.
     """
-    n, eta = params.n, params.eta
-    r_flat = np.asarray(r, dtype=float).ravel()
-    n_mod, admissible = photon_budgets(params.n_eff, r_flat)
-    if not admissible.all():
-        # raises PhotonBudgetExceeded, naming the first such r
-        photon_budget(params.n_eff, float(r_flat[admissible.argmin()]))
-    a_in = build_input_kernel(n, -r_flat)
-    a_mem = build_memory_kernel(n, -params.s)
+    eta = np.asarray(eta, dtype=float)[..., None, None]
+    a_in = build_input_kernel(n, -r)
+    a_mem = build_memory_kernel(n, -s)
     eye = np.eye(2 * n)
     sigma_mu = (n_mod / 2.0)[:, None, None] * eye
-    cov = np.empty((r_flat.size, 4 * n, 4 * n))
+    cov = np.empty((r.size, 4 * n, 4 * n))
     cov[:, :2 * n, :2 * n] = sigma_mu
-    cov[:, :2 * n, 2 * n:] = cov[:, 2 * n:, :2 * n] = math.sqrt(eta) * sigma_mu
+    cov[:, :2 * n, 2 * n:] = cov[:, 2 * n:, :2 * n] = np.sqrt(eta) * sigma_mu
     cov[:, 2 * n:, 2 * n:] = (eta * (sigma_mu + a_in / 8.0) + (1.0 - eta) * a_mem / 8.0
                               + eye / 4.0)
-    return cov.reshape(np.shape(r) + (4 * n, 4 * n))
+    return cov
 
 
 def _mi_from_covariance(cov, n):
@@ -143,7 +158,11 @@ def _sample_blocks(params, r, cfg):
     next block is drawn. Each noise source reads its own SFC64 stream, one
     of four children of SeedSequence(cfg.seed) in the order modulation,
     input ensemble, environment, detector, and reads it in row order, so
-    the rows do not depend on the block size.
+    the rows do not depend on the block size. mu and then zeta are formed
+    in a contiguous (rows, 2n) buffer, where every elementwise step runs
+    over whole rows, and each is copied into its half of the block once;
+    the same operations on the block's strided halves give the same bits,
+    several times slower.
     """
     n = params.n
     mod_scale = math.sqrt(photon_budget(params.n_eff, r) / 2.0)
@@ -157,22 +176,24 @@ def _sample_blocks(params, r, cfg):
 
     rows = min(cfg.samples, _MIX_ROWS)
     buf = np.empty((rows, 4 * n))
-    z = np.empty((rows, 2 * n))
-    prod = np.empty((rows, 2 * n))
+    # contiguous (rows, 2n) buffers: the normals, a noise product, and mu
+    # then zeta, each copied into its half of the block once
+    z, prod, acc = np.empty((3, rows, 2 * n))
     for lo in range(0, cfg.samples, rows):
         k = min(rows, cfg.samples - lo)
-        block, z_k, prod_k = buf[:k], z[:k], prod[:k]
-        mu, zeta = block[:, :2 * n], block[:, 2 * n:]
+        block, z_k, prod_k, acc_k = buf[:k], z[:k], prod[:k], acc[:k]
         modulation.standard_normal(out=z_k)
-        np.multiply(z_k, mod_scale, out=mu)
-        np.multiply(mu, rt, out=zeta)
+        np.multiply(z_k, mod_scale, out=acc_k)
+        block[:, :2 * n] = acc_k
+        acc_k *= rt
         ensemble.standard_normal(out=z_k)
-        zeta += np.matmul(z_k, f_in, out=prod_k)
+        acc_k += np.matmul(z_k, f_in, out=prod_k)
         environment.standard_normal(out=z_k)
-        zeta += np.matmul(z_k, f_mem, out=prod_k)
+        acc_k += np.matmul(z_k, f_mem, out=prod_k)
         detector.standard_normal(out=z_k)
         z_k *= 0.5
-        zeta += z_k
+        acc_k += z_k
+        block[:, 2 * n:] = acc_k
         yield block
 
 
@@ -190,7 +211,7 @@ def sample_joint(params, r, cfg):
     the covariance A(x)^-1 / 2 of the ensemble's noise.
 
     The rows are drawn in blocks of _MIX_ROWS (_sample_blocks) and copied
-    into the output, so the peak memory is the output plus about 1 MiB.
+    into the output, so the peak memory is the output plus about 1.25 MiB.
     """
     out = np.empty((cfg.samples, 4 * params.n))
     lo = 0

@@ -4,13 +4,16 @@ import math
 import numpy as np
 import pytest
 
+from lossymem import cli
 from lossymem.channel_model import (
     ChannelParams,
+    _pair_chain,
     assemble_model,
     build_beam_splitter,
     build_input_kernel,
     build_memory_kernel,
     photon_budget,
+    photon_budgets,
     r_limit,
     single_use_kernels,
 )
@@ -116,6 +119,16 @@ def test_beam_splitter_limits():
     zero = np.zeros((4, 4))
     np.testing.assert_array_equal(build_beam_splitter(2, 0.0),
                                   np.block([[zero, eye], [-eye, zero]]))
+
+
+def test_beam_splitter_on_an_array_matches_per_eta_calls():
+    eta = np.linspace(0.0, 1.0, 6).reshape(2, 3)
+    stack = build_beam_splitter(3, eta)
+    assert stack.shape == (2, 3, 12, 12)
+    for index in np.ndindex(eta.shape):
+        assert np.array_equal(stack[index], build_beam_splitter(3, float(eta[index])))
+    with pytest.raises(InvalidSpec):
+        build_beam_splitter(2, np.array([0.5, math.nan]))
 
 
 def test_beam_splitter_orthogonal_on_eta_grid():
@@ -276,6 +289,23 @@ def test_positive_definite_across_parameter_grid():
                     spd_factor(dense_g(2, eta, r, s)[0])
                     spd_logdet(model.u_pair[:, None, None])
                     spd_logdet(model.joint_pairs())
+
+
+def test_pair_chain_is_bit_equal_to_assemble_model_on_the_verify_grid():
+    # the 81 points of verify's positive-definite-grid, in one stacked call
+    eta, s, r, n_eff = cli._positive_definite_points()
+    n_mod, admissible = photon_budgets(n_eff, r)
+    assert admissible.all() and r.size == 81
+    stacked = _pair_chain(2, eta, s, r, n_mod)
+    joint = stacked.joint_pairs()
+    assert joint.shape == (81, 2, 2, 2)
+    for k, (eta_k, s_k, r_k, n_eff_k) in enumerate(zip(*(a.tolist() for a in (eta, s, r, n_eff)))):
+        model = assemble_model(ChannelParams(n=2, eta=eta_k, s=s_k, n_eff=n_eff_k), r_k)
+        assert model.n_mod == stacked.n_mod[k]
+        assert model.logdet_gl == stacked.logdet_gl[k]
+        for field in ("r_pair", "s_pair", "t_pair", "u_pair"):
+            assert np.array_equal(getattr(model, field), getattr(stacked, field)[k]), (k, field)
+        assert np.array_equal(model.joint_pairs(), joint[k])
 
 
 def test_permutation_of_uses_leaves_model_invariant():

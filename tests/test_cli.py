@@ -1,4 +1,5 @@
 """Sweep, optimize, and verify entry points plus exit-code mapping."""
+import dataclasses
 import io
 import math
 import os
@@ -8,10 +9,11 @@ import threading
 import time
 import warnings
 
+import numpy as np
 import pytest
 
 import lossymem
-from lossymem import cli, oracle
+from lossymem import channel_model, cli, information, oracle
 from lossymem.cli import SweepSpec, build_parser, main, optimize, sweep, verify
 from lossymem.errors import (
     InvalidSpec,
@@ -258,6 +260,78 @@ def test_kernel_determinant_catches_a_broken_inverse_identity(monkeypatch):
     assert verify("quick", stream=buf) is False
     assert any(line.startswith("FAIL input-kernel-determinant max_dev=")
                for line in buf.getvalue().splitlines())
+
+
+def _patch_everywhere(monkeypatch, original, replacement):
+    """Replace a function in every lossymem module that holds it."""
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "lossymem" or name.startswith("lossymem.")):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
+def _i_r_scaled(exact):
+    def faulty(*point):
+        i_mu, i_zeta, i_joint, i_r = exact(*point)
+        return i_mu, i_zeta, i_joint, i_r * (1 + 1e-6)
+    return faulty
+
+
+def _heterodyne_noisier(exact):
+    def faulty(n, *point):
+        cov = exact(n, *point)
+        cov[:, 2 * n:, 2 * n:] += 0.01 * np.eye(2 * n)
+        return cov
+    return faulty
+
+
+# the faults that moment-oracle-grid catches in ROADMAP item 6's table:
+# (function, fault built from the exact function)
+MOMENT_GRID_FAULTS = {
+    "input-kernel-scaled": (channel_model.build_input_kernel,
+                            lambda exact: lambda n, r: exact(n, r) * (1 + 1e-3)),
+    "memory-kernel-at-1.02s": (channel_model.build_memory_kernel,
+                               lambda exact: lambda n, s: exact(n, 1.02 * s)),
+    "closed-form-i_r-scaled": (information._closed_form, _i_r_scaled),
+    "closed-form-at-1.001s": (information._closed_form,
+                              lambda exact: lambda n, eta, s, r, n_mod: exact(
+                                  n, eta, 1.001 * s, r, n_mod)),
+    "heterodyne-variance-plus-0.01": (oracle._covariances, _heterodyne_noisier),
+}
+
+
+@pytest.mark.parametrize("fault", list(MOMENT_GRID_FAULTS))
+def test_moment_oracle_grid_catches_the_catalogued_faults(monkeypatch, fault):
+    assert cli._check_moment_oracle_grid()[0] is True
+    exact, make_fault = MOMENT_GRID_FAULTS[fault]
+    _patch_everywhere(monkeypatch, exact, make_fault(exact))
+    ok, detail = cli._check_moment_oracle_grid()
+    assert ok is False
+    assert detail.startswith("max_dev=") and detail.endswith(" points=1512")
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1.0], ids=["nan", "negative"])
+def test_positive_definite_grid_fails_on_one_non_positive_pair(monkeypatch, bad):
+    # one point's rel-class T' made NaN or negative: its joint pair is not
+    # positive definite, whatever the other 80 points hold
+    exact = channel_model._pair_chain
+
+    def faulty(*points):
+        model = exact(*points)
+        t_pair = model.t_pair.copy()
+        t_pair[40, 1] *= bad
+        return dataclasses.replace(model, t_pair=t_pair)
+
+    _patch_everywhere(monkeypatch, exact, faulty)
+    monkeypatch.setattr(cli, "_checks", lambda *args: [
+        ("positive-definite-grid", cli._check_positive_definite_grid)])
+    buf = io.StringIO()
+    assert verify("quick", stream=buf) is False
+    assert buf.getvalue().splitlines() == [
+        "FAIL positive-definite-grid raised NotPositiveDefinite: "
+        "matrix of dim 2 failed Cholesky pivot test",
+        "verify quick: 1 checks, 0 passed, 1 failed"]
 
 
 def test_verify_rejects_unknown_level():

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from lossymem import cli
 from lossymem.channel_model import N_EFF_MAX, N_MIN, ChannelParams, assemble_model, photon_budgets
 from lossymem.errors import DegenerateBaseline, NotPositiveDefinite, PhotonBudgetExceeded
 from lossymem.information import (
+    _closed_form,
     input_entropy,
     joint_entropy,
     mutual_information,
@@ -84,6 +86,16 @@ def test_element_wise_budget_matches_per_r_calls():
             (r.hex(), n.hex()) for r, n in kept]
         assert base == mutual_information(params, 0.0)
     assert photon_budgets(2.0, np.array([]))[0].shape == (0,)
+
+
+def test_element_wise_budget_takes_a_budget_per_point():
+    r_values = np.array([0.0, 1.0, -1.0, 2.0, 800.0])
+    n_eff = np.array([2.0, 20.0, 1.0, 0.5, 1e4])
+    n_mod, admissible = photon_budgets(n_eff, r_values)
+    for k, (budget, r) in enumerate(zip(n_eff.tolist(), r_values.tolist())):
+        alone, ok = photon_budgets(budget, np.array([r]))
+        assert n_mod[k].hex() == alone[0].hex() and admissible[k] == ok[0]
+    assert admissible.tolist() == [True, True, False, False, False]
 
 
 # ---------------------------------------------------------------- entropies
@@ -210,6 +222,21 @@ def _chain_breakdown(params, r):
     i_zeta, _ = output_entropy(model)
     i_joint, _ = joint_entropy(model)
     return i_zeta, i_joint, (input_entropy(params.n, model.n_mod) + i_zeta - i_joint) / params.n
+
+
+def test_closed_form_core_is_bit_equal_to_rate_gains_on_the_verify_grid():
+    # the 1512 points of verify's moment-oracle-grid in one stacked call,
+    # against one rate_gains call per (eta, s, N_eff) and its 21 r
+    eta, s, n_eff, r = cli._moment_grid_points()
+    n_mod, admissible = photon_budgets(n_eff, r)
+    assert admissible.all() and r.size == 1512
+    stacked = [values.reshape(72, 21) for values in _closed_form(2, eta, s, r, n_mod)]
+    for k, start in enumerate(range(0, r.size, 21)):
+        params = params_at(eta=float(eta[start]), s=float(s[start]), n_eff=float(n_eff[start]))
+        r_ok, _, _, info, _ = rate_gains(params, r[start:start + 21])
+        assert np.array_equal(r_ok, r[start:start + 21])
+        for field, values in zip(("i_mu", "i_zeta", "i_joint", "i_r"), stacked):
+            assert np.array_equal(getattr(info, field), values[k]), (k, field)
 
 
 def test_closed_form_matches_matrix_chain():

@@ -135,6 +135,16 @@ def test_block_diag_logdet_additivity():
     assert combined == pytest.approx(spd_logdet(a) + spd_logdet(b), abs=1e-12)
 
 
+def test_block_diag_of_stacks_matches_per_matrix_calls():
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((2, 3, 3, 3))
+    b = rng.standard_normal((2, 3, 2, 2))
+    out = block_diag(a, b)
+    assert out.shape == (2, 3, 5, 5)
+    for index in np.ndindex(2, 3):
+        np.testing.assert_array_equal(out[index], block_diag(a[index], b[index]))
+
+
 def test_top_left_of_block_diag_recovers_block():
     rng = np.random.default_rng(10)
     a = random_spd(rng, 3)

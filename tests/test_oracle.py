@@ -7,7 +7,7 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from lossymem import oracle
+from lossymem import cli, oracle
 from lossymem.channel_model import (
     N_MIN,
     ChannelParams,
@@ -15,6 +15,7 @@ from lossymem.channel_model import (
     build_beam_splitter,
     build_input_kernel,
     photon_budget,
+    photon_budgets,
     single_use_kernels,
 )
 from lossymem.errors import (
@@ -35,6 +36,7 @@ from lossymem.matrix_core import spd_logdet
 from lossymem.oracle import (
     McConfig,
     MiEstimate,
+    _covariances,
     _entropy_on_grid,
     _independent_blocks,
     _sampling_factor,
@@ -160,6 +162,26 @@ def test_pipeline_covariance_matches_a_per_r_loop():
                              for x in r.ravel()])
         np.testing.assert_allclose(cov, inverted.reshape(cov.shape), rtol=0,
                                    atol=1e-13 * np.abs(inverted).max())
+
+
+def test_covariance_core_is_bit_equal_to_pipeline_covariance():
+    # the 1512 points of verify's moment-oracle-grid in one stacked call,
+    # against one pipeline_covariance call per (eta, s, N_eff) and its 21 r,
+    # and at n = 2 against a call per point
+    eta, s, n_eff, r = cli._moment_grid_points()
+    n_mod, admissible = photon_budgets(n_eff, r)
+    assert admissible.all() and r.size == 1512
+    for n in (1, 2, 3):
+        stacked = _covariances(n, eta, s, r, n_mod)
+        assert stacked.shape == (1512, 4 * n, 4 * n)
+        for start in range(0, r.size, 21):
+            params = ChannelParams(n=n, eta=float(eta[start]), s=float(s[start]),
+                                   n_eff=float(n_eff[start]))
+            grid = r[start:start + 21]
+            assert np.array_equal(pipeline_covariance(params, grid), stacked[start:start + 21])
+            if n == 2:
+                for k, r_k in enumerate(grid.tolist()):
+                    assert np.array_equal(pipeline_covariance(params, r_k), stacked[start + k])
 
 
 def test_pipeline_covariance_names_the_inadmissible_r():
@@ -328,6 +350,25 @@ def test_streamed_covariance_matches_the_covariance_of_the_draw():
         np.testing.assert_array_equal(cov, cov.T)
 
 
+def test_streamed_covariance_is_the_blockwise_sum_of_the_draw():
+    # bit for bit: the column sums and Gram matrices of sample_joint's rows
+    # in _MIX_ROWS blocks, summed in block order, as the sampled checks print
+    for n in (1, 2, 3):
+        params = ChannelParams(n=n, eta=0.7, s=2.0, n_eff=2.0)
+        m = 20011
+        cfg = McConfig(samples=m, seed=n)
+        rows = sample_joint(params, 0.4, cfg)
+        total = np.zeros(4 * n)
+        gram = np.zeros((4 * n, 4 * n))
+        for lo in range(0, m, oracle._MIX_ROWS):
+            block = rows[lo:lo + oracle._MIX_ROWS]
+            total += block.sum(axis=0)
+            gram += block.T @ block
+        mean = total / m
+        reference = (gram - m * np.outer(mean, mean)) / (m - 1)
+        assert np.array_equal(sample_covariance(params, 0.4, cfg), reference)
+
+
 def _traced_peak(fn, *args):
     tracemalloc.start()
     try:
@@ -338,15 +379,15 @@ def _traced_peak(fn, *args):
 
 
 def test_sampler_holds_one_draw_buffer():
-    # the output plus the (8192, 4n) block and two (8192, 2n) buffers, 1 MiB
-    # at n = 2 (1.13 MiB measured), padded to 2 MiB
+    # the output plus the (8192, 4n) block and three (8192, 2n) buffers,
+    # 1.25 MiB at n = 2 (1.26 MiB measured), padded to 2 MiB
     params = ChannelParams(n=2, eta=0.8, s=1.0, n_eff=2.0)
     data, peak = _traced_peak(sample_joint, params, 0.3, McConfig(samples=100000, seed=1))
     assert peak <= data.nbytes + 2 * 2 ** 20
 
 
 def test_streamed_covariance_holds_nothing_sized_by_the_samples():
-    # 1.13 MiB measured at both counts: the block buffers, never the draw
+    # 1.26 MiB measured at both counts: the block buffers, never the draw
     params = ChannelParams(n=2, eta=0.8, s=1.0, n_eff=2.0)
     for m in (20000, 200000):
         _, peak = _traced_peak(sample_covariance, params, 0.3, McConfig(samples=m, seed=1))
