@@ -41,12 +41,9 @@ class ChannelParams:
     n_eff: float
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise InvalidSpec(f"n must be a positive integer, got {self.n!r}")
+        _check_family(self.n, self.s, "s")
         if not (0.0 <= self.eta <= 1.0):
             raise InvalidSpec(f"eta must lie in [0, 1], got {self.eta!r}")
-        if not abs(self.s) <= S_MAX:
-            raise InvalidSpec(f"s must lie in [-{S_MAX:.6g}, {S_MAX:.6g}], got {self.s!r}")
         if not (math.isfinite(self.n_eff) and self.n_eff > 0.0):
             raise InvalidSpec(f"n_eff must be positive, got {self.n_eff!r}")
         if self.n_eff > N_EFF_MAX:
@@ -125,13 +122,13 @@ class ModelMatrices:
         return np.stack([np.stack([shifted, cross], -1), np.stack([cross, self.t_pair], -1)], -2)
 
 
-def _exp(x):
-    """math.exp of a float, or of each element of an array (numpy's vector
-    exp can differ from it in the last bit), so that an array gives the bits
-    of the per-element calls."""
-    if isinstance(x, np.ndarray):
-        return np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size).reshape(x.shape)
-    return math.exp(x)
+def _check_family(n, x=0.0, name="x"):
+    """Raise InvalidSpec unless n is a positive int (not a bool) and every
+    element of x is finite with |x| <= S_MAX, where e^{2|x|} is finite."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise InvalidSpec(f"n must be a positive integer, got {n!r}")
+    if not (np.abs(x) <= S_MAX).all():
+        raise InvalidSpec(f"{name} must lie in [-{S_MAX:.6g}, {S_MAX:.6g}], got {x!r}")
 
 
 def build_input_kernel(n, r):
@@ -142,14 +139,12 @@ def build_input_kernel(n, r):
     quadrature, 2e^{2r} on the n-1 relative ones.
 
     r is a float or an array; the result has shape np.shape(r) + (2n, 2n).
-    The exponentials come from math.exp one r at a time (numpy's vector exp
-    can differ from it in the last bit), so an array gives the bits of the
-    per-r calls.
+    InvalidSpec is raised unless n is a positive int and every r is finite
+    with |r| <= S_MAX.
     """
-    if n < 1:
-        raise InvalidSpec(f"n must be >= 1, got {n!r}")
+    _check_family(n, r, "r")
     r_arr = np.asarray(r, dtype=float)[..., None, None]
-    shrink, grow = _exp(-2.0 * r_arr), _exp(2.0 * r_arr)
+    shrink, grow = np.exp(-2.0 * r_arr), np.exp(2.0 * r_arr)
     ones = np.ones((n, n))
     eye = np.eye(n)
     out = np.zeros(np.shape(r) + (2 * n, 2 * n))
@@ -169,6 +164,7 @@ def build_beam_splitter(n, eta):
 
     eta is a float or an array; the result has shape np.shape(eta) + (4n, 4n).
     """
+    _check_family(n)
     eta_arr = np.asarray(eta, dtype=float)
     if not np.all((0.0 <= eta_arr) & (eta_arr <= 1.0)):
         raise InvalidSpec(f"eta must lie in [0, 1], got {eta!r}")
@@ -207,15 +203,14 @@ def _pair_chain(n, eta, s, r, n_mod):
     them; LAPACK factors and solves each 2 x 2 matrix of the stack on its
     own, so a point's row does not depend on the others. On pairs every
     factorization stays O(1)-conditioned for large |r| and |s|, where
-    factoring the assembled 4n x 4n forms loses several digits. The
-    e^{+-2r} and e^{+-2s} entries come from math.exp element by element.
+    factoring the assembled 4n x 4n forms loses several digits.
     Returns a ModelMatrices of stacks: n_mod and logdet_gl of shape (P,),
     each pair field of shape (P, 2).
     """
     # the (co, rel) kernel pairs: (2e^{-2r}, 2e^{-2s}) and (2e^{2r}, 2e^{2s})
     a = np.zeros(r.shape + (2, 2, 2))
-    a[..., 0, 0] = 2.0 * _exp(np.multiply.outer(r, [-2.0, 2.0]))
-    a[..., 1, 1] = 2.0 * _exp(np.multiply.outer(s, [-2.0, 2.0]))
+    a[..., 0, 0] = 2.0 * np.exp(np.multiply.outer(r, [-2.0, 2.0]))
+    a[..., 1, 1] = 2.0 * np.exp(np.multiply.outer(s, [-2.0, 2.0]))
     # each point's 2 x 2 rotation, shared by its two classes
     b = np.empty(r.shape + (1, 2, 2))
     b[:, 0, 0, 0] = b[:, 0, 1, 1] = np.sqrt(eta)

@@ -6,8 +6,8 @@ uses the fact that the channel splits into n copies of two decoupled
 quadrature is Gaussian, so each entropy is a sum of log-variances and the
 information per pair class is one `log1p` term, the one-mode Gaussian-channel
 reduction of Holevo & Werner, PRA 63, 032312 (2001). It is written in numpy
-ufuncs, with e^{+-2s} from math.exp element by element, so floats and 1-D
-arrays of points (eta, s, r, N) give the same bits element by element.
+ufuncs, so floats and 1-D arrays of points (eta, s, r, N) give the same bits
+element by element.
 `mutual_information`, `rate_gain`, `rate_gains` and `optimize_r` run on it and
 build no matrix. `optimize_r` bisects on the sign of the rate's closed-form
 slope, since the rate has exactly one peak in r.
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_model import N_MIN, _exp, photon_budget, photon_budgets, r_limit
+from .channel_model import N_MIN, photon_budget, photon_budgets, r_limit
 from .errors import DegenerateBaseline, PhotonBudgetExceeded
 from .matrix_core import spd_logdet
 
@@ -120,8 +120,8 @@ def _closed_form(n, eta, s, r, n_mod):
     information is one log1p term per quadrature class. Each element of an
     array result is bit-equal to the call at that point's floats.
     """
-    plus = 1.0 + eta * np.exp(2.0 * r) + (1.0 - eta) * _exp(2.0 * s)
-    minus = 1.0 + eta * np.exp(-2.0 * r) + (1.0 - eta) * _exp(-2.0 * s)
+    plus = 1.0 + eta * np.exp(2.0 * r) + (1.0 - eta) * np.exp(2.0 * s)
+    minus = 1.0 + eta * np.exp(-2.0 * r) + (1.0 - eta) * np.exp(-2.0 * s)
     signal = 2.0 * eta * n_mod
     h_noise = n * _LN_2PI_E + 0.5 * n * (np.log(plus / 4.0) + np.log(minus / 4.0))
     info = 0.5 * n * (np.log1p(signal / plus) + np.log1p(signal / minus))

@@ -280,10 +280,7 @@ def _slab_integrals(k, axes, weights):
     The grid is walked along the first axis in batches of slabs, each slab
     the (points,)^(d-1) grid of the other axes at one first coordinate x0
     (a single point when d = 1), a batch at most _SLAB_BATCH grid points
-    unless one slab is larger. p obeys p(-w) = p(w), and every axis and its
-    weights are symmetric about 0, so the slab at -x0 sums to the slab at
-    x0: only the slabs with x0 >= 0 are evaluated, each off-centre one
-    weighted twice (an even point count has no centre slab).
+    unless one slab is larger.
     """
     d = len(axes)
     points = len(axes[0])
@@ -299,28 +296,15 @@ def _slab_integrals(k, axes, weights):
             q_rest += 2.0 * k[i, j] * rest[i - 1] * rest[j - 1]
     q_rest, lin = q_rest.ravel(), lin.ravel()
 
-    # the upper half of the first axis; with an odd count the centre slab counts once
-    half = points // 2
-    x_half = axes[0][half:, None]
-    w_half = 2.0 * weights[0][half:]
-    if points % 2:
-        w_half[0] /= 2.0
     batch = max(1, _SLAB_BATCH // q_rest.size)
-    q = np.empty((min(batch, len(x_half)), q_rest.size))
-    p = np.empty_like(q)
     mass = 0.0
     moment = 0.0
-    for lo in range(0, len(x_half), batch):
-        x0, w0 = x_half[lo:lo + batch], w_half[lo:lo + batch]
-        q_b, p_b = q[:len(x0)], p[:len(x0)]
-        np.multiply(x0, lin, out=q_b)
-        q_b += q_rest
-        q_b += k[0, 0] * x0 * x0
-        np.negative(q_b, out=p_b)
-        np.exp(p_b, out=p_b)
-        q_b *= p_b
-        mass += float(w0 @ (p_b @ w_rest))
-        moment += float(w0 @ (q_b @ w_rest))
+    for lo in range(0, points, batch):
+        x0, w0 = axes[0][lo:lo + batch, None], weights[0][lo:lo + batch]
+        q = x0 * lin + q_rest + k[0, 0] * x0 * x0
+        p = np.exp(-q)
+        mass += float(w0 @ (p @ w_rest))
+        moment += float(w0 @ ((q * p) @ w_rest))
     return mass, moment
 
 

@@ -21,6 +21,7 @@ from lossymem.errors import InvalidSpec, NotPositiveDefinite, PhotonBudgetExceed
 from lossymem.matrix_core import block_diag, spd_factor, spd_logdet, symmetrize
 
 from chain_reference import joint_kernel, sector_form
+from random_points import random_points
 
 
 def model_at(n, eta, s, r, n_mod):
@@ -64,16 +65,17 @@ def test_input_kernel_two_use_entries():
 
 
 def _reference_input_kernel(n, r):
-    """The per-r construction: one float r, math.exp and dense J and I."""
+    """The per-r construction: one float r, np.exp and dense J and I."""
     def half(rr):
-        return ((math.exp(-2 * rr) - math.exp(2 * rr)) * np.ones((n, n))
-                + n * math.exp(2 * rr) * np.eye(n))
+        return ((np.exp(-2 * rr) - np.exp(2 * rr)) * np.ones((n, n))
+                + n * np.exp(2 * rr) * np.eye(n))
 
     return (2.0 / n) * block_diag(half(r), half(-r))
 
 
 def test_input_kernel_on_an_array_matches_per_r_calls():
-    # enough r that a vector exp differing from math.exp in the last bit shows
+    # 120 r in one call: each element bit-equal to its per-r call and to the
+    # dense reference
     r = np.concatenate([np.linspace(-3.1, 3.1, 118), [0.0, 1e-9]]).reshape(8, 15)
     for n in (1, 2, 5):
         batched = build_input_kernel(n, r)
@@ -155,6 +157,29 @@ def test_params_validation():
         ChannelParams(n=2, eta=0.5, s=0.0, n_eff=0.0)
     with pytest.raises(InvalidSpec):
         ChannelParams(n=2, eta=0.5, s=0.0, n_eff=math.nan)
+
+
+@pytest.mark.parametrize("build, n, x", [
+    (build_beam_splitter, 0, 0.5),
+    (build_beam_splitter, -1, 0.5),
+    (build_beam_splitter, 2.0, 0.5),
+    (build_beam_splitter, True, 0.5),
+    (build_input_kernel, 2.0, 0.3),
+    (build_input_kernel, 0, 0.3),
+    (build_input_kernel, False, 0.3),
+    (build_input_kernel, 2, math.nan),
+    (build_input_kernel, 2, -math.inf),
+    (build_input_kernel, 2, 400.0),
+    (build_input_kernel, 2, -400.0),
+    (build_input_kernel, 1, np.array([0.5, math.nan])),
+    (build_memory_kernel, 3.0, 0.3),
+    (build_memory_kernel, -1, 0.3),
+    (build_memory_kernel, 2, 400.0),
+])
+def test_kernel_builders_reject_malformed_specs(build, n, x):
+    # the rules of ChannelParams: n a positive int, |x| <= S_MAX and finite
+    with pytest.raises(InvalidSpec):
+        build(n, x)
 
 
 def test_assemble_rejects_r_outside_the_budget():
@@ -306,6 +331,20 @@ def test_pair_chain_is_bit_equal_to_assemble_model_on_the_verify_grid():
         for field in ("r_pair", "s_pair", "t_pair", "u_pair"):
             assert np.array_equal(getattr(model, field), getattr(stacked, field)[k]), (k, field)
         assert np.array_equal(model.joint_pairs(), joint[k])
+    # and at 402 random points, where np.exp and math.exp differ at some s
+    n, eta, s, n_eff, r = random_points()
+    n_mod, admissible = photon_budgets(n_eff, r)
+    assert admissible.all()
+    for uses in (1, 2, 3):
+        at = np.flatnonzero(n == uses)
+        stacked = _pair_chain(uses, eta[at], s[at], r[at], n_mod[at])
+        for k, i in enumerate(at.tolist()):
+            params = ChannelParams(n=uses, eta=float(eta[i]), s=float(s[i]),
+                                   n_eff=float(n_eff[i]))
+            model = assemble_model(params, float(r[i]))
+            assert model.logdet_gl == stacked.logdet_gl[k], i
+            for field in ("r_pair", "s_pair", "t_pair", "u_pair"):
+                assert np.array_equal(getattr(model, field), getattr(stacked, field)[k]), (i, field)
 
 
 def test_permutation_of_uses_leaves_model_invariant():

@@ -21,6 +21,8 @@ from lossymem.information import (
     rate_gains,
 )
 
+from random_points import random_points
+
 LN2 = math.log(2.0)
 
 
@@ -237,6 +239,19 @@ def test_closed_form_core_is_bit_equal_to_rate_gains_on_the_verify_grid():
         assert np.array_equal(r_ok, r[start:start + 21])
         for field, values in zip(("i_mu", "i_zeta", "i_joint", "i_r"), stacked):
             assert np.array_equal(getattr(info, field), values[k]), (k, field)
+    # and at 402 random points against mutual_information, where np.exp and
+    # math.exp differ at some s
+    n, eta, s, n_eff, r = random_points()
+    n_mod, admissible = photon_budgets(n_eff, r)
+    assert admissible.all()
+    for uses in (1, 2, 3):
+        at = np.flatnonzero(n == uses)
+        stacked = _closed_form(uses, eta[at], s[at], r[at], n_mod[at])
+        for k, i in enumerate(at.tolist()):
+            params = params_at(n=uses, eta=float(eta[i]), s=float(s[i]), n_eff=float(n_eff[i]))
+            info = mutual_information(params, float(r[i]))
+            for field, values in zip(("i_mu", "i_zeta", "i_joint", "i_r"), stacked):
+                assert getattr(info, field) == values[k], (i, field)
 
 
 def test_closed_form_matches_matrix_chain():

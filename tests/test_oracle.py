@@ -50,6 +50,7 @@ from lossymem.oracle import (
 )
 
 from chain_reference import joint_kernel
+from random_points import random_points
 
 LN2 = math.log(2.0)
 
@@ -182,6 +183,17 @@ def test_covariance_core_is_bit_equal_to_pipeline_covariance():
             if n == 2:
                 for k, r_k in enumerate(grid.tolist()):
                     assert np.array_equal(pipeline_covariance(params, r_k), stacked[start + k])
+    # and at 402 random points, where np.exp and math.exp differ at some s
+    n, eta, s, n_eff, r = random_points()
+    n_mod, admissible = photon_budgets(n_eff, r)
+    assert admissible.all()
+    for uses in (1, 2, 3):
+        at = np.flatnonzero(n == uses)
+        stacked = _covariances(uses, eta[at], s[at], r[at], n_mod[at])
+        for k, i in enumerate(at.tolist()):
+            params = ChannelParams(n=uses, eta=float(eta[i]), s=float(s[i]),
+                                   n_eff=float(n_eff[i]))
+            assert np.array_equal(pipeline_covariance(params, float(r[i])), stacked[k]), i
 
 
 def test_pipeline_covariance_names_the_inadmissible_r():
@@ -370,6 +382,9 @@ def test_streamed_covariance_is_the_blockwise_sum_of_the_draw():
 
 
 def _traced_peak(fn, *args):
+    # numpy imports numpy.random on first use: import it before tracing, so
+    # that the peak measures the sampler alone
+    np.random.SeedSequence(0)
     tracemalloc.start()
     try:
         result = fn(*args)
@@ -563,7 +578,7 @@ def test_slab_quadrature_matches_outer_point_loop():
                np.array([[1.0, 0.3, -0.2, 0.1], [0.3, 2.0, 0.4, -0.5],
                          [-0.2, 0.4, 1.5, 0.2], [0.1, -0.5, 0.2, 0.9]]))
     kernels += (np.array([[1.0, 0.3], [0.3, 2.0]]), u_p[:2, :2])
-    # 17 points have a centre slab, counted once; 16 points have none
+    # an odd and an even point count: one grid has a point at 0, the other none
     for kernel in kernels:
         sigmas = np.sqrt(np.diag(np.linalg.inv(kernel) / 2.0))
         for half_width in (8.0, 2.0):
