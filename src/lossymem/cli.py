@@ -1,9 +1,10 @@
 """Command-line front end: rate-gain sweeps, r optimization, verification.
 
-Subcommands: `sweep` writes a CSV over an (s, r) grid, `optimize` reports the
-best entanglement parameter per memory value, `verify` runs the invariant and
-oracle suites. Exit codes: 0 ok, 1 verification failure, 2 invalid spec,
-3 numerical failure.
+Subcommands: `sweep` writes a CSV over an (s, r) grid, evaluated in one
+stacked call (`information._gain_grid`, of which `rate_gains` is the one-s
+view), `optimize` reports the best entanglement parameter per memory value,
+`verify` runs the invariant and oracle suites. Exit codes: 0 ok,
+1 verification failure, 2 invalid spec, 3 numerical failure.
 """
 import argparse
 import functools
@@ -37,6 +38,7 @@ from .errors import (
 from .information import (
     LN2,
     _closed_form,
+    _gain_grid,
     _ln_joint_norm,
     _ln_output_norm,
     input_entropy,
@@ -45,7 +47,6 @@ from .information import (
     optimize_r,
     output_entropy,
     rate_gain,
-    rate_gains,
 )
 from .matrix_core import block_diag, spd_logdet, symmetrize
 from .oracle import (
@@ -60,8 +61,10 @@ from .oracle import (
 )
 
 _CSV_HEADER = "s,r,N,I_mu,I_zeta,I_joint,I_r,rate,gain"
-# "%.12g" % v is format(v, ".12g") for a float v, as _fmt writes it
-_CSV_ROW = ",".join(["%.12g"] * 9)
+# "%.12g" % v is format(v, ".12g") for a float v, as _fmt writes it: the r,
+# N and I_mu fields of a row, and its I_zeta, I_joint, I_r, rate and gain
+_CSV_HEAD = "%.12g,%.12g,%.12g,"
+_CSV_TAIL = ",".join(["%.12g"] * 5)
 _STANDARD_ETAS = tuple(k / 10 for k in range(1, 10))
 _STANDARD_S = (0.0, 1.0, 2.0, 5.0)
 _STANDARD_NEFF = (2.0, 20.0)
@@ -134,30 +137,37 @@ def _r_grid(spec):
 
 
 def sweep(spec, stream=None):
-    """Evaluate the grid, write the CSV, and print a per-s summary.
+    """Evaluate the grid in one stacked call, write the CSV, and print a
+    per-s summary.
 
     Rows come out in (s ascending, r ascending) order; grid points outside
     the photon budget are skipped and counted. Returns the emitted rows.
     """
     stream = sys.stdout if stream is None else stream
     grid = _r_grid(spec)
-    rows = []
+    s_sorted = sorted(spec.s_list)
+    r_ok, n_mod, gain, info, base = _gain_grid(spec.n, spec.eta, spec.n_eff, s_sorted, grid)
+    # (S, k, 9): the CSV's columns for every (s, r)
+    table = np.stack(np.broadcast_arrays(
+        np.array(s_sorted)[:, None], r_ok, n_mod, info.i_mu, info.i_zeta, info.i_joint,
+        info.i_r, info.rate, gain), axis=-1)
+    rows = list(map(SweepRow._make, table.reshape(-1, 9).tolist()))
+    # + 0.0 turns a -0.0 into 0.0, which prints as 0, as in _fmt. The s, r,
+    # N and I_mu fields do not change along an s row or down an r column,
+    # so each is formatted once.
+    table += 0.0
+    heads = [_CSV_HEAD % tuple(values) for values in table[0, :, 1:4].tolist()]
     lines = [_CSV_HEADER]
+    for s, tails in zip(s_sorted, table[..., 4:].tolist()):
+        s_text = "%.12g," % (s + 0.0)
+        lines += [s_text + head + _CSV_TAIL % tuple(tail) for head, tail in zip(heads, tails)]
     summary = []
-    for s in sorted(spec.s_list):
-        params = ChannelParams(n=spec.n, eta=spec.eta, s=s, n_eff=spec.n_eff)
-        r_ok, n_mod, gain, info, base = rate_gains(params, grid)
-        table = np.column_stack((
-            np.full(len(r_ok), s), r_ok, n_mod, info.i_mu, info.i_zeta, info.i_joint,
-            info.i_r, info.rate, gain))
-        rows += map(SweepRow._make, table.tolist())
-        # + 0.0 turns a -0.0 into 0.0, which prints as 0, as in _fmt
-        lines += [_CSV_ROW % tuple(values) for values in (table + 0.0).tolist()]
+    for s, gains, base_rate in zip(s_sorted, gain, base.rate.tolist()):
         best_gain = best_r = None
-        if len(gain):
-            best = int(np.argmax(gain))
-            best_gain, best_r = float(gain[best]), float(r_ok[best])
-        summary.append((s, len(r_ok), len(grid) - len(r_ok), base.rate, best_gain, best_r))
+        if len(r_ok):
+            best = int(np.argmax(gains))
+            best_gain, best_r = float(gains[best]), float(r_ok[best])
+        summary.append((s, len(r_ok), len(grid) - len(r_ok), base_rate, best_gain, best_r))
 
     try:
         with open(spec.output_path, "w", encoding="ascii", newline="") as handle:

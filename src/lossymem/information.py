@@ -9,7 +9,10 @@ reduction of Holevo & Werner, PRA 63, 032312 (2001). It is written in numpy
 ufuncs, so floats and 1-D arrays of points (eta, s, r, N) give the same bits
 element by element.
 `mutual_information`, `rate_gain`, `rate_gains` and `optimize_r` run on it and
-build no matrix. `optimize_r` bisects on the sign of the rate's closed-form
+build no matrix. A sweep's whole (s, r) grid is one stacked evaluation,
+`_gain_grid`: one photon-budget call over r and one `_closed_form` call on the
+s column against the admissible r, its baselines included; `rate_gains` is
+its one-s view. `optimize_r` bisects on the sign of the rate's closed-form
 slope, since the rate has exactly one peak in r.
 
 The paper's matrix chain is the reference that the tests and `verify` check
@@ -111,9 +114,11 @@ def joint_entropy(model):
 def _closed_form(n, eta, s, r, n_mod):
     """Closed-form core: (i_mu, i_zeta, i_joint, i_r) in bits for blocks of n uses.
 
-    eta, s, r and n_mod are floats, or 1-D arrays of one length P holding P
-    points (a float among arrays stands for every point), all admissible,
-    with n_mod = photon_budget(n_eff, r). Given the modulation, each use
+    eta, s, r and n_mod are floats, or arrays that broadcast together, all
+    admissible, with n_mod = photon_budget(n_eff, r): 1-D arrays of one
+    length P hold P points, a float stands for every point, and an (S, 1)
+    column of s against 1-D r and n_mod gives (S, P) results, except i_mu,
+    which has n_mod's shape. Given the modulation, each use
     carries one output quadrature of noise variance plus/4 and one of
     minus/4; the modulation adds eta N / 2 to both. So h_noise, the output
     entropy given the modulation, is a sum of log-variances, and the
@@ -140,13 +145,10 @@ def mutual_information(params, r):
         i_mu=i_mu, i_zeta=i_zeta, i_joint=i_joint, i_r=i_r, rate=i_r / params.n)
 
 
-def _nonzero_baseline(params):
-    """Mutual information at r = 0, rejected when too small to divide by."""
-    base = mutual_information(params, 0.0)
-    if base.i_r <= 1e-12:
-        raise DegenerateBaseline(
-            f"baseline mutual information {base.i_r!r} is ~0 (eta too small)")
-    return base
+def _check_baseline(i_r):
+    """Reject a baseline mutual information too small to divide by."""
+    if i_r <= 1e-12:
+        raise DegenerateBaseline(f"baseline mutual information {i_r!r} is ~0 (eta too small)")
 
 
 def rate_gain(params, r):
@@ -155,7 +157,8 @@ def rate_gain(params, r):
     r = 0 reuses the baseline directly so a zero-entanglement point carries
     gain exactly 0.
     """
-    base = _nonzero_baseline(params)
+    base = mutual_information(params, 0.0)
+    _check_baseline(base.i_r)
     if r == 0.0:
         return GainPoint(r=0.0, n_mod=params.n_eff, gain=0.0, info=base)
     info = mutual_information(params, r)
@@ -164,8 +167,38 @@ def rate_gain(params, r):
         gain=(info.i_r - base.i_r) / base.i_r, info=info)
 
 
+def _gain_grid(n, eta, n_eff, s_values, r_values):
+    """rate_gain over the whole (s, r) grid in one array evaluation.
+
+    One `photon_budgets` call over r drops the values of r outside the
+    budget, and one `_closed_form` call evaluates each of the S values of s
+    (a row) against the k admissible r and, as a last column, against r = 0:
+    the baselines. DegenerateBaseline names the first degenerate s in
+    s_values' order. Returns the admissible (r, n_mod) as (k,) arrays, the
+    (S, k) gains, exactly 0 at r = 0, the InfoBreakdown of (S, k) arrays
+    and the baselines' InfoBreakdown of (S,) arrays. Ufuncs broadcast
+    element by element, so each value is bit-equal to rate_gain's.
+    """
+    base_n_mod = photon_budget(n_eff, 0.0)
+    r_arr = np.fromiter(r_values, dtype=float)
+    n_mod, admissible = photon_budgets(n_eff, r_arr)
+    r_arr, n_mod = r_arr[admissible], n_mod[admissible]
+    s_col = np.fromiter(s_values, dtype=float)[:, None]
+    i_mu, i_zeta, i_joint, i_r = _closed_form(
+        n, eta, s_col, np.append(r_arr, 0.0), np.append(n_mod, base_n_mod))
+    # i_mu depends on r alone
+    fields = (np.broadcast_to(i_mu, i_r.shape), i_zeta, i_joint, i_r, i_r / n)
+    base = InfoBreakdown(*(values[:, -1] for values in fields))
+    for value in base.i_r.tolist():
+        _check_baseline(value)
+    info = InfoBreakdown(*(values[:, :-1] for values in fields))
+    gain = np.where(r_arr == 0.0, 0.0, (info.i_r - base.i_r[:, None]) / base.i_r[:, None])
+    return r_arr, n_mod, gain, info, base
+
+
 def rate_gains(params, r_values):
-    """rate_gain at many r in one array evaluation.
+    """rate_gain at many r in one array evaluation: the one-s view of the
+    sweep's grid core.
 
     Values of r outside the photon budget, by the element-wise test of
     `photon_budgets`, are dropped. Returns arrays (r, n_mod, gain) of the
@@ -173,31 +206,34 @@ def rate_gains(params, r_values):
     (element by element they equal rate_gain's), and the r = 0 baseline's
     InfoBreakdown of floats that the gains divide by.
     """
-    base = _nonzero_baseline(params)
-    r_arr = np.fromiter(r_values, dtype=float)
-    n_mod, admissible = photon_budgets(params.n_eff, r_arr)
-    r_arr, n_mod = r_arr[admissible], n_mod[admissible]
-    i_mu, i_zeta, i_joint, i_r = _closed_form(params.n, params.eta, params.s, r_arr, n_mod)
-    gain = np.where(r_arr == 0.0, 0.0, (i_r - base.i_r) / base.i_r)
-    info = InfoBreakdown(
-        i_mu=i_mu, i_zeta=i_zeta, i_joint=i_joint, i_r=i_r, rate=i_r / params.n)
-    return r_arr, n_mod, gain, info, base
+    r_arr, n_mod, gain, info, base = _gain_grid(
+        params.n, params.eta, params.n_eff, [params.s], r_values)
+    row = InfoBreakdown(**{name: values[0] for name, values in vars(info).items()})
+    base = InfoBreakdown(**{name: float(values[0]) for name, values in vars(base).items()})
+    return r_arr, n_mod, gain[0], row, base
 
 
-def _descent(params, r):
-    """A positive multiple of -d(rate)/dr at admissible r, for eta > 0.
+def _descent(params):
+    """The function r -> a positive multiple of -d(rate)/dr at admissible r,
+    for eta > 0. The terms in s alone are computed once, before it.
 
     Each fraction divides by plus or minus before it multiplies by e^{2r} or
     e^{-2r}, so no intermediate overflows, even at N_eff near 1e300.
     """
-    eta, s = params.eta, params.s
-    up, down = math.exp(2.0 * r), math.exp(-2.0 * r)
-    plus = 1.0 + eta * up + (1.0 - eta) * math.exp(2.0 * s)
-    minus = 1.0 + eta * down + (1.0 - eta) * math.exp(-2.0 * s)
-    signal = 2.0 * eta * photon_budget(params.n_eff, r)
-    sinh2r = math.sinh(2.0 * r)
-    return ((sinh2r + signal / plus * up) / (plus + signal)
-            + (sinh2r - signal / minus * down) / (minus + signal))
+    eta, n_eff = params.eta, params.n_eff
+    c_plus = (1.0 - eta) * math.exp(2.0 * params.s)
+    c_minus = (1.0 - eta) * math.exp(-2.0 * params.s)
+
+    def descent(r):
+        up, down = math.exp(2.0 * r), math.exp(-2.0 * r)
+        plus = 1.0 + eta * up + c_plus
+        minus = 1.0 + eta * down + c_minus
+        signal = 2.0 * eta * photon_budget(n_eff, r)
+        sinh2r = math.sinh(2.0 * r)
+        return ((sinh2r + signal / plus * up) / (plus + signal)
+                + (sinh2r - signal / minus * down) / (minus + signal))
+
+    return descent
 
 
 def optimize_r(params):
@@ -218,9 +254,10 @@ def optimize_r(params):
     lim = r_limit(params.n_eff)
     if lim <= 0.0:
         raise PhotonBudgetExceeded(f"photon budget {params.n_eff!r} leaves no admissible r")
+    slope = _descent(params)
     lo, hi, mid = -lim, lim, 0.0
     while lo < mid < hi:
-        descent = _descent(params, mid)
+        descent = slope(mid)
         if descent == 0.0:
             break
         if descent > 0.0:

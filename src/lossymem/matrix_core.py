@@ -9,6 +9,8 @@ information and the oracles take log-determinants through it. One symmetry
 and pivot test guards both, so a matrix that fails it raises
 NotPositiveDefinite instead of yielding a silently wrong result.
 """
+import functools
+
 import numpy as np
 
 from .errors import DimensionMismatch, NotPositiveDefinite
@@ -21,6 +23,13 @@ def symmetrize(m):
     stops round-off drift on mathematically symmetric products."""
     a = np.asarray(m, dtype=np.float64)
     return (a + np.swapaxes(a, -1, -2)) / 2.0
+
+
+@functools.cache
+def _upper_pairs(d):
+    """(rows, cols) of the strict upper triangle of a d x d matrix; np.triu_indices
+    takes longer than a small stack's symmetry test, so each d builds it once."""
+    return np.triu_indices(d, 1)
 
 
 def spd_factor(m):
@@ -45,7 +54,10 @@ def spd_factor(m):
     if not np.all(max_diag > 0.0):
         raise NotPositiveDefinite(failure)
     tol = d * _EPS * max_diag
-    if not np.all(np.abs(a - np.swapaxes(a, -1, -2)).max(axis=(-2, -1)) <= tol):
+    iu, ju = _upper_pairs(d)
+    # initial covers d = 1, which has no entry above the diagonal
+    asymmetry = np.abs(a[..., iu, ju] - a[..., ju, iu]).max(axis=-1, initial=0.0)
+    if not np.all(asymmetry <= tol):
         raise NotPositiveDefinite(f"matrix of dim {d} is not symmetric")
     try:
         lower = np.linalg.cholesky(a)

@@ -93,6 +93,27 @@ def test_sweep_csv_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_sweep_is_one_stacked_evaluation(tmp_path, monkeypatch):
+    # one budget call over r and one closed-form call over the whole (s, r)
+    # grid, whatever the number of s
+    calls = []
+
+    def counted(name):
+        original = getattr(information, name)
+
+        def call(*args):
+            calls.append(name)
+            return original(*args)
+        return call
+
+    for name in ("photon_budgets", "_closed_form"):
+        monkeypatch.setattr(information, name, counted(name))
+    rows = sweep(small_spec(tmp_path / "out.csv", s_list=(5.0, 0.0, 2.0, -1.0, 0.0)),
+                 stream=io.StringIO())
+    assert len(rows) == 25
+    assert sorted(calls) == ["_closed_form", "photon_budgets"]
+
+
 def test_sweep_skips_points_outside_budget(tmp_path):
     path = tmp_path / "out.csv"
     spec = small_spec(path, s_list=(0.0,), r_min=-1.3, r_max=1.3, r_steps=9)
@@ -149,7 +170,7 @@ def test_sweep_rows_match_scalar_rate_gain(tmp_path):
                           (row.i_zeta, point.info.i_zeta), (row.i_joint, point.info.i_joint),
                           (row.i_r, point.info.i_r), (row.rate, point.info.rate),
                           (row.gain, point.gain)):
-            assert abs(got - want) <= 1e-14 * abs(want)
+            assert got == want
 
 
 def test_csv_lines_match_the_rows_value_by_value(tmp_path):

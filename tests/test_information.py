@@ -10,6 +10,7 @@ from lossymem.channel_model import N_EFF_MAX, N_MIN, ChannelParams, assemble_mod
 from lossymem.errors import DegenerateBaseline, NotPositiveDefinite, PhotonBudgetExceeded
 from lossymem.information import (
     _closed_form,
+    _gain_grid,
     input_entropy,
     joint_entropy,
     mutual_information,
@@ -254,6 +255,55 @@ def test_closed_form_core_is_bit_equal_to_rate_gains_on_the_verify_grid():
                 assert getattr(info, field) == values[k], (i, field)
 
 
+def _assert_grid_matches_rate_gains(n, eta, n_eff, s_values, r_values):
+    """_gain_grid's (S, k) grid against one rate_gains call per s, bit for bit."""
+    r_ok, n_mod, gain, info, base = _gain_grid(n, eta, n_eff, s_values, r_values)
+    assert gain.shape == (len(s_values), r_ok.size)
+    for k, s in enumerate(s_values):
+        want = rate_gains(params_at(n=n, eta=eta, s=s, n_eff=n_eff), r_values)
+        for got, expected in ((r_ok, want[0]), (n_mod, want[1]), (gain[k], want[2])):
+            assert np.array_equal(got, expected), (n, eta, n_eff, s)
+        for field in ("i_mu", "i_zeta", "i_joint", "i_r", "rate"):
+            assert np.array_equal(getattr(info, field)[k], getattr(want[3], field)), field
+            assert getattr(base, field)[k] == getattr(want[4], field), field
+    return r_ok, gain
+
+
+def test_gain_grid_is_bit_equal_to_per_s_rate_gains():
+    # verify's moment-oracle grid: the four standard s against 21 r per
+    # (eta, N_eff)
+    eta, s, n_eff, r = cli._moment_grid_points()
+    for start in range(0, r.size, 84):
+        _assert_grid_matches_rate_gains(2, float(eta[start]), float(n_eff[start]),
+                                         s[start:start + 84:21].tolist(), r[start:start + 21])
+    # each random point's s, -s, s again, 0 and -0 against its r, -r, 0 and
+    # an r past the budget; then the same s where every r is past it (k = 0)
+    for n, eta, s, n_eff, r in zip(*(axis.tolist() for axis in random_points())):
+        s_values = [s, -s, s, 0.0, -0.0]
+        lim = r_limit(n_eff)
+        r_ok, gain = _assert_grid_matches_rate_gains(n, eta, n_eff, s_values,
+                                                     [r, -r, 0.0, 2.0 * lim + 1.0])
+        assert r_ok.tolist() == [r, -r, 0.0] and not gain[:, 2].any()
+        params = params_at(n=n, eta=eta, s=s, n_eff=n_eff)
+        assert gain[0].tolist() == [rate_gain(params, x).gain for x in (r, -r, 0.0)]
+        r_ok, gain = _assert_grid_matches_rate_gains(n, eta, n_eff, s_values,
+                                                     [2.0 * lim + 1.0, -3.0 * lim - 1.0])
+        assert r_ok.size == 0 and gain.shape == (5, 0)
+
+
+def test_gain_grid_names_the_first_degenerate_baseline():
+    # at eta = 1e-13 every baseline is ~0, and s = 0.5 and s = 5 differ in it
+    messages = []
+    for s_values in ([5.0, 0.5], [0.5, 5.0]):
+        with pytest.raises(DegenerateBaseline) as grid_error:
+            _gain_grid(2, 1e-13, 2.0, s_values, [-0.5, 0.5])
+        with pytest.raises(DegenerateBaseline) as point_error:
+            rate_gain(params_at(eta=1e-13, s=s_values[0]), 0.5)
+        assert str(grid_error.value) == str(point_error.value)
+        messages.append(str(grid_error.value))
+    assert messages[0] != messages[1]
+
+
 def test_closed_form_matches_matrix_chain():
     # 1125 points spanning n, eta, s, N_eff and r
     worst_rate = worst_zeta = worst_joint = 0.0
@@ -380,6 +430,40 @@ def test_optimizer_meets_high_precision_argmax():
         assert abs(r_star - r_mp) <= 1e-12, (n, eta, s, n_eff)
         if gain_mp is not None:
             assert abs(gain_star - gain_mp) <= 1e-12 * gain_mp, (n, eta, s, n_eff)
+
+
+def _bisection_with_slope_terms_per_step(params):
+    """optimize_r's bisection with every term of the slope, those in s
+    included, computed at each step: the reference for optimize_r, which
+    computes the s terms once."""
+    eta, s, n_eff = params.eta, params.s, params.n_eff
+    lim = r_limit(n_eff)
+    lo, hi, mid = -lim, lim, 0.0
+    while lo < mid < hi:
+        up, down = math.exp(2.0 * mid), math.exp(-2.0 * mid)
+        plus = 1.0 + eta * up + (1.0 - eta) * math.exp(2.0 * s)
+        minus = 1.0 + eta * down + (1.0 - eta) * math.exp(-2.0 * s)
+        signal = 2.0 * eta * photon_budget(n_eff, mid)
+        sinh2r = math.sinh(2.0 * mid)
+        descent = ((sinh2r + signal / plus * up) / (plus + signal)
+                   + (sinh2r - signal / minus * down) / (minus + signal))
+        if descent == 0.0:
+            break
+        if descent > 0.0:
+            hi = mid
+        else:
+            lo = mid
+        mid = 0.5 * (lo + hi)
+    best = rate_gain(params, mid)
+    if best.gain > 0.0:
+        return mid, best.gain
+    return 0.0, 0.0
+
+
+def test_optimizer_is_bit_equal_to_the_per_step_slope():
+    for n, eta, s, n_eff, _ in zip(*(axis.tolist() for axis in random_points())):
+        params = params_at(n=n, eta=eta, s=s, n_eff=n_eff)
+        assert optimize_r(params) == _bisection_with_slope_terms_per_step(params), params
 
 
 def test_optimizer_rejects_exhausted_budget():

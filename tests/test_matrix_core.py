@@ -97,6 +97,26 @@ def test_asymmetric_input_fails_the_pivot_test():
             spd_factor(stack)
 
 
+def test_one_asymmetric_entry_fails_a_stack():
+    # every off-diagonal position of one matrix in a stack, above and below
+    # the diagonal, set off by more than the round-off bound or set to NaN;
+    # at d = 1 only the diagonal can hold a NaN
+    rng = np.random.default_rng(11)
+    for dim in (1, 2, 8):
+        stack = np.stack([random_spd(rng, dim) for _ in range(5)])
+        np.testing.assert_array_equal(spd_factor(stack)[2], spd_factor(stack[2]))
+        assert spd_factor(stack[:0]).shape == (0, dim, dim)
+        for i in range(dim):
+            for j in range(dim):
+                for value in ((stack[2, i, j] + 1e-6, np.nan) if i != j else (np.nan,)):
+                    bad = stack.copy()
+                    bad[2, i, j] = value
+                    with pytest.raises(NotPositiveDefinite):
+                        spd_factor(bad)
+                    with pytest.raises(NotPositiveDefinite):
+                        spd_logdet(bad)
+
+
 def test_round_off_asymmetry_passes_the_pivot_test():
     rng = np.random.default_rng(9)
     for dim in (2, 5, 9, 16):
