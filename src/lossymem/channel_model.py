@@ -131,6 +131,18 @@ def _check_family(n, x=0.0, name="x"):
         raise InvalidSpec(f"{name} must lie in [-{S_MAX:.6g}, {S_MAX:.6g}], got {x!r}")
 
 
+def _check_kernel_range(n, x, name):
+    """_check_family(n), and every element of x finite with
+    |x| <= ln(float max / (2 max(n, 2))) / 2, below S_MAX: the kernels'
+    largest entries, max(n, 2) e^{2|x|} (n e^{2x} before the builder's 2/n
+    scale, 2 e^{2x} at n = 1 and in the pair chain), stay below
+    float max / 2, out of reach of exp's round-off and the chain's sums."""
+    _check_family(n)
+    limit = 0.5 * math.log(np.finfo(float).max / (2 * max(n, 2)))
+    if not (np.abs(x) <= limit).all():
+        raise InvalidSpec(f"{name} must lie in [-{limit:.6g}, {limit:.6g}] at n={n}, got {x!r}")
+
+
 def build_input_kernel(n, r):
     """Wigner kernel of the n-mode squeezed input ensemble.
 
@@ -140,9 +152,9 @@ def build_input_kernel(n, r):
 
     r is a float or an array; the result has shape np.shape(r) + (2n, 2n).
     InvalidSpec is raised unless n is a positive int and every r is finite
-    with |r| <= S_MAX.
+    and within the bound of `_check_kernel_range`, where every entry is.
     """
-    _check_family(n, r, "r")
+    _check_kernel_range(n, r, "r")
     r_arr = np.asarray(r, dtype=float)[..., None, None]
     shrink, grow = np.exp(-2.0 * r_arr), np.exp(2.0 * r_arr)
     ones = np.ones((n, n))
@@ -184,9 +196,12 @@ def assemble_model(params, r):
     n. Every 2n x 2n or 4n x 4n form of the chain is block-diagonal in that
     basis, with n copies of each class, so its log-determinant is n times
     the pair sum. This is `_pair_chain` at one point: the pairs and
-    logdet_gl are bit-equal to that point's row of a stacked call.
+    logdet_gl are bit-equal to that point's row of a stacked call. An s or
+    r past the kernels' bound (`_check_kernel_range`) raises InvalidSpec.
     """
     n_mod = photon_budget(params.n_eff, r)
+    _check_kernel_range(params.n, params.s, "s")
+    _check_kernel_range(params.n, r, "r")
     point = _pair_chain(params.n, *np.array([[params.eta], [params.s], [r], [n_mod]]))
     return ModelMatrices(
         n=params.n, n_mod=n_mod, logdet_gl=float(point.logdet_gl[0]),

@@ -61,8 +61,8 @@ from .oracle import (
 )
 
 _CSV_HEADER = "s,r,N,I_mu,I_zeta,I_joint,I_r,rate,gain"
-# "%.12g" % v is format(v, ".12g") for a float v, as _fmt writes it: the r,
-# N and I_mu fields of a row, and its I_zeta, I_joint, I_r, rate and gain
+# the r, N and I_mu fields of a row, and its I_zeta, I_joint, I_r, rate and
+# gain, each as _fmt writes it
 _CSV_HEAD = "%.12g,%.12g,%.12g,"
 _CSV_TAIL = ",".join(["%.12g"] * 5)
 _STANDARD_ETAS = tuple(k / 10 for k in range(1, 10))
@@ -74,10 +74,7 @@ _SAMPLER_LR_BOUND = 76.365
 
 
 def _fmt(value):
-    v = float(value)
-    if v == 0:
-        v = 0.0
-    return format(v, ".12g")
+    return "%.12g" % (float(value) + 0.0)
 
 
 @dataclass(frozen=True)
@@ -140,8 +137,10 @@ def sweep(spec, stream=None):
     """Evaluate the grid in one stacked call, write the CSV, and print a
     per-s summary.
 
-    Rows come out in (s ascending, r ascending) order; grid points outside
-    the photon budget are skipped and counted. Returns the emitted rows.
+    Rows come out in (s ascending, r ascending) order. Grid points outside
+    the photon budget are skipped; the budget depends on r alone, so they
+    are counted once and every s line reads the same rows= and skipped=.
+    Returns the emitted rows.
     """
     stream = sys.stdout if stream is None else stream
     grid = _r_grid(spec)
@@ -161,33 +160,24 @@ def sweep(spec, stream=None):
     for s, tails in zip(s_sorted, table[..., 4:].tolist()):
         s_text = "%.12g," % (s + 0.0)
         lines += [s_text + head + _CSV_TAIL % tuple(tail) for head, tail in zip(heads, tails)]
-    summary = []
+    emitted, skipped = len(r_ok), len(grid) - len(r_ok)
+    summary = [f"sweep: n={spec.n} eta={_fmt(spec.eta)} N_eff={_fmt(spec.n_eff)} "
+               f"r in [{_fmt(spec.r_min)}, {_fmt(spec.r_max)}] x {spec.r_steps}"]
     for s, gains, base_rate in zip(s_sorted, gain, base.rate.tolist()):
-        best_gain = best_r = None
-        if len(r_ok):
+        line = f"  s={_fmt(s)}: rows={emitted} skipped={skipped} baseline_rate={_fmt(base_rate)}"
+        if emitted:
             best = int(np.argmax(gains))
-            best_gain, best_r = float(gains[best]), float(r_ok[best])
-        summary.append((s, len(r_ok), len(grid) - len(r_ok), base_rate, best_gain, best_r))
+            line += f" max_gain={_fmt(gains[best])} at r={_fmt(r_ok[best])}"
+        summary.append(line)
+    summary += [f"total rows={emitted * len(s_sorted)} skipped={skipped * len(s_sorted)} "
+                f"grid={len(grid) * len(s_sorted)}", f"wrote {spec.output_path}"]
 
     try:
         with open(spec.output_path, "w", encoding="ascii", newline="") as handle:
             handle.write("\n".join(lines) + "\n")
     except OSError as exc:
         raise InvalidSpec(f"cannot write {spec.output_path!r}: {exc}") from exc
-
-    print(f"sweep: n={spec.n} eta={_fmt(spec.eta)} N_eff={_fmt(spec.n_eff)} "
-          f"r in [{_fmt(spec.r_min)}, {_fmt(spec.r_max)}] x {spec.r_steps}", file=stream)
-    for s, emitted, skipped, base_rate, best_gain, best_r in summary:
-        line = (f"  s={_fmt(s)}: rows={emitted} skipped={skipped} "
-                f"baseline_rate={_fmt(base_rate)}")
-        if best_gain is not None:
-            line += f" max_gain={_fmt(best_gain)} at r={_fmt(best_r)}"
-        print(line, file=stream)
-    total_emitted = sum(e for _, e, _, _, _, _ in summary)
-    total_skipped = sum(k for _, _, k, _, _, _ in summary)
-    print(f"total rows={total_emitted} skipped={total_skipped} "
-          f"grid={len(grid) * len(spec.s_list)}", file=stream)
-    print(f"wrote {spec.output_path}", file=stream)
+    print("\n".join(summary), file=stream)
     return rows
 
 
@@ -224,10 +214,8 @@ def _check_memoryless_anchor():
 
 
 def _check_beam_splitter_orthogonality():
-    worst = 0.0
-    for k in range(11):
-        b = build_beam_splitter(3, k / 10)
-        worst = max(worst, float(np.abs(b.T @ b - np.eye(12)).max()))
+    b = build_beam_splitter(3, np.arange(11) / 10)
+    worst = float(np.abs(np.swapaxes(b, -1, -2) @ b - np.eye(12)).max())
     return worst <= 1e-12, f"max_dev={worst:.3e}"
 
 
@@ -245,14 +233,12 @@ def _check_kernel_determinant():
 
 
 def _check_kernel_row_sums():
+    r = np.array([-2.0, -0.5, 0.0, 1.0, 2.0])
     worst = 0.0
     for n in (1, 2, 4, 6):
-        for r in (-2.0, -0.5, 0.0, 1.0, 2.0):
-            sums = build_input_kernel(n, r).sum(axis=1)
-            target = np.concatenate([
-                np.full(n, 2.0 * math.exp(-2.0 * r)),
-                np.full(n, 2.0 * math.exp(2.0 * r))])
-            worst = max(worst, float(np.abs(sums - target).max()))
+        sums = build_input_kernel(n, r).sum(axis=-1)
+        target = np.repeat(2.0 * np.exp(np.multiply.outer(r, [-2.0, 2.0])), n, axis=-1)
+        worst = max(worst, float(np.abs(sums - target).max()))
     return worst <= 1e-12, f"max_dev={worst:.3e}"
 
 
@@ -281,18 +267,16 @@ def _check_block_determinant_additivity():
 
 
 def _positive_definite_points():
-    """(eta, s, r, n_eff) of positive-definite-grid: every (eta, r, s, N) of
-    the grid, with the budget n_eff = N + sinh^2 r that leaves N at r."""
+    """(eta, s, r, N) of positive-definite-grid: the 81 points of the grid
+    over eta, r, s and the modulation variance N."""
     eta, r, s, n_mod = _grid((0.1, 0.5, 0.9), (-2.0, 0.0, 2.0), (-2.0, 0.0, 2.0),
                              (0.01, 1.0, 50.0))
-    n_eff = np.array([m + math.sinh(x) ** 2 for m, x in zip(n_mod.tolist(), r.tolist())])
-    return eta, s, r, n_eff
+    return eta, s, r, n_mod
 
 
 def _check_positive_definite_grid():
     # one stack per matrix family; spd_logdet pivot-tests each matrix in it
-    eta, s, r, n_eff = _positive_definite_points()
-    n_mod, _ = photon_budgets(n_eff, r)
+    eta, s, r, n_mod = _positive_definite_points()
     model = _pair_chain(2, eta, s, r, n_mod)
     for family in (_dense_g(2, eta, r, s)[0], model.u_pair[..., None, None],
                    model.joint_pairs(), (model.r_pair + 1.0 / n_mod[:, None])[..., None, None]):

@@ -56,6 +56,9 @@ _MIN_SAMPLES = 40
 _MIX_ROWS = 8192
 # grid points the quadrature evaluates per step, unless one slab holds more
 _SLAB_BATCH = 1 << 16
+# the quadrature grid's half-width in marginal deviations: a Gaussian's mass
+# beyond +-8 sigma is 1.2e-15, far below the quadrature's 1e-6 mass gate
+_HALF_WIDTH = 8.0
 
 
 @dataclass(frozen=True)
@@ -342,27 +345,24 @@ def _entropy_on_grid(kernel, norm_const, sigmas, half_width, points):
     return norm_const * prod_mass, ent_nats / LN2
 
 
-def quadrature_entropy_n1(kernel, norm_const, half_width=8.0, points=257):
+def quadrature_entropy_n1(kernel, norm_const, points=257):
     """Entropy (bits) of a 2- or 4-dimensional Gaussian-kernel density by
     tensor-grid trapezoid quadrature.
 
     The density is norm_const * exp(-w kernel w^T) with the caller-supplied
-    normalization. The grid's axes are scaled by the marginal deviations of
-    the whole kernel's covariance; each independent block of the kernel is
-    integrated on its own axes and the blocks are combined exactly (see
-    _entropy_on_grid). The grid is checked first (mass within 1e-6 of 1)
+    normalization. The grid's axes reach _HALF_WIDTH marginal deviations of
+    the whole kernel's covariance on either side of 0; each independent
+    block of the kernel is integrated on its own axes and the blocks are
+    combined exactly (see _entropy_on_grid). The grid is checked first (mass within 1e-6 of 1)
     and the result is gated on agreement between the requested and half
     resolution, both raising GridTooCoarse on failure, a NaN included.
-    points must be an integer and half_width finite and > 0, or InvalidSpec
-    is raised.
+    points must be an integer, or InvalidSpec is raised.
     """
     k = np.asarray(kernel, dtype=float)
     if k.ndim != 2 or k.shape[0] != k.shape[1] or k.shape[0] not in (2, 4):
         raise DimensionMismatch(f"single-use densities are 2- or 4-dim, got {k.shape}")
     if not isinstance(points, (int, np.integer)) or isinstance(points, bool):
         raise InvalidSpec(f"points must be an integer, got {points!r}")
-    if not 0.0 < half_width < math.inf:
-        raise InvalidSpec(f"half_width must be finite and > 0, got {half_width!r}")
     if points < 9:
         raise GridTooCoarse(f"points={points!r} cannot resolve the density")
     if not norm_const > 0.0:
@@ -372,8 +372,8 @@ def quadrature_entropy_n1(kernel, norm_const, half_width=8.0, points=257):
     sigmas = np.sqrt(np.diag(cov))
 
     coarse_pts = (points + 1) // 2
-    mass_f, ent_f = _entropy_on_grid(k, norm_const, sigmas, half_width, points)
-    mass_c, ent_c = _entropy_on_grid(k, norm_const, sigmas, half_width, coarse_pts)
+    mass_f, ent_f = _entropy_on_grid(k, norm_const, sigmas, _HALF_WIDTH, points)
+    mass_c, ent_c = _entropy_on_grid(k, norm_const, sigmas, _HALF_WIDTH, coarse_pts)
     for mass, label_pts in ((mass_f, points), (mass_c, coarse_pts)):
         if not abs(mass - 1.0) <= 1e-6:
             raise GridTooCoarse(

@@ -6,6 +6,8 @@ import pytest
 
 from lossymem import cli
 from lossymem.channel_model import (
+    N_EFF_MAX,
+    S_MAX,
     ChannelParams,
     _pair_chain,
     assemble_model,
@@ -17,7 +19,14 @@ from lossymem.channel_model import (
     r_limit,
     single_use_kernels,
 )
-from lossymem.errors import InvalidSpec, NotPositiveDefinite, PhotonBudgetExceeded
+from lossymem.errors import (
+    InvalidSpec,
+    LossyChannelError,
+    NotPositiveDefinite,
+    PhotonBudgetExceeded,
+)
+from lossymem.information import mutual_information
+from lossymem.oracle import pipeline_covariance
 from lossymem.matrix_core import block_diag, spd_factor, spd_logdet, symmetrize
 
 from chain_reference import joint_kernel, sector_form
@@ -177,9 +186,54 @@ def test_params_validation():
     (build_memory_kernel, 2, 400.0),
 ])
 def test_kernel_builders_reject_malformed_specs(build, n, x):
-    # the rules of ChannelParams: n a positive int, |x| <= S_MAX and finite
+    # the rules of ChannelParams: n a positive int, x finite and in range
     with pytest.raises(InvalidSpec):
         build(n, x)
+
+
+def _finite_or_refused(call):
+    """call()'s result, with every field finite, or None if it raised a
+    LossyChannelError."""
+    try:
+        result = call()
+    except LossyChannelError:
+        return None
+    fields = vars(result).values() if hasattr(result, "__dict__") else [result]
+    assert all(np.isfinite(value).all() for value in fields)
+    return result
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 32])
+def test_kernel_paths_refuse_past_the_float_range(n):
+    # the kernels' largest entry is max(n, 2) e^{2|x|}; the last admitted
+    # |x| keeps it below float max / 2. Under pytest's RuntimeWarning-as-
+    # error, no path may overflow on either side of that edge, nor at S_MAX,
+    # where the entries themselves would overflow.
+    last = 0.5 * math.log(np.finfo(float).max / (2 * max(n, 2)))
+    assert last < S_MAX and r_limit(N_EFF_MAX) > last
+    for x in (S_MAX, last, -last, math.nextafter(last, math.inf),
+              math.nextafter(-last, -math.inf)):
+        admitted = abs(x) <= last
+        for build in (build_input_kernel, build_memory_kernel):
+            if admitted:
+                assert _finite_or_refused(lambda: build(n, x)) is not None
+            else:
+                with pytest.raises(InvalidSpec):
+                    build(n, x)
+        for eta in (0.0, 0.3, 0.5, 1.0):
+            # x as s at a small budget, and as r at the largest budget, with
+            # s = x and s = 0
+            points = [(ChannelParams(n=n, eta=eta, s=x, n_eff=2.0), 0.3)]
+            points += [(ChannelParams(n=n, eta=eta, s=s, n_eff=N_EFF_MAX), x) for s in (x, 0.0)]
+            for params, r in points:
+                for path in (assemble_model, pipeline_covariance):
+                    if admitted:
+                        _finite_or_refused(lambda: path(params, r))
+                    else:
+                        with pytest.raises(InvalidSpec):
+                            path(params, r)
+                # the closed form has no kernel entry: it admits |s| <= S_MAX
+                assert _finite_or_refused(lambda: mutual_information(params, r)) is not None
 
 
 def test_assemble_rejects_r_outside_the_budget():
@@ -318,7 +372,9 @@ def test_positive_definite_across_parameter_grid():
 
 def test_pair_chain_is_bit_equal_to_assemble_model_on_the_verify_grid():
     # the 81 points of verify's positive-definite-grid, in one stacked call
-    eta, s, r, n_eff = cli._positive_definite_points()
+    eta, s, r, grid_n = cli._positive_definite_points()
+    # each point's budget N + sinh^2 r, which leaves about N at r
+    n_eff = np.array([m + math.sinh(x) ** 2 for m, x in zip(grid_n.tolist(), r.tolist())])
     n_mod, admissible = photon_budgets(n_eff, r)
     assert admissible.all() and r.size == 81
     stacked = _pair_chain(2, eta, s, r, n_mod)

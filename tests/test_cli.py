@@ -115,14 +115,28 @@ def test_sweep_is_one_stacked_evaluation(tmp_path, monkeypatch):
 
 
 def test_sweep_skips_points_outside_budget(tmp_path):
+    # the budget depends on r alone: every s, a repeated one and -0.0
+    # included, skips the same points
     path = tmp_path / "out.csv"
-    spec = small_spec(path, s_list=(0.0,), r_min=-1.3, r_max=1.3, r_steps=9)
     assert r_limit(2.0) < 1.3
-    buf = io.StringIO()
-    rows = sweep(spec, stream=buf)
-    assert len(rows) == 7
-    assert "rows=7 skipped=2" in buf.getvalue()
-    assert "total rows=7 skipped=2 grid=9" in buf.getvalue()
+    for s_list in ((0.0,), (2.0, -0.0, 5.0, 2.0, -1.5)):
+        spec = small_spec(path, s_list=s_list, r_min=-1.3, r_max=1.3, r_steps=9)
+        buf = io.StringIO()
+        rows = sweep(spec, stream=buf)
+        s_lines = buf.getvalue().splitlines()[1:-2]
+        assert len(rows) == 7 * len(s_list)
+        assert [line.split()[1:3] for line in s_lines] == [["rows=7", "skipped=2"]] * len(s_list)
+        assert [line.split()[0] for line in s_lines] == [
+            f"s={cli._fmt(s)}:" for s in sorted(s_list)]
+        assert buf.getvalue().splitlines()[-2] == (
+            f"total rows={7 * len(s_list)} skipped={2 * len(s_list)} grid={9 * len(s_list)}")
+
+
+@pytest.mark.parametrize("value", [
+    -0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1.8e308, 1 / 3, np.float64(-0.0)])
+def test_fmt_prints_twelve_digits_and_zero_without_sign(value):
+    v = float(value)
+    assert cli._fmt(value) == format(v if v else 0.0, ".12g")
 
 
 def test_sweep_degenerate_grid(tmp_path):

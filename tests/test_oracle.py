@@ -642,9 +642,6 @@ def test_quadrature_rejects_unnormalized_density():
 
 
 def test_quadrature_rejects_bad_grid_specs():
-    for half_width in (math.nan, math.inf, 0.0, -8.0):
-        with pytest.raises(InvalidSpec):
-            quadrature_entropy_n1(np.eye(2), 1.0 / math.pi, half_width=half_width)
     for points in (65.0, True, "65"):
         with pytest.raises(InvalidSpec):
             quadrature_entropy_n1(np.eye(2), 1.0 / math.pi, points=points)
