@@ -129,7 +129,7 @@ class SweepRow(NamedTuple):
 def _r_grid(spec):
     grid = np.linspace(spec.r_min, spec.r_max, spec.r_steps)
     # snap the midpoint of symmetric grids to an exact 0 so baseline rows
-    # take the gain==0 fast path
+    # have the baseline's inputs and gain 0
     return [0.0 if abs(r) < 1e-12 else float(r) for r in grid]
 
 
@@ -364,7 +364,7 @@ def _check_moment_oracle_grid():
     eta, s, n_eff, r = _moment_grid_points()
     n_mod, admissible = photon_budgets(n_eff, r)
     points = (eta[admissible], s[admissible], r[admissible], n_mod[admissible])
-    closed = _closed_form(2, *points)[3]
+    closed = 2 * _closed_form(*points)[1]
     dev = np.abs(closed - _mi_from_covariance(_covariances(2, *points), 2))
     worst = float(dev.max())
     return worst <= 1e-7, f"max_dev={worst:.3e} points={dev.size}"

@@ -3,17 +3,19 @@
 Two routes compute the same entropies. The closed-form core, `_closed_form`,
 uses the fact that the channel splits into n copies of two decoupled
 (signal, environment) quadrature pairs (see `assemble_model`): every
-quadrature is Gaussian, so each entropy is a sum of log-variances and the
-information per pair class is one `log1p` term, the one-mode Gaussian-channel
-reduction of Holevo & Werner, PRA 63, 032312 (2001). It is written in numpy
-ufuncs, so floats and 1-D arrays of points (eta, s, r, N) give the same bits
-element by element.
-`mutual_information`, `rate_gain`, `rate_gains` and `optimize_r` run on it and
-build no matrix. A sweep's whole (s, r) grid is one stacked evaluation,
-`_gain_grid`: one photon-budget call over r and one `_closed_form` call on the
-s column against the admissible r, its baselines included; `rate_gains` is
-its one-s view. `optimize_r` bisects on the sign of the rate's closed-form
-slope, since the rate has exactly one peak in r.
+quadrature is Gaussian, so per use the noise entropy is a sum of
+log-variances and the rate is one `log1p` term per pair class, the one-mode
+Gaussian-channel reduction of Holevo & Werner, PRA 63, 032312 (2001). n only
+scales the reported totals (`_breakdown`), so rate and gain do not depend on
+n, bit for bit. In numpy ufuncs, floats and 1-D arrays of points
+(eta, s, r, N) give the same bits element by element.
+`mutual_information`, `rate_gain`, `rate_gains` and `optimize_r` run on it,
+build no matrix and take every gain from per-use rates. A sweep's whole
+(s, r) grid is one stacked evaluation, `_gain_grid`: one photon-budget call
+over r and one `_closed_form` call on the s column against the admissible r,
+its baselines included; `rate_gains` is its one-s view. `optimize_r` bisects
+on the sign of the rate's closed-form slope, since the rate has exactly one
+peak in r.
 
 The paper's matrix chain is the reference that the tests and `verify` check
 the core against: `output_entropy(model)` and `joint_entropy(model)` take
@@ -111,60 +113,55 @@ def joint_entropy(model):
     return c_joint * (2 * n - _ln_joint_norm(model)) / LN2, c_joint
 
 
-def _closed_form(n, eta, s, r, n_mod):
-    """Closed-form core: (i_mu, i_zeta, i_joint, i_r) in bits for blocks of n uses.
+def _closed_form(eta, s, r, n_mod):
+    """Closed-form core: the per-use (h_noise, rate) in bits.
 
     eta, s, r and n_mod are floats, or arrays that broadcast together, all
     admissible, with n_mod = photon_budget(n_eff, r): 1-D arrays of one
     length P hold P points, a float stands for every point, and an (S, 1)
-    column of s against 1-D r and n_mod gives (S, P) results, except i_mu,
-    which has n_mod's shape. Given the modulation, each use
-    carries one output quadrature of noise variance plus/4 and one of
-    minus/4; the modulation adds eta N / 2 to both. So h_noise, the output
-    entropy given the modulation, is a sum of log-variances, and the
-    information is one log1p term per quadrature class. Each element of an
-    array result is bit-equal to the call at that point's floats.
+    column of s against 1-D r and n_mod gives (S, P) results. Given the
+    modulation, each use carries one output quadrature of noise variance
+    plus/4 and one of minus/4; the modulation adds eta N / 2 to both. So
+    h_noise, the output entropy per use given the modulation, is a sum of
+    log-variances, and the rate is one log1p term per quadrature class. Each
+    element of an array result is bit-equal to the call at that point's floats.
     """
     plus = 1.0 + eta * np.exp(2.0 * r) + (1.0 - eta) * np.exp(2.0 * s)
     minus = 1.0 + eta * np.exp(-2.0 * r) + (1.0 - eta) * np.exp(-2.0 * s)
     signal = 2.0 * eta * n_mod
-    h_noise = n * _LN_2PI_E + 0.5 * n * (np.log(plus / 4.0) + np.log(minus / 4.0))
-    info = 0.5 * n * (np.log1p(signal / plus) + np.log1p(signal / minus))
+    h_noise = (_LN_2PI_E + 0.5 * (np.log(plus / 4.0) + np.log(minus / 4.0))) / LN2
+    rate = 0.5 * (np.log1p(signal / plus) + np.log1p(signal / minus)) / LN2
+    return h_noise, rate
+
+
+def _breakdown(n, n_mod, h_noise, rate):
+    """InfoBreakdown's fields over n uses: n times the per-use terms, and i_mu."""
     i_mu = input_entropy(n, n_mod)
-    i_zeta = (h_noise + info) / LN2
-    i_joint = i_mu + h_noise / LN2
-    return i_mu, i_zeta, i_joint, i_mu + i_zeta - i_joint
+    return i_mu, n * (h_noise + rate), i_mu + n * h_noise, n * rate, rate
 
 
 def mutual_information(params, r):
     """Full information breakdown at entanglement r within the photon budget."""
     n_mod = photon_budget(params.n_eff, r)
-    i_mu, i_zeta, i_joint, i_r = (
-        float(v) for v in _closed_form(params.n, params.eta, params.s, r, n_mod))
-    return InfoBreakdown(
-        i_mu=i_mu, i_zeta=i_zeta, i_joint=i_joint, i_r=i_r, rate=i_r / params.n)
+    return InfoBreakdown(*map(float, _breakdown(
+        params.n, n_mod, *_closed_form(params.eta, params.s, r, n_mod))))
 
 
-def _check_baseline(i_r):
-    """Reject a baseline mutual information too small to divide by."""
-    if i_r <= 1e-12:
-        raise DegenerateBaseline(f"baseline mutual information {i_r!r} is ~0 (eta too small)")
+def _check_baseline(rate):
+    """Reject a baseline rate too small to divide by."""
+    if rate <= 1e-12:
+        raise DegenerateBaseline(f"baseline rate {rate!r} bits per use is ~0 (eta too small)")
 
 
 def rate_gain(params, r):
-    """Relative gain of entanglement r over the r = 0 baseline.
-
-    r = 0 reuses the baseline directly so a zero-entanglement point carries
-    gain exactly 0.
-    """
+    """Relative gain of the rate at entanglement r over the r = 0 baseline; at
+    r = 0 the rate has the baseline's inputs, so the gain is 0 by construction."""
     base = mutual_information(params, 0.0)
-    _check_baseline(base.i_r)
-    if r == 0.0:
-        return GainPoint(r=0.0, n_mod=params.n_eff, gain=0.0, info=base)
+    _check_baseline(base.rate)
     info = mutual_information(params, r)
     return GainPoint(
         r=r, n_mod=photon_budget(params.n_eff, r),
-        gain=(info.i_r - base.i_r) / base.i_r, info=info)
+        gain=(info.rate - base.rate) / base.rate, info=info)
 
 
 def _gain_grid(n, eta, n_eff, s_values, r_values):
@@ -175,24 +172,23 @@ def _gain_grid(n, eta, n_eff, s_values, r_values):
     (a row) against the k admissible r and, as a last column, against r = 0:
     the baselines. DegenerateBaseline names the first degenerate s in
     s_values' order. Returns the admissible (r, n_mod) as (k,) arrays, the
-    (S, k) gains, exactly 0 at r = 0, the InfoBreakdown of (S, k) arrays
-    and the baselines' InfoBreakdown of (S,) arrays. Ufuncs broadcast
-    element by element, so each value is bit-equal to rate_gain's.
+    (S, k) gains, the InfoBreakdown of (S, k) arrays and the baselines'
+    InfoBreakdown of (S,) arrays. A column at r = 0 is computed from the
+    same inputs as its baseline, so its gain is 0 by construction. Ufuncs
+    broadcast element by element, so each value is bit-equal to rate_gain's.
     """
-    base_n_mod = photon_budget(n_eff, 0.0)
     r_arr = np.fromiter(r_values, dtype=float)
     n_mod, admissible = photon_budgets(n_eff, r_arr)
     r_arr, n_mod = r_arr[admissible], n_mod[admissible]
     s_col = np.fromiter(s_values, dtype=float)[:, None]
-    i_mu, i_zeta, i_joint, i_r = _closed_form(
-        n, eta, s_col, np.append(r_arr, 0.0), np.append(n_mod, base_n_mod))
-    # i_mu depends on r alone
-    fields = (np.broadcast_to(i_mu, i_r.shape), i_zeta, i_joint, i_r, i_r / n)
+    n_mod_all = np.append(n_mod, photon_budget(n_eff, 0.0))
+    fields = np.broadcast_arrays(*_breakdown(
+        n, n_mod_all, *_closed_form(eta, s_col, np.append(r_arr, 0.0), n_mod_all)))
     base = InfoBreakdown(*(values[:, -1] for values in fields))
-    for value in base.i_r.tolist():
+    for value in base.rate.tolist():
         _check_baseline(value)
     info = InfoBreakdown(*(values[:, :-1] for values in fields))
-    gain = np.where(r_arr == 0.0, 0.0, (info.i_r - base.i_r[:, None]) / base.i_r[:, None])
+    gain = (info.rate - base.rate[:, None]) / base.rate[:, None]
     return r_arr, n_mod, gain, info, base
 
 
@@ -204,7 +200,8 @@ def rate_gains(params, r_values):
     `photon_budgets`, are dropped. Returns arrays (r, n_mod, gain) of the
     admissible points, in input order, their InfoBreakdown of arrays
     (element by element they equal rate_gain's), and the r = 0 baseline's
-    InfoBreakdown of floats that the gains divide by.
+    InfoBreakdown of floats, whose per-use rate the gains divide by. The
+    gain at r = 0 is 0 by construction.
     """
     r_arr, n_mod, gain, info, base = _gain_grid(
         params.n, params.eta, params.n_eff, [params.s], r_values)

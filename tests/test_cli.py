@@ -306,10 +306,11 @@ def _patch_everywhere(monkeypatch, original, replacement):
                     monkeypatch.setattr(module, attr, replacement)
 
 
-def _i_r_scaled(exact):
+def _rate_scaled(exact):
+    # the per-use rate, and with it i_r = n * rate, scaled by 1 + 1e-6
     def faulty(*point):
-        i_mu, i_zeta, i_joint, i_r = exact(*point)
-        return i_mu, i_zeta, i_joint, i_r * (1 + 1e-6)
+        h_noise, rate = exact(*point)
+        return h_noise, rate * (1 + 1e-6)
     return faulty
 
 
@@ -328,10 +329,10 @@ MOMENT_GRID_FAULTS = {
                             lambda exact: lambda n, r: exact(n, r) * (1 + 1e-3)),
     "memory-kernel-at-1.02s": (channel_model.build_memory_kernel,
                                lambda exact: lambda n, s: exact(n, 1.02 * s)),
-    "closed-form-i_r-scaled": (information._closed_form, _i_r_scaled),
+    "closed-form-i_r-scaled": (information._closed_form, _rate_scaled),
     "closed-form-at-1.001s": (information._closed_form,
-                              lambda exact: lambda n, eta, s, r, n_mod: exact(
-                                  n, eta, 1.001 * s, r, n_mod)),
+                              lambda exact: lambda eta, s, r, n_mod: exact(
+                                  eta, 1.001 * s, r, n_mod)),
     "heterodyne-variance-plus-0.01": (oracle._covariances, _heterodyne_noisier),
 }
 
@@ -531,6 +532,18 @@ def test_main_reports_numerical_failure(tmp_path, capsys):
                  "--r-min", "-0.5", "--r-max", "0.5"])
     assert code == 3
     assert "numerical failure:" in capsys.readouterr().err
+
+
+def test_degenerate_baseline_refusal_does_not_depend_on_block_length(capsys):
+    # at eta = 2e-13 the baseline rate is 5.8e-13 bits per use at every n,
+    # while the total over n uses passes 1e-12 from n = 2 on
+    errors = []
+    for n in ("1", "2", "32"):
+        assert main(["optimize", "--eta", "2e-13", "--s", "1", "--n", n]) == 3
+        errors.append(capsys.readouterr().err)
+    assert errors == [errors[0]] * 3
+    assert errors[0].startswith("numerical failure: baseline rate ")
+    assert errors[0].endswith(" bits per use is ~0 (eta too small)\n")
 
 
 def test_main_rejects_unwritable_output():

@@ -1,5 +1,6 @@
 """Entropies, mutual information, relative gain, and the gain optimizer."""
 import dataclasses
+import decimal
 import math
 
 import numpy as np
@@ -173,12 +174,30 @@ def test_memoryless_rate_closed_form():
                 assert info.rate == pytest.approx(math.log2(1 + eta * n_eff), abs=1e-9)
 
 
+def _rate_decimal(eta, s, r, n_eff):
+    """The two-log1p rate per use, in bits, at 50 digits with the standard
+    library's decimal, from the floats' exact values and N = n_eff - sinh^2 r."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        one = decimal.Decimal(1)
+        eta, s, r, n_eff = (decimal.Decimal(x) for x in (eta, s, r, n_eff))
+        n_mod = n_eff - ((r.exp() - (-r).exp()) / 2) ** 2
+        total = sum((one + 2 * eta * n_mod / (one + eta * (sign * 2 * r).exp()
+                                              + (one - eta) * (sign * 2 * s).exp())).ln()
+                    for sign in (1, -1))
+        return float(total / 2 / decimal.Decimal(2).ln())
+
+
 def test_anchor_point_breakdown():
     info = mutual_information(params_at(n=1), 0.0)
     assert info.rate == pytest.approx(math.log2(2.6), abs=1e-9)
     assert info.i_mu == pytest.approx((1 + math.log(2 * math.pi)) / LN2, abs=1e-12)
     assert info.i_zeta == pytest.approx((1 + math.log(math.pi * 2.6)) / LN2, abs=1e-12)
-    assert info.i_r == pytest.approx(info.i_mu + info.i_zeta - info.i_joint, abs=0.0)
+    # i_r is n times the per-use rate, not the entropy difference: the
+    # identity holds to a few ulp of i_joint, and i_r to the 50-digit value
+    assert abs(info.i_mu + info.i_zeta - info.i_joint - info.i_r) <= 4 * math.ulp(info.i_joint)
+    want = _rate_decimal(0.8, 0.0, 0.0, 2.0)
+    assert abs(info.i_r - want) <= 1e-14 * want
 
 
 def test_blocked_channel_carries_no_information():
@@ -197,7 +216,23 @@ def test_rate_does_not_depend_on_block_length():
                              (0.9, 5.0, 0.8, 20.0)):
         rates = [mutual_information(params_at(n=n, eta=eta, s=s, n_eff=n_eff), r).rate
                  for n in (1, 2, 3, 4)]
-        assert max(rates) - min(rates) <= 1e-9
+        assert rates == [rates[0]] * 4
+
+
+def test_rate_and_gain_are_bit_equal_across_block_lengths():
+    # n only scales the reported totals: the per-use rate and the gain of
+    # every path are the same floats at n = 1, 2, 3 and 32
+    def per_use(n, eta, s, n_eff, r):
+        params = params_at(n=n, eta=eta, s=s, n_eff=n_eff)
+        point = rate_gain(params, r)
+        _, _, gain, info, _ = _gain_grid(n, eta, n_eff, [s], [r])
+        return (mutual_information(params, r).rate, point.info.rate, point.gain,
+                float(info.rate[0, 0]), float(gain[0, 0]), optimize_r(params))
+
+    points = list(zip(*(axis.tolist() for axis in random_points()[1:])))
+    want = [per_use(1, *point) for point in points]
+    for n in (2, 3, 32):
+        assert [per_use(n, *point) for point in points] == want, n
 
 
 def test_mutual_information_monotone_in_eta():
@@ -227,19 +262,28 @@ def _chain_breakdown(params, r):
     return i_zeta, i_joint, (input_entropy(params.n, model.n_mod) + i_zeta - i_joint) / params.n
 
 
+def _totals(n, n_mod, h_noise, rate):
+    """(i_mu, i_zeta, i_joint, i_r): the reported totals over n uses, from the
+    core's per-use (h_noise, rate)."""
+    i_mu = input_entropy(n, n_mod)
+    return i_mu, n * (h_noise + rate), i_mu + n * h_noise, n * rate
+
+
 def test_closed_form_core_is_bit_equal_to_rate_gains_on_the_verify_grid():
     # the 1512 points of verify's moment-oracle-grid in one stacked call,
     # against one rate_gains call per (eta, s, N_eff) and its 21 r
     eta, s, n_eff, r = cli._moment_grid_points()
     n_mod, admissible = photon_budgets(n_eff, r)
     assert admissible.all() and r.size == 1512
-    stacked = [values.reshape(72, 21) for values in _closed_form(2, eta, s, r, n_mod)]
+    h_noise, rate = (values.reshape(72, 21) for values in _closed_form(eta, s, r, n_mod))
     for k, start in enumerate(range(0, r.size, 21)):
         params = params_at(eta=float(eta[start]), s=float(s[start]), n_eff=float(n_eff[start]))
         r_ok, _, _, info, _ = rate_gains(params, r[start:start + 21])
         assert np.array_equal(r_ok, r[start:start + 21])
-        for field, values in zip(("i_mu", "i_zeta", "i_joint", "i_r"), stacked):
-            assert np.array_equal(getattr(info, field), values[k]), (k, field)
+        assert np.array_equal(info.rate, rate[k]), k
+        totals = _totals(2, n_mod[start:start + 21], h_noise[k], rate[k])
+        for field, values in zip(("i_mu", "i_zeta", "i_joint", "i_r"), totals):
+            assert np.array_equal(getattr(info, field), values), (k, field)
     # and at 402 random points against mutual_information, where np.exp and
     # math.exp differ at some s
     n, eta, s, n_eff, r = random_points()
@@ -247,11 +291,13 @@ def test_closed_form_core_is_bit_equal_to_rate_gains_on_the_verify_grid():
     assert admissible.all()
     for uses in (1, 2, 3):
         at = np.flatnonzero(n == uses)
-        stacked = _closed_form(uses, eta[at], s[at], r[at], n_mod[at])
+        h_noise, rate = _closed_form(eta[at], s[at], r[at], n_mod[at])
+        totals = _totals(uses, n_mod[at], h_noise, rate)
         for k, i in enumerate(at.tolist()):
             params = params_at(n=uses, eta=float(eta[i]), s=float(s[i]), n_eff=float(n_eff[i]))
             info = mutual_information(params, float(r[i]))
-            for field, values in zip(("i_mu", "i_zeta", "i_joint", "i_r"), stacked):
+            assert info.rate == rate[k], i
+            for field, values in zip(("i_mu", "i_zeta", "i_joint", "i_r"), totals):
                 assert getattr(info, field) == values[k], (i, field)
 
 
@@ -336,13 +382,17 @@ def test_far_budget_rates_match_high_precision_values():
 
 
 def test_tiny_transmissivity_information_is_exact():
-    # mpmath values at 60 digits. i_r is a difference of entropies of up to
-    # 14 bits at s = 0 and 27 bits at s = 8, so a few ulp of those allow
-    # 6e-10 and 6e-8 relative; the matrix chain is 3.2% low at s = 8.
-    for s, r, want, rtol in ((0.0, 0.3, 5.50320465457e-6, 1e-9),
-                             (8.0, -0.99 * r_limit(2.0), 1.60140086681801e-7, 1e-7)):
-        info = mutual_information(params_at(n=2, eta=1e-6, s=s, n_eff=2.0), r)
-        assert abs(info.i_r - want) <= rtol * want
+    # i_r is n times the two log1p terms, against their 50-digit value:
+    # 5.50320465457e-6, 1.60140086682e-7 and 5.77078016356e-13 bits, the
+    # first two as a 60-digit mpmath evaluation gives them. The entropies
+    # reach 14 bits at s = 0 and 27 bits at s = 8, so their difference would
+    # be 2.7e-3 relative off at eta = 1e-13; the matrix chain is 3.2% low at
+    # s = 8.
+    for eta, s, r in ((1e-6, 0.0, 0.3), (1e-6, 8.0, -0.99 * r_limit(2.0)),
+                      (1e-13, 0.0, 0.0)):
+        info = mutual_information(params_at(n=2, eta=eta, s=s, n_eff=2.0), r)
+        want = 2 * _rate_decimal(eta, s, r, 2.0)
+        assert abs(info.i_r - want) <= 1e-13 * want, (eta, s)
 
 
 # ---------------------------------------------------------------- gain
@@ -416,8 +466,8 @@ def test_optimizer_matches_dense_scan():
 
 def test_optimizer_meets_high_precision_argmax():
     # argmax r and peak gain of the two-log1p rate in mpmath at 60 digits.
-    # At eta = 0.0025 the peak gain is 1.1e-8 and the round-off of i_r, a
-    # difference of entropies, moves it by 1e-10, so only r is checked there.
+    # At eta = 0.0025 the peak gain is 1.1e-8, a difference of two rates
+    # whose round-off moves it by 2e-8 of itself, so only r is checked there.
     for n, eta, s, n_eff, r_mp, gain_mp in (
             (2, 0.8, 5.0, 2.0, 0.417307324532668, 0.12483446736419663),
             (32, 0.6, 5.0, 20.0, 0.936051312032302, 0.10963408199304596),
