@@ -24,8 +24,9 @@ from .matrix_core import spd_factor, symmetrize
 # Modulation variances below this are rejected: the information formulas
 # contain 1/N and ln N, and N -> 0 is a genuine boundary of the model.
 N_MIN = 1e-9
-# Largest |s| for which e^{2|s|} is a finite float.
-S_MAX = 0.5 * math.log(np.finfo(float).max)
+# Largest |s| and kernel |r|: the kernels' largest entry, 2e^{2|x|}, stays
+# at most float max / 2, out of reach of exp's round-off and the chain's sums.
+S_MAX = 0.5 * math.log(np.finfo(float).max / 4)
 # Largest photon budget for which pi N and 2 eta N are finite floats.
 N_EFF_MAX = np.finfo(float).max / 4
 _EPS = np.finfo(np.float64).eps
@@ -124,45 +125,35 @@ class ModelMatrices:
 
 def _check_family(n, x=0.0, name="x"):
     """Raise InvalidSpec unless n is a positive int (not a bool) and every
-    element of x is finite with |x| <= S_MAX, where e^{2|x|} is finite."""
+    element of x is finite with |x| <= S_MAX, the one bound on s and on
+    kernel r, where every kernel entry, at most 2e^{2|x|}, is finite."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise InvalidSpec(f"n must be a positive integer, got {n!r}")
     if not (np.abs(x) <= S_MAX).all():
         raise InvalidSpec(f"{name} must lie in [-{S_MAX:.6g}, {S_MAX:.6g}], got {x!r}")
 
 
-def _check_kernel_range(n, x, name):
-    """_check_family(n), and every element of x finite with
-    |x| <= ln(float max / (2 max(n, 2))) / 2, below S_MAX: the kernels'
-    largest entries, max(n, 2) e^{2|x|} (n e^{2x} before the builder's 2/n
-    scale, 2 e^{2x} at n = 1 and in the pair chain), stay below
-    float max / 2, out of reach of exp's round-off and the chain's sums."""
-    _check_family(n)
-    limit = 0.5 * math.log(np.finfo(float).max / (2 * max(n, 2)))
-    if not (np.abs(x) <= limit).all():
-        raise InvalidSpec(f"{name} must lie in [-{limit:.6g}, {limit:.6g}] at n={n}, got {x!r}")
-
-
 def build_input_kernel(n, r):
     """Wigner kernel of the n-mode squeezed input ensemble.
 
-    (2/n) * block_diag(K_r, K_{-r}) with K_r = (e^{-2r} - e^{2r}) J + n e^{2r} I,
-    J the all-ones matrix. Spectrum per block: 2e^{-2r} on the collective
-    quadrature, 2e^{2r} on the n-1 relative ones.
+    block_diag(K_r, K_{-r}), built from its spectrum:
+    K_r = 2e^{-2r} J/n + 2e^{2r} (I - J/n), J the all-ones matrix, so that
+    2e^{-2r} sits on the collective quadrature and 2e^{2r} on the n-1
+    relative ones. No entry exceeds 2e^{2|r|}, and at n = 1 the block is
+    2e^{-2r} exactly.
 
     r is a float or an array; the result has shape np.shape(r) + (2n, 2n).
     InvalidSpec is raised unless n is a positive int and every r is finite
-    and within the bound of `_check_kernel_range`, where every entry is.
+    with |r| <= S_MAX (`_check_family`).
     """
-    _check_kernel_range(n, r, "r")
+    _check_family(n, r, "r")
     r_arr = np.asarray(r, dtype=float)[..., None, None]
-    shrink, grow = np.exp(-2.0 * r_arr), np.exp(2.0 * r_arr)
-    ones = np.ones((n, n))
-    eye = np.eye(n)
+    shrink, grow = 2.0 * np.exp(-2.0 * r_arr), 2.0 * np.exp(2.0 * r_arr)
+    collective = np.full((n, n), 1.0 / n)
+    relative = np.eye(n) - collective
     out = np.zeros(np.shape(r) + (2 * n, 2 * n))
-    out[..., :n, :n] = (shrink - grow) * ones + (n * grow) * eye
-    out[..., n:, n:] = (grow - shrink) * ones + (n * shrink) * eye
-    out *= 2.0 / n
+    out[..., :n, :n] = shrink * collective + grow * relative
+    out[..., n:, n:] = grow * collective + shrink * relative
     return out
 
 
@@ -196,12 +187,12 @@ def assemble_model(params, r):
     n. Every 2n x 2n or 4n x 4n form of the chain is block-diagonal in that
     basis, with n copies of each class, so its log-determinant is n times
     the pair sum. This is `_pair_chain` at one point: the pairs and
-    logdet_gl are bit-equal to that point's row of a stacked call. An s or
-    r past the kernels' bound (`_check_kernel_range`) raises InvalidSpec.
+    logdet_gl are bit-equal to that point's row of a stacked call. An r
+    past S_MAX (`_check_family`; ChannelParams has checked s) raises
+    InvalidSpec.
     """
     n_mod = photon_budget(params.n_eff, r)
-    _check_kernel_range(params.n, params.s, "s")
-    _check_kernel_range(params.n, r, "r")
+    _check_family(params.n, r, "r")
     point = _pair_chain(params.n, *np.array([[params.eta], [params.s], [r], [n_mod]]))
     return ModelMatrices(
         n=params.n, n_mod=n_mod, logdet_gl=float(point.logdet_gl[0]),

@@ -247,12 +247,16 @@ def monte_carlo_mi(params, r, cfg, covariance=sample_covariance):
     pq / (2m)) / m) nats: the rho_i^2 are the eigenvalues of S_mu^-1 S_mu,zeta
     S_zeta^-1 S_zeta,mu of pipeline_covariance, and pq / (2m^2), the null
     chi^2 variance, keeps it nonzero at eta = 0. Both are divided by n ln 2.
+    The sum is the squared Frobenius norm of L_zeta^-1 S_zeta,mu L_mu^-T,
+    with the pivot-tested factors of spd_factor, so a block that fails the
+    test raises NotPositiveDefinite.
     """
     n, m = params.n, cfg.samples
     exact = pipeline_covariance(params, r)
-    cross = exact[:2 * n, 2 * n:]
-    rho2 = float(np.trace(np.linalg.solve(exact[:2 * n, :2 * n], cross)
-                          @ np.linalg.solve(exact[2 * n:, 2 * n:], cross.T)))
+    lower_mu = spd_factor(exact[:2 * n, :2 * n])
+    lower_zeta = spd_factor(exact[2 * n:, 2 * n:])
+    whitened = np.linalg.solve(lower_zeta, np.linalg.solve(lower_mu, exact[:2 * n, 2 * n:]).T)
+    rho2 = float(np.sum(whitened * whitened))
     bias = (2 * n) ** 2 / (2.0 * m)
     value = _mi_from_covariance(covariance(params, r, cfg), n) - bias / LN2
     std_error = math.sqrt((rho2 + bias) / m) / LN2

@@ -25,8 +25,19 @@ from lossymem.errors import (
     NotPositiveDefinite,
     PhotonBudgetExceeded,
 )
-from lossymem.information import mutual_information
-from lossymem.oracle import pipeline_covariance
+from lossymem.information import (
+    joint_entropy,
+    mutual_information,
+    optimize_r,
+    output_entropy,
+    rate_gain,
+)
+from lossymem.oracle import (
+    McConfig,
+    gaussian_mi_from_moments,
+    monte_carlo_mi,
+    pipeline_covariance,
+)
 from lossymem.matrix_core import block_diag, spd_factor, spd_logdet, symmetrize
 
 from chain_reference import joint_kernel, sector_form
@@ -54,10 +65,11 @@ def test_input_kernel_vacuum_is_twice_identity():
 
 
 def test_input_kernel_single_use_is_squeezed_diagonal():
-    for r in (-1.3, 0.25, 2.0):
+    # at n = 1 the relative projector is 0, so no entry cancels: each is the
+    # eigenvalue itself, bit for bit, out to |r| = 300
+    for r in (-1.3, 0.25, 2.0, 5.0, -5.0, 8.0, -8.0, 9.5, -9.5, 10.0, -10.0, 300.0, -300.0):
         expected = np.diag([2.0 * math.exp(-2 * r), 2.0 * math.exp(2 * r)])
-        np.testing.assert_allclose(build_input_kernel(1, r), expected,
-                                   atol=1e-13)
+        np.testing.assert_array_equal(build_input_kernel(1, r), expected)
 
 
 def test_input_kernel_two_use_entries():
@@ -73,13 +85,36 @@ def test_input_kernel_two_use_entries():
     np.testing.assert_array_equal(got[:2, 2:], np.zeros((2, 2)))
 
 
-def _reference_input_kernel(n, r):
-    """The per-r construction: one float r, np.exp and dense J and I."""
-    def half(rr):
-        return ((np.exp(-2 * rr) - np.exp(2 * rr)) * np.ones((n, n))
-                + n * np.exp(2 * rr) * np.eye(n))
+def test_input_kernel_spectrum():
+    # K v = lambda v on the collective vector (1, .., 1) and on the relative
+    # vector e_1 - e_2 of each block. Each entry is off its exact value by a
+    # few ulp of the largest eigenvalue, 2e^{2|r|}, and a component of K v
+    # sums n entries, so it is off by at most 2 n eps 2e^{2|r|}
+    eps = np.finfo(float).eps
+    for n in (2, 3, 7, 32):
+        collective = np.ones(n)
+        relative = np.zeros(n)
+        relative[:2] = (1.0, -1.0)
+        for r in (-4.0, -1.3, 0.0, 0.25, 2.0, 4.0):
+            k = build_input_kernel(n, r)
+            bound = 2 * n * eps * 2.0 * math.exp(2 * abs(r))
+            shrink, grow = 2.0 * math.exp(-2 * r), 2.0 * math.exp(2 * r)
+            for block, (lam_co, lam_rel) in ((k[:n, :n], (shrink, grow)),
+                                             (k[n:, n:], (grow, shrink))):
+                assert np.abs(block @ collective - lam_co * collective).max() <= bound
+                assert np.abs(block @ relative - lam_rel * relative).max() <= bound
 
-    return (2.0 / n) * block_diag(half(r), half(-r))
+
+def _reference_input_kernel(n, r):
+    """The per-r construction: one float r, np.exp and dense projectors J/n
+    and I - J/n on the collective and relative quadratures."""
+    collective = np.ones((n, n)) / n
+    relative = np.eye(n) - collective
+
+    def half(rr):
+        return 2.0 * np.exp(-2 * rr) * collective + 2.0 * np.exp(2 * rr) * relative
+
+    return block_diag(half(r), half(-r))
 
 
 def test_input_kernel_on_an_array_matches_per_r_calls():
@@ -191,6 +226,13 @@ def test_kernel_builders_reject_malformed_specs(build, n, x):
         build(n, x)
 
 
+def _fields(result):
+    """The leaves of a result: the fields of a dataclass, recursively."""
+    if hasattr(result, "__dict__"):
+        return [leaf for value in vars(result).values() for leaf in _fields(value)]
+    return [result]
+
+
 def _finite_or_refused(call):
     """call()'s result, with every field finite, or None if it raised a
     LossyChannelError."""
@@ -198,42 +240,63 @@ def _finite_or_refused(call):
         result = call()
     except LossyChannelError:
         return None
-    fields = vars(result).values() if hasattr(result, "__dict__") else [result]
-    assert all(np.isfinite(value).all() for value in fields)
+    assert all(np.isfinite(value).all() for value in _fields(result))
     return result
+
+
+def _monte_carlo_mi(params, r):
+    return monte_carlo_mi(params, r, McConfig(samples=50, seed=1))
+
+
+# every path from (params, r) through the kernels
+_KERNEL_PATHS = (assemble_model, pipeline_covariance, gaussian_mi_from_moments, _monte_carlo_mi)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 32])
 def test_kernel_paths_refuse_past_the_float_range(n):
-    # the kernels' largest entry is max(n, 2) e^{2|x|}; the last admitted
-    # |x| keeps it below float max / 2. Under pytest's RuntimeWarning-as-
-    # error, no path may overflow on either side of that edge, nor at S_MAX,
-    # where the entries themselves would overflow.
-    last = 0.5 * math.log(np.finfo(float).max / (2 * max(n, 2)))
-    assert last < S_MAX and r_limit(N_EFF_MAX) > last
-    for x in (S_MAX, last, -last, math.nextafter(last, math.inf),
-              math.nextafter(-last, -math.inf)):
-        admitted = abs(x) <= last
+    # one bound on s and kernel r at every n: at S_MAX the kernels' largest
+    # entry, 2e^{2|x|}, is float max / 2. Under pytest's RuntimeWarning-as-
+    # error, no path may overflow at +-S_MAX, and the next float out is
+    # refused, by ChannelParams as s and by every kernel path as r.
+    assert r_limit(N_EFF_MAX) > S_MAX
+    for x in (S_MAX, -S_MAX):
         for build in (build_input_kernel, build_memory_kernel):
-            if admitted:
-                assert _finite_or_refused(lambda: build(n, x)) is not None
-            else:
-                with pytest.raises(InvalidSpec):
-                    build(n, x)
+            assert _finite_or_refused(lambda: build(n, x)) is not None
         for eta in (0.0, 0.3, 0.5, 1.0):
             # x as s at a small budget, and as r at the largest budget, with
             # s = x and s = 0
             points = [(ChannelParams(n=n, eta=eta, s=x, n_eff=2.0), 0.3)]
             points += [(ChannelParams(n=n, eta=eta, s=s, n_eff=N_EFF_MAX), x) for s in (x, 0.0)]
             for params, r in points:
-                for path in (assemble_model, pipeline_covariance):
-                    if admitted:
-                        _finite_or_refused(lambda: path(params, r))
-                    else:
-                        with pytest.raises(InvalidSpec):
-                            path(params, r)
-                # the closed form has no kernel entry: it admits |s| <= S_MAX
+                for path in _KERNEL_PATHS:
+                    _finite_or_refused(lambda: path(params, r))
                 assert _finite_or_refused(lambda: mutual_information(params, r)) is not None
+        out = math.nextafter(x, math.copysign(math.inf, x))
+        for build in (build_input_kernel, build_memory_kernel):
+            with pytest.raises(InvalidSpec):
+                build(n, out)
+        with pytest.raises(InvalidSpec):
+            ChannelParams(n=n, eta=0.5, s=out, n_eff=2.0)
+        params = ChannelParams(n=n, eta=0.5, s=0.0, n_eff=N_EFF_MAX)
+        for path in _KERNEL_PATHS:
+            with pytest.raises(InvalidSpec):
+                path(params, out)
+
+
+def test_public_paths_are_finite_or_refused_inside_the_range():
+    # every public path, across the interior of the range, returns finite
+    # values or raises a LossyChannelError: never a numpy error or warning
+    lim = r_limit(2.0)
+    for n in (1, 2, 3):
+        for eta in (0.0, 0.3, 1.0):
+            for s in (1.0, 10.0, 30.0, 100.0, S_MAX):
+                for params in (ChannelParams(n=n, eta=eta, s=v, n_eff=2.0) for v in (s, -s)):
+                    _finite_or_refused(lambda: optimize_r(params))
+                    for r in (0.3, 0.99 * lim, -0.99 * lim):
+                        for path in (mutual_information, rate_gain) + _KERNEL_PATHS:
+                            _finite_or_refused(lambda: path(params, r))
+                        for entropy in (output_entropy, joint_entropy):
+                            _finite_or_refused(lambda: entropy(assemble_model(params, r)))
 
 
 def test_assemble_rejects_r_outside_the_budget():

@@ -481,7 +481,8 @@ def test_main_rejects_invalid_parameters(tmp_path, capsys):
 
 
 def test_memory_past_float_range_is_rejected(tmp_path, capsys):
-    # e^{2|s|} overflows a float for |s| > S_MAX (about 354.89)
+    # past S_MAX (about 354.20) the kernels' largest entry, 2e^{2|s|}, passes
+    # float max / 2
     for s in (400.0, -400.0, math.nextafter(S_MAX, math.inf)):
         with pytest.raises(InvalidSpec):
             ChannelParams(n=2, eta=0.8, s=s, n_eff=2.0)

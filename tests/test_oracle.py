@@ -469,6 +469,17 @@ def test_std_error_matches_the_anchor_closed_form():
         assert abs(est.std_error - closed) <= 1e-12 * closed
 
 
+def test_std_error_refuses_an_ill_conditioned_block_with_a_typed_error():
+    # at strong memory the output block's condition number passes 1/eps: its
+    # factor fails the pivot test before the draw, as NotPositiveDefinite,
+    # not as numpy's LinAlgError from a general solve
+    cfg = McConfig(samples=50, seed=1)
+    for n, eta, s in ((2, 0.3, 30.0), (2, 0.0, 100.0), (3, 0.0, 30.0), (3, 0.3, 30.0),
+                      (3, 0.0, 100.0), (3, 0.3, 100.0)):
+        with pytest.raises(NotPositiveDefinite):
+            monte_carlo_mi(ChannelParams(n=n, eta=eta, s=s, n_eff=2.0), 0.3, cfg)
+
+
 def test_a_given_covariance_replaces_the_draw():
     params = ChannelParams(n=2, eta=0.8, s=2.0, n_eff=2.0)
     cfg = McConfig(samples=5003, seed=42)
