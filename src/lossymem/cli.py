@@ -20,9 +20,7 @@ from .channel_model import (
     ChannelParams,
     _pair_chain,
     assemble_model,
-    build_beam_splitter,
     build_input_kernel,
-    build_memory_kernel,
     photon_budgets,
     r_limit,
     single_use_kernels,
@@ -46,9 +44,8 @@ from .information import (
     mutual_information,
     optimize_r,
     output_entropy,
-    rate_gain,
 )
-from .matrix_core import block_diag, spd_logdet, symmetrize
+from .matrix_core import spd_logdet
 from .oracle import (
     McConfig,
     _covariances,
@@ -199,7 +196,7 @@ def optimize(n, eta, n_eff, s_list, stream=None):
 
 
 def _random_point(rng):
-    """One valid (eta, s, n_eff, r) draw for property checks."""
+    """One valid (eta, s, n_eff, r) draw for rate-n-additivity."""
     eta = float(rng.uniform(0.05, 0.95))
     s = float(rng.uniform(0.0, 5.0))
     n_eff = float(rng.uniform(0.5, 30.0))
@@ -211,12 +208,6 @@ def _check_memoryless_anchor():
     rate = mutual_information(ChannelParams(n=2, eta=0.8, s=0.0, n_eff=2.0), 0.0).rate
     dev = abs(rate - math.log2(1.0 + 0.8 * 2.0))
     return dev <= 1e-7, f"dev={dev:.3e}"
-
-
-def _check_beam_splitter_orthogonality():
-    b = build_beam_splitter(3, np.arange(11) / 10)
-    worst = float(np.abs(np.swapaxes(b, -1, -2) @ b - np.eye(12)).max())
-    return worst <= 1e-12, f"max_dev={worst:.3e}"
 
 
 def _check_kernel_determinant():
@@ -248,24 +239,6 @@ def _grid(*axes):
     return [coords.ravel() for coords in np.meshgrid(*axes, indexing="ij")]
 
 
-def _dense_g(n, eta, r, s):
-    """(G, A_tot) of the literal chain at 1-D arrays of (eta, r, s), one
-    (4n, 4n) matrix per point: G = B^T A_tot B, A_tot = A_in(r) (+) A_mem(s)."""
-    a_tot = block_diag(build_input_kernel(n, r), build_memory_kernel(n, s))
-    b = build_beam_splitter(n, eta)
-    return symmetrize(np.swapaxes(b, -1, -2) @ (a_tot @ b)), a_tot
-
-
-def _check_block_determinant_additivity():
-    # each eta at the (r, s) pairs (0, 0), (0.5, 1), (-1, 2) and (0.8, -1.5)
-    eta = np.repeat([0.1, 0.3, 0.5, 0.7, 0.9], 4)
-    r = np.tile([0.0, 0.5, -1.0, 0.8], 5)
-    s = np.tile([0.0, 1.0, 2.0, -1.5], 5)
-    g, a_tot = _dense_g(2, eta, r, s)
-    worst = float(np.abs(spd_logdet(g) - spd_logdet(a_tot)).max())
-    return worst <= 1e-10, f"max_dev={worst:.3e}"
-
-
 def _positive_definite_points():
     """(eta, s, r, N) of positive-definite-grid: the 81 points of the grid
     over eta, r, s and the modulation variance N."""
@@ -278,57 +251,10 @@ def _check_positive_definite_grid():
     # one stack per matrix family; spd_logdet pivot-tests each matrix in it
     eta, s, r, n_mod = _positive_definite_points()
     model = _pair_chain(2, eta, s, r, n_mod)
-    for family in (_dense_g(2, eta, r, s)[0], model.u_pair[..., None, None],
-                   model.joint_pairs(), (model.r_pair + 1.0 / n_mod[:, None])[..., None, None]):
+    for family in (model.u_pair[..., None, None], model.joint_pairs(),
+                   (model.r_pair + 1.0 / n_mod[:, None])[..., None, None]):
         spd_logdet(family)
     return True, f"points={eta.size}"
-
-
-def _check_permutation_symmetry():
-    n = 3
-    perm = (2, 0, 1)
-    p = np.zeros((2 * n, 2 * n))
-    for i, j in enumerate(perm):
-        p[i, j] = 1.0
-        p[n + i, n + j] = 1.0
-    worst = 0.0
-    for k in (build_input_kernel(n, 0.7), build_memory_kernel(n, -1.2)):
-        worst = max(worst, float(np.abs(p @ k @ p.T - k).max()))
-    return worst <= 1e-12, f"max_dev={worst:.3e}"
-
-
-def _check_eta_zero_mi():
-    worst = 0.0
-    for s, r in ((0.0, 0.5), (2.0, -0.8), (5.0, 0.3)):
-        info = mutual_information(ChannelParams(n=2, eta=0.0, s=s, n_eff=2.0), r)
-        worst = max(worst, abs(info.i_r))
-    return worst <= 1e-9, f"max_abs_mi={worst:.3e}"
-
-
-def _check_eta_one_memory_independence():
-    rates = [mutual_information(ChannelParams(n=2, eta=1.0, s=s, n_eff=2.0), 0.6).rate
-             for s in (0.0, 1.0, 5.0)]
-    worst = max(rates) - min(rates)
-    return worst <= 1e-9, f"spread={worst:.3e}"
-
-
-def _check_zero_r_gain():
-    for eta, s, n_eff in ((0.8, 2.0, 2.0), (0.5, 1.0, 20.0), (0.3, 0.0, 5.0),
-                          (0.9, 5.0, 2.0)):
-        point = rate_gain(ChannelParams(n=2, eta=eta, s=s, n_eff=n_eff), 0.0)
-        if point.gain != 0.0:
-            return False, f"gain={point.gain!r} at eta={_fmt(eta)} s={_fmt(s)}"
-    return True, "gain==0 at 4 baseline points"
-
-
-def _check_information_bounds(points):
-    low = 0.0
-    high = 0.0
-    for eta, s, n_eff, r in points:
-        info = mutual_information(ChannelParams(n=2, eta=eta, s=s, n_eff=n_eff), r)
-        low = min(low, info.i_r)
-        high = max(high, info.i_r - info.i_mu)
-    return low >= -1e-9 and high <= 1e-9, f"min_mi={low:.3e} max_excess={high:.3e}"
 
 
 def _check_rate_additivity(points):
@@ -445,25 +371,24 @@ def _check_quadrature_joint():
 
 def _checks(level, seed, samples, n, eta, n_eff):
     """verify's registry: (name, check) pairs in print order, each check
-    a call without arguments returning (ok, detail)."""
+    a call without arguments returning (ok, detail).
+
+    `quick` runs 7 checks of the kernels, the pair chain, the closed form
+    and the moment oracle; `full` adds the 4 sampled and the 3 quadrature
+    checks. Each one fails under a fault of the model or its oracles
+    (tests/test_mutants.py pins which check catches which fault). An
+    invariant that holds by construction is a tier-1 test instead.
+    """
     spot = ChannelParams(n=n, eta=eta, s=1.0, n_eff=n_eff)
     rng = np.random.default_rng(seed)
-    bounds_points = [_random_point(rng) for _ in range(20)]
     additivity_points = [_random_point(rng) for _ in range(5)]
     # one draw's 8 x 8 covariance for the memory point's two checks (_memory_point)
     covariance = functools.cache(sample_covariance)
     checks = [
         ("memoryless-anchor", _check_memoryless_anchor),
-        ("beam-splitter-orthogonality", _check_beam_splitter_orthogonality),
         ("input-kernel-determinant", _check_kernel_determinant),
         ("kernel-row-sums", _check_kernel_row_sums),
-        ("block-determinant-additivity", _check_block_determinant_additivity),
         ("positive-definite-grid", _check_positive_definite_grid),
-        ("permutation-symmetry", _check_permutation_symmetry),
-        ("eta-zero-mutual-information", _check_eta_zero_mi),
-        ("eta-one-memory-independence", _check_eta_one_memory_independence),
-        ("zero-r-gain", _check_zero_r_gain),
-        ("information-bounds", lambda: _check_information_bounds(bounds_points)),
         ("rate-n-additivity", lambda: _check_rate_additivity(additivity_points)),
         ("moment-oracle-grid", _check_moment_oracle_grid),
         ("spot-point-oracle", lambda: _check_spot_point(spot)),

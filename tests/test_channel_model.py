@@ -473,8 +473,8 @@ def test_permutation_of_uses_leaves_model_invariant():
     for i, j in enumerate(perm):
         p[i, j] = 1.0
         p[n + i, n + j] = 1.0
-    kernel = build_input_kernel(n, 0.7)
-    np.testing.assert_allclose(p @ kernel @ p.T, kernel, atol=1e-12)
+    for kernel in (build_input_kernel(n, 0.7), build_memory_kernel(n, -1.2)):
+        assert np.array_equal(p @ kernel @ p.T, kernel)
 
 
 def test_extreme_memory_stays_positive_definite():

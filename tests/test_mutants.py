@@ -1,0 +1,136 @@
+"""Which `verify full` checks each catalogued fault fails, at the default seed.
+
+Each fault replaces one function in every lossymem module that holds it,
+or maps the sampler's four noise streams onto fewer SeedSequence children.
+An empty set is a fault that no check catches (ROADMAP item 9's gaps).
+"""
+import dataclasses
+import io
+
+import numpy as np
+import pytest
+
+from lossymem import channel_model, cli, oracle
+
+from faults import MOMENT_GRID_FAULTS, patch_everywhere
+
+
+def _t_prime_scaled(exact):
+    def faulty(params, r):
+        model = exact(params, r)
+        return dataclasses.replace(model, t_pair=model.t_pair * (1 + 1e-4))
+    return faulty
+
+
+def _collective_scaled(exact):
+    # the J/n term of each block, 2e^{-+2r} J/n, scaled by 1 + 1e-3 for n >= 3
+    def faulty(n, r):
+        out = exact(n, r)
+        if n >= 3:
+            r_arr = np.asarray(r, dtype=float)[..., None, None]
+            term = np.full((n, n), 2e-3 / n)
+            out[..., :n, :n] += np.exp(-2.0 * r_arr) * term
+            out[..., n:, n:] += np.exp(2.0 * r_arr) * term
+        return out
+    return faulty
+
+
+def _budget_scaled(exact):
+    def faulty(n_eff, r):
+        return exact(n_eff, r) * (1 - 1e-3) if r != 0.0 else exact(n_eff, r)
+    return faulty
+
+
+def _budgets_scaled(exact):
+    def faulty(n_eff, r_values):
+        n_mod, admissible = exact(n_eff, r_values)
+        return np.where(r_values != 0.0, n_mod * (1 - 1e-3), n_mod), admissible
+    return faulty
+
+
+# the failing checks of each fault that moment-oracle-grid catches
+MOMENT_GRID_FAILING = {
+    "input-kernel-scaled": {"input-kernel-determinant", "kernel-row-sums",
+                            "moment-oracle-grid", "spot-point-oracle"},
+    "memory-kernel-at-1.02s": {"moment-oracle-grid", "spot-point-oracle"},
+    "closed-form-i_r-scaled": {"memoryless-anchor", "moment-oracle-grid", "spot-point-oracle"},
+    "closed-form-at-1.001s": {"moment-oracle-grid", "spot-point-oracle"},
+    "heterodyne-variance-plus-0.01": {"moment-oracle-grid", "spot-point-oracle",
+                                      "sampler-moments"},
+}
+# name: ([(function, fault built from the exact function)], failing checks)
+CATALOGUE = {name: ([MOMENT_GRID_FAULTS[name]], failing)
+             for name, failing in MOMENT_GRID_FAILING.items()}
+CATALOGUE.update({
+    "t-prime-scaled": ([(channel_model.assemble_model, _t_prime_scaled)],
+                       {"quadrature-joint-entropy"}),
+    "collective-term-scaled-at-n-ge-3": (
+        [(channel_model.build_input_kernel, _collective_scaled)],
+        {"input-kernel-determinant", "kernel-row-sums", "rate-n-additivity"}),
+    "sampling-factor-scaled": (
+        [(oracle._sampling_factor, lambda exact: lambda kernel: 1.01 * exact(kernel))], set()),
+    "photon-budget-scaled-off-r-0": ([(channel_model.photon_budget, _budget_scaled),
+                                      (channel_model.photon_budgets, _budgets_scaled)], set()),
+    # no verify path reads the beam splitter: the sampler and the pair chain
+    # mix at sqrt(eta) and sqrt(1 - eta) themselves
+    "beam-splitter-at-1.001eta": (
+        [(channel_model.build_beam_splitter, lambda exact: lambda n, eta: exact(n, 1.001 * eta))],
+        set()),
+})
+
+# the sampler's sources, in spawn order: modulation, input ensemble,
+# environment, detector; each entry names the child that each source reads
+STREAM_FAULTS = {
+    "one-child-for-all-four-sources": ((0, 0, 0, 0), {
+        "monte-carlo-anchor", "monte-carlo-memory-point", "monte-carlo-repeatability",
+        "sampler-moments"}),
+    "ensemble-and-environment-share-a-child": ((0, 1, 1, 3), {
+        "monte-carlo-anchor", "monte-carlo-memory-point", "sampler-moments"}),
+}
+
+
+def _failing_checks():
+    buf = io.StringIO()
+    cli.verify("full", stream=buf)
+    return {line.split()[1] for line in buf.getvalue().splitlines() if line.startswith("FAIL ")}
+
+
+def _seed_sequence(monkeypatch, make):
+    """Give the sampler make(exact SeedSequence class, seed) for its SeedSequence."""
+    exact = np.random.SeedSequence
+    monkeypatch.setattr(np.random, "SeedSequence", lambda seed: make(exact, seed))
+
+
+def test_intact_model_fails_no_check():
+    assert _failing_checks() == set()
+
+
+@pytest.mark.parametrize("fault", list(CATALOGUE))
+def test_function_fault_fails_exactly_its_checks(monkeypatch, fault):
+    replacements, failing = CATALOGUE[fault]
+    for exact, make_fault in replacements:
+        patch_everywhere(monkeypatch, exact, make_fault(exact))
+    assert _failing_checks() == failing
+
+
+@pytest.mark.parametrize("fault", list(STREAM_FAULTS))
+def test_stream_fault_fails_exactly_its_checks(monkeypatch, fault):
+    children, failing = STREAM_FAULTS[fault]
+
+    class Mapped:
+        def __init__(self, exact, seed):
+            self.sequence = exact(seed)
+
+        def spawn(self, count):
+            spawned = self.sequence.spawn(count)
+            return [spawned[k] for k in children]
+
+    _seed_sequence(monkeypatch, Mapped)
+    assert _failing_checks() == failing
+
+
+def test_sampler_that_ignores_the_seed_fails_repeatability(monkeypatch):
+    # fresh entropy per draw: the other sampled lines are random, so only
+    # the repeatability check is pinned
+    _seed_sequence(monkeypatch, lambda exact, seed: exact())
+    assert "monte-carlo-repeatability" in _failing_checks()
