@@ -207,9 +207,14 @@ def _pair_chain(n, eta, s, r, n_mod):
     The chain formulas run verbatim, in one pass, on the (P, 2, 2, 2) stack
     of each point's co and rel pairs, with one spd_factor call for all of
     them; LAPACK factors and solves each 2 x 2 matrix of the stack on its
-    own, so a point's row does not depend on the others. On pairs every
-    factorization stays O(1)-conditioned for large |r| and |s|, where
-    factoring the assembled 4n x 4n forms loses several digits.
+    own, so a point's row does not depend on the others. Factoring pairs
+    keeps the digits that factoring the assembled 4n x 4n forms loses, but
+    not at strong memory. The pair whose memory kernel entry is 2e^{-2|s|}
+    (co for s > 0, rel for s < 0) has a second pivot of that order, and
+    spd_factor's pivot test refuses it once it falls to a few eps of the
+    pair's largest diagonal entry: at N_eff = 2 and r = 0.3 the chain raises
+    NotPositiveDefinite from |s| = 17.5 (eta = 1) to 19.5 (eta = 0.8),
+    where the closed form in information still answers.
     Returns a ModelMatrices of stacks: n_mod and logdet_gl of shape (P,),
     each pair field of shape (P, 2).
     """

@@ -12,7 +12,6 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -62,6 +61,9 @@ _CSV_HEADER = "s,r,N,I_mu,I_zeta,I_joint,I_r,rate,gain"
 # gain, each as _fmt writes it
 _CSV_HEAD = "%.12g,%.12g,%.12g,"
 _CSV_TAIL = ",".join(["%.12g"] * 5)
+# the most rows (r_steps x len(s_list)) a sweep admits: a sweep holds about
+# 0.6 kB per row at its peak, so the bound keeps it under about 0.6 GB
+SWEEP_MAX_ROWS = 10 ** 6
 _STANDARD_ETAS = tuple(k / 10 for k in range(1, 10))
 _STANDARD_S = (0.0, 1.0, 2.0, 5.0)
 _STANDARD_NEFF = (2.0, 20.0)
@@ -95,6 +97,10 @@ class SweepSpec:
             ChannelParams(n=self.n, eta=self.eta, s=s, n_eff=self.n_eff)
         if not isinstance(self.r_steps, int) or isinstance(self.r_steps, bool) or self.r_steps < 2:
             raise InvalidSpec(f"r_steps must be an integer >= 2, got {self.r_steps!r}")
+        if self.r_steps * len(self.s_list) > SWEEP_MAX_ROWS:
+            raise InvalidSpec(
+                f"r_steps x len(s_list) = {self.r_steps} x {len(self.s_list)} is above "
+                f"SWEEP_MAX_ROWS = {SWEEP_MAX_ROWS}")
         for name in ("r_min", "r_max"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidSpec(f"{name} must be finite, got {getattr(self, name)!r}")
@@ -107,20 +113,6 @@ class SweepSpec:
                 f"[-{lim:.6g}, {lim:.6g}]")
         if not isinstance(self.output_path, str) or not self.output_path:
             raise InvalidSpec("output_path must be a non-empty string")
-
-
-class SweepRow(NamedTuple):
-    """One evaluated grid point; gain is exactly 0 on the r=0 baseline rows."""
-
-    s: float
-    r: float
-    n_mod: float
-    i_mu: float
-    i_zeta: float
-    i_joint: float
-    i_r: float
-    rate: float
-    gain: float
 
 
 def _r_grid(spec):
@@ -137,26 +129,25 @@ def sweep(spec, stream=None):
     Rows come out in (s ascending, r ascending) order. Grid points outside
     the photon budget are skipped; the budget depends on r alone, so they
     are counted once and every s line reads the same rows= and skipped=.
-    Returns the emitted rows.
+    The gain is exactly 0 on the r = 0 baseline rows. For the numbers
+    themselves, call `information.rate_gains`.
     """
     stream = sys.stdout if stream is None else stream
     grid = _r_grid(spec)
     s_sorted = sorted(spec.s_list)
     r_ok, n_mod, gain, info, base = _gain_grid(spec.n, spec.eta, spec.n_eff, s_sorted, grid)
-    # (S, k, 9): the CSV's columns for every (s, r)
-    table = np.stack(np.broadcast_arrays(
-        np.array(s_sorted)[:, None], r_ok, n_mod, info.i_mu, info.i_zeta, info.i_joint,
-        info.i_r, info.rate, gain), axis=-1)
-    rows = list(map(SweepRow._make, table.reshape(-1, 9).tolist()))
-    # + 0.0 turns a -0.0 into 0.0, which prints as 0, as in _fmt. The s, r,
-    # N and I_mu fields do not change along an s row or down an r column,
-    # so each is formatted once.
-    table += 0.0
-    heads = [_CSV_HEAD % tuple(values) for values in table[0, :, 1:4].tolist()]
+    # + 0.0 turns a -0.0 into 0.0, which prints as 0, as in _fmt. The r, N
+    # and I_mu fields depend on r alone, so each line's are formatted once,
+    # into a template for its other five; an s block is then one % of its
+    # lines' templates over that s row's (k, 5) tail values.
+    heads = np.stack((r_ok, n_mod, info.i_mu[0]), axis=-1) + 0.0
+    templates = [_CSV_HEAD % tuple(values) + _CSV_TAIL for values in heads.tolist()]
+    tails = np.stack((info.i_zeta, info.i_joint, info.i_r, info.rate, gain), axis=-1) + 0.0
     lines = [_CSV_HEADER]
-    for s, tails in zip(s_sorted, table[..., 4:].tolist()):
-        s_text = "%.12g," % (s + 0.0)
-        lines += [s_text + head + _CSV_TAIL % tuple(tail) for head, tail in zip(heads, tails)]
+    for s, values in zip(s_sorted, tails.reshape(len(s_sorted), -1).tolist()):
+        if values:  # with every point skipped the CSV is the header alone
+            s_text = "%.12g," % (s + 0.0)
+            lines.append((s_text + ("\n" + s_text).join(templates)) % tuple(values))
     emitted, skipped = len(r_ok), len(grid) - len(r_ok)
     summary = [f"sweep: n={spec.n} eta={_fmt(spec.eta)} N_eff={_fmt(spec.n_eff)} "
                f"r in [{_fmt(spec.r_min)}, {_fmt(spec.r_max)}] x {spec.r_steps}"]
@@ -175,7 +166,6 @@ def sweep(spec, stream=None):
     except OSError as exc:
         raise InvalidSpec(f"cannot write {spec.output_path!r}: {exc}") from exc
     print("\n".join(summary), file=stream)
-    return rows
 
 
 def optimize(n, eta, n_eff, s_list, stream=None):

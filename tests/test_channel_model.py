@@ -477,6 +477,20 @@ def test_permutation_of_uses_leaves_model_invariant():
         assert np.array_equal(p @ kernel @ p.T, kernel)
 
 
+def test_chain_refuses_strong_memory_that_the_closed_form_answers():
+    # the pivot test, relative to a pair's largest diagonal entry, refuses
+    # the pair whose second pivot is of order e^{-2|s|} (_pair_chain): from
+    # |s| = 17.5 to 19.5 over these eta at N_eff = 2, r = 0.3
+    for eta in (1.0, 0.0, 0.3, 0.8):
+        for sign in (1.0, -1.0):
+            model = assemble_model(ChannelParams(n=1, eta=eta, s=16.0 * sign, n_eff=2.0), 0.3)
+            assert math.isfinite(model.logdet_gl)
+            with pytest.raises(NotPositiveDefinite):
+                assemble_model(ChannelParams(n=1, eta=eta, s=20.0 * sign, n_eff=2.0), 0.3)
+            assert math.isfinite(mutual_information(
+                ChannelParams(n=1, eta=eta, s=20.0 * sign, n_eff=2.0), 0.3).rate)
+
+
 def test_extreme_memory_stays_positive_definite():
     # the solve-derived kernels keep tiny eigenvalues clean even at s=5
     model = model_at(2, 0.8, 5.0, -1.0, 1.0)

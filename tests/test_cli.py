@@ -20,7 +20,7 @@ from lossymem.errors import (
     NotPositiveDefinite,
     PhotonBudgetExceeded,
 )
-from lossymem.information import mutual_information, optimize_r, r_limit, rate_gain
+from lossymem.information import _gain_grid, mutual_information, optimize_r, r_limit, rate_gain
 from lossymem.channel_model import N_EFF_MAX, S_MAX, ChannelParams
 
 from faults import MOMENT_GRID_FAULTS, patch_everywhere
@@ -33,6 +33,20 @@ def small_spec(path, **overrides):
                   r_max=0.5, r_steps=5, output_path=str(path))
     fields.update(overrides)
     return SweepSpec(**fields)
+
+
+def csv_lines(spec):
+    """Run the sweep and return its CSV's lines after the header."""
+    sweep(spec, stream=io.StringIO())
+    with open(spec.output_path, encoding="ascii") as handle:
+        lines = handle.read().splitlines()
+    assert lines[0] == HEADER
+    return lines[1:]
+
+
+def grid_of(spec):
+    """The sweep's evaluation: _gain_grid on its sorted s and its r grid."""
+    return _gain_grid(spec.n, spec.eta, spec.n_eff, sorted(spec.s_list), cli._r_grid(spec))
 
 
 # ---------------------------------------------------------------- spec
@@ -57,20 +71,31 @@ def test_sweep_spec_validation(tmp_path):
         small_spec(path, output_path="")
 
 
+def test_sweep_spec_refuses_an_oversized_grid(tmp_path):
+    # the spec alone: a sweep on such a grid would try to allocate it
+    path = tmp_path / "out.csv"
+    with pytest.raises(InvalidSpec, match="SWEEP_MAX_ROWS"):
+        small_spec(path, s_list=(0.0, 1.0, 2.0, 5.0), r_steps=10 ** 11)
+    with pytest.raises(InvalidSpec):
+        small_spec(path, s_list=(0.0,), r_steps=cli.SWEEP_MAX_ROWS + 1)
+    small_spec(path, s_list=(0.0, 1.0, 2.0, 5.0), r_steps=cli.SWEEP_MAX_ROWS // 4)
+
+
 # ---------------------------------------------------------------- sweep
 
 def test_sweep_rows_and_csv(tmp_path):
     path = tmp_path / "out.csv"
-    rows = sweep(small_spec(path), stream=io.StringIO())
+    spec = small_spec(path)
+    rows = [[float(v) for v in line.split(",")] for line in csv_lines(spec)]
 
     assert len(rows) == 10
-    assert [row.s for row in rows] == [0.0] * 5 + [2.0] * 5
+    assert [row[0] for row in rows] == [0.0] * 5 + [2.0] * 5
     for chunk in (rows[:5], rows[5:]):
-        r_values = [row.r for row in chunk]
+        r_values = [row[1] for row in chunk]
         assert r_values == sorted(r_values)
         mid = chunk[2]
-        assert mid.r == 0.0
-        assert mid.gain == 0.0
+        assert mid[1] == 0.0
+        assert mid[8] == 0.0
 
     raw = path.read_text(encoding="ascii")
     assert raw.endswith("\n") and not raw.endswith("\n\n")
@@ -81,11 +106,11 @@ def test_sweep_rows_and_csv(tmp_path):
     baseline = lines[3].split(",")
     assert baseline[1] == "0"
     assert baseline[-1] == "0"
-    parsed = [float(v) for v in lines[1].split(",")]
-    row = rows[0]
-    for got, want in zip(parsed, (row.s, row.r, row.n_mod, row.i_mu, row.i_zeta,
-                                  row.i_joint, row.i_r, row.rate, row.gain)):
-        assert got == pytest.approx(want, rel=1e-11)
+    r_ok, n_mod, gain, info, _ = grid_of(spec)
+    want = (0.0, r_ok[0], n_mod[0], info.i_mu[0, 0], info.i_zeta[0, 0], info.i_joint[0, 0],
+            info.i_r[0, 0], info.rate[0, 0], gain[0, 0])
+    for got, value in zip(rows[0], want):
+        assert got == pytest.approx(value, rel=1e-11)
 
 
 def test_sweep_csv_is_deterministic(tmp_path):
@@ -110,9 +135,8 @@ def test_sweep_is_one_stacked_evaluation(tmp_path, monkeypatch):
 
     for name in ("photon_budgets", "_closed_form"):
         monkeypatch.setattr(information, name, counted(name))
-    rows = sweep(small_spec(tmp_path / "out.csv", s_list=(5.0, 0.0, 2.0, -1.0, 0.0)),
-                 stream=io.StringIO())
-    assert len(rows) == 25
+    lines = csv_lines(small_spec(tmp_path / "out.csv", s_list=(5.0, 0.0, 2.0, -1.0, 0.0)))
+    assert len(lines) == 25
     assert sorted(calls) == ["_closed_form", "photon_budgets"]
 
 
@@ -124,9 +148,9 @@ def test_sweep_skips_points_outside_budget(tmp_path):
     for s_list in ((0.0,), (2.0, -0.0, 5.0, 2.0, -1.5)):
         spec = small_spec(path, s_list=s_list, r_min=-1.3, r_max=1.3, r_steps=9)
         buf = io.StringIO()
-        rows = sweep(spec, stream=buf)
+        sweep(spec, stream=buf)
         s_lines = buf.getvalue().splitlines()[1:-2]
-        assert len(rows) == 7 * len(s_list)
+        assert len(path.read_text(encoding="ascii").splitlines()) == 1 + 7 * len(s_list)
         assert [line.split()[1:3] for line in s_lines] == [["rows=7", "skipped=2"]] * len(s_list)
         assert [line.split()[0] for line in s_lines] == [
             f"s={cli._fmt(s)}:" for s in sorted(s_list)]
@@ -144,10 +168,10 @@ def test_fmt_prints_twelve_digits_and_zero_without_sign(value):
 def test_sweep_degenerate_grid(tmp_path):
     path = tmp_path / "out.csv"
     spec = small_spec(path, s_list=(1.0,), r_min=0.0, r_max=0.0, r_steps=2)
-    rows = sweep(spec, stream=io.StringIO())
-    assert len(rows) == 2
-    assert rows[0] == rows[1]
-    assert rows[0].gain == 0.0
+    lines = csv_lines(spec)
+    assert len(lines) == 2
+    assert lines[0] == lines[1]
+    assert lines[0].split(",")[8] == "0"
 
 
 def test_sweep_reproduces_gain_profiles(tmp_path):
@@ -178,40 +202,42 @@ def test_sweep_reproduces_gain_profiles(tmp_path):
 def test_sweep_rows_match_scalar_rate_gain(tmp_path):
     spec = small_spec(tmp_path / "out.csv", s_list=(0.0, 1.0, 5.0), r_min=-1.3,
                       r_max=1.3, r_steps=27)
-    rows = sweep(spec, stream=io.StringIO())
-    assert len(rows) == 3 * 23
-    for row in rows:
-        point = rate_gain(ChannelParams(n=2, eta=0.8, s=row.s, n_eff=2.0), row.r)
-        for got, want in ((row.n_mod, point.n_mod), (row.i_mu, point.info.i_mu),
-                          (row.i_zeta, point.info.i_zeta), (row.i_joint, point.info.i_joint),
-                          (row.i_r, point.info.i_r), (row.rate, point.info.rate),
-                          (row.gain, point.gain)):
-            assert got == want
+    r_ok, n_mod, gain, info, _ = grid_of(spec)
+    assert gain.shape == (3, 23)
+    for i, s in enumerate(sorted(spec.s_list)):
+        for j, r in enumerate(r_ok.tolist()):
+            point = rate_gain(ChannelParams(n=2, eta=0.8, s=s, n_eff=2.0), r)
+            for got, want in ((n_mod[j], point.n_mod), (info.i_mu[i, j], point.info.i_mu),
+                              (info.i_zeta[i, j], point.info.i_zeta),
+                              (info.i_joint[i, j], point.info.i_joint),
+                              (info.i_r[i, j], point.info.i_r),
+                              (info.rate[i, j], point.info.rate), (gain[i, j], point.gain)):
+                assert got == want
 
 
 def test_csv_lines_match_the_rows_value_by_value(tmp_path):
-    # each line is the row's values through _fmt: -0.0 prints as 0, small and
-    # large values in e-notation, on grids with skipped points and on r = 0
+    # each line is its grid point's _gain_grid values through _fmt: -0.0
+    # prints as 0, small and large values in e-notation, on grids with
+    # skipped points, on r = 0 and on a grid whose every point is skipped
     path = tmp_path / "out.csv"
     saw_exponent = False
     for n in (1, 2, 5):
         for n_eff in (1e-3, 2.0, 1e4):
             lim = r_limit(n_eff)
-            for r_min, r_max, steps in ((-1.5 * lim, 1.5 * lim, 13), (0.0, 0.0, 2)):
+            for r_min, r_max, steps, k in ((-1.5 * lim, 1.5 * lim, 13, 9), (0.0, 0.0, 2, 2),
+                                           (-3.0 * lim, 3.0 * lim, 2, 0)):
                 spec = small_spec(path, n=n, n_eff=n_eff, s_list=(2.0, -0.0, -3.5, 2.0, 0.0),
                                   r_min=r_min, r_max=r_max, r_steps=steps)
-                rows = sweep(spec, stream=io.StringIO())
-                lines = path.read_text(encoding="ascii").splitlines()
-                assert lines[1:] == [",".join(cli._fmt(v) for v in row) for row in rows]
-                assert len(rows) == 5 * (9 if steps == 13 else 2)
-                saw_exponent = saw_exponent or "e" in "".join(lines[1:])
+                lines = csv_lines(spec)
+                r_ok, n_mod, gain, info, _ = grid_of(spec)
+                assert gain.shape == (5, k)
+                assert lines == [
+                    ",".join(cli._fmt(v) for v in (
+                        s, r_ok[j], n_mod[j], info.i_mu[i, j], info.i_zeta[i, j],
+                        info.i_joint[i, j], info.i_r[i, j], info.rate[i, j], gain[i, j]))
+                    for i, s in enumerate(sorted(spec.s_list)) for j in range(k)]
+                saw_exponent = saw_exponent or "e" in "".join(lines)
     assert saw_exponent
-
-
-def test_sweep_rows_are_immutable(tmp_path):
-    row = sweep(small_spec(tmp_path / "out.csv"), stream=io.StringIO())[0]
-    with pytest.raises(AttributeError):
-        row.gain = 1.0
 
 
 def test_sweep_summary_format(tmp_path):
