@@ -61,8 +61,9 @@ _CSV_HEADER = "s,r,N,I_mu,I_zeta,I_joint,I_r,rate,gain"
 # gain, each as _fmt writes it
 _CSV_HEAD = "%.12g,%.12g,%.12g,"
 _CSV_TAIL = ",".join(["%.12g"] * 5)
-# the most rows (r_steps x len(s_list)) a sweep admits: a sweep holds about
-# 0.6 kB per row at its peak, so the bound keeps it under about 0.6 GB
+# the most rows (r_steps x len(s_list)) a sweep admits: a sweep's peak memory
+# is about 0.26 kB per row over four s and 0.7 kB over one s, where each row
+# has its own line template, so the bound keeps it under about 0.7 GB
 SWEEP_MAX_ROWS = 10 ** 6
 _STANDARD_ETAS = tuple(k / 10 for k in range(1, 10))
 _STANDARD_S = (0.0, 1.0, 2.0, 5.0)
@@ -141,13 +142,8 @@ def sweep(spec, stream=None):
     # into a template for its other five; an s block is then one % of its
     # lines' templates over that s row's (k, 5) tail values.
     heads = np.stack((r_ok, n_mod, info.i_mu[0]), axis=-1) + 0.0
-    templates = [_CSV_HEAD % tuple(values) + _CSV_TAIL for values in heads.tolist()]
+    templates = [_CSV_HEAD % tuple(values) + _CSV_TAIL + "\n" for values in heads.tolist()]
     tails = np.stack((info.i_zeta, info.i_joint, info.i_r, info.rate, gain), axis=-1) + 0.0
-    lines = [_CSV_HEADER]
-    for s, values in zip(s_sorted, tails.reshape(len(s_sorted), -1).tolist()):
-        if values:  # with every point skipped the CSV is the header alone
-            s_text = "%.12g," % (s + 0.0)
-            lines.append((s_text + ("\n" + s_text).join(templates)) % tuple(values))
     emitted, skipped = len(r_ok), len(grid) - len(r_ok)
     summary = [f"sweep: n={spec.n} eta={_fmt(spec.eta)} N_eff={_fmt(spec.n_eff)} "
                f"r in [{_fmt(spec.r_min)}, {_fmt(spec.r_max)}] x {spec.r_steps}"]
@@ -162,7 +158,13 @@ def sweep(spec, stream=None):
 
     try:
         with open(spec.output_path, "w", encoding="ascii", newline="") as handle:
-            handle.write("\n".join(lines) + "\n")
+            handle.write(_CSV_HEADER + "\n")
+            # one s block at a time, so the CSV is never held whole; with
+            # every point skipped the CSV is the header alone
+            for s, values in zip(s_sorted, tails.reshape(len(s_sorted), -1)):
+                if values.size:
+                    s_text = "%.12g," % (s + 0.0)
+                    handle.write((s_text + s_text.join(templates)) % tuple(values.tolist()))
     except OSError as exc:
         raise InvalidSpec(f"cannot write {spec.output_path!r}: {exc}") from exc
     print("\n".join(summary), file=stream)
@@ -325,14 +327,14 @@ def _check_sampler_moments(samples, seed, covariance):
     # the Wishart likelihood-ratio statistic (m - 1)(tr(T^-1 S) - ln det(T^-1 S) - d)
     params, r, cfg = _memory_point(samples, seed)
     sample, target = covariance(params, r, cfg), pipeline_covariance(params, r)
-    stat = (samples - 1) * (np.trace(np.linalg.solve(target, sample))
-                            - spd_logdet(sample) + spd_logdet(target) - len(target))
+    stat = (samples - 1) * float(np.trace(np.linalg.solve(target, sample))
+                                 - spd_logdet(sample) + spd_logdet(target) - len(target))
     return stat <= _SAMPLER_LR_BOUND, f"lr_stat={stat:.3f} bound={_SAMPLER_LR_BOUND}"
 
 
 def _check_quadrature_input():
     value = quadrature_entropy_n1(np.eye(2) / 2.0, 1.0 / (2.0 * math.pi))
-    dev = abs(value - input_entropy(1, 2.0))
+    dev = abs(value - float(input_entropy(1, 2.0)))
     return dev <= 1e-4, f"dev={dev:.3e}"
 
 

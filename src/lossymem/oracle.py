@@ -16,11 +16,12 @@ of a given kernel.
 
 The quadrature integrates each independent block of the kernel (a connected
 component of its nonzero pattern; the n = 1 joint kernel splits into its x
-pair and its p pair) on its own axes. The density is a product over the
-blocks, the grid a tensor product and its weights products of per-axis
-weights, so the trapezoid sums of the whole grid are exact combinations of
-the blocks' sums: no approximation enters, only a different order of
-round-off.
+pair and its p pair, the output and input kernels into single axes) on the
+whole grid of its one or two axes, and refuses a block of three or more
+with DimensionMismatch. The density is a product over the blocks, the grid
+a tensor product and its weights products of per-axis weights, so the
+trapezoid sums of the whole grid are exact combinations of the blocks'
+sums: no approximation enters, only a different order of round-off.
 
 The sampler draws each physical noise source (modulation, input ensemble,
 environment, detector) from its own SFC64 stream, spawned from the seed,
@@ -34,7 +35,6 @@ builds the covariance at 1-D arrays of points (eta, s, r, N) in one
 stacked pass, so that verify's grid checks make one call for all their
 points.
 """
-import functools
 import math
 from dataclasses import dataclass
 
@@ -54,8 +54,6 @@ from .matrix_core import spd_factor, spd_logdet
 _MIN_SAMPLES = 40
 # sample rows per block of _sample_blocks; the rows do not depend on it
 _MIX_ROWS = 8192
-# grid points the quadrature evaluates per step, unless one slab holds more
-_SLAB_BATCH = 1 << 16
 # the quadrature grid's half-width in marginal deviations: a Gaussian's mass
 # beyond +-8 sigma is 1.2e-15, far below the quadrature's 1e-6 mass gate
 _HALF_WIDTH = 8.0
@@ -281,51 +279,34 @@ def _independent_blocks(k):
     return blocks
 
 
-def _slab_integrals(k, axes, weights):
-    """Trapezoid sums (sum w p, sum w p q) of p = exp(-q), q = w k w^T.
+def _block_integrals(k, axes, weights):
+    """Trapezoid sums (sum w p, sum w p q) of p = exp(-q), q = w k w^T, on the
+    whole grid of a block of one or two axes (x0, y).
 
-    The grid is walked along the first axis in batches of slabs, each slab
-    the (points,)^(d-1) grid of the other axes at one first coordinate x0
-    (a single point when d = 1), a batch at most _SLAB_BATCH grid points
-    unless one slab is larger.
+    q = x0 * lin + q_rest + k00 x0^2, with lin = 2 k01 y and q_rest = k11 y^2,
+    both 0 for one axis.
     """
-    d = len(axes)
-    points = len(axes[0])
-    rest = np.meshgrid(*axes[1:], indexing="ij", sparse=True)
-    w_rest = functools.reduce(np.multiply.outer, weights[1:], np.ones(())).ravel()
-    # q = k00 x0^2 + x0 * lin + q_rest on the slab at first coordinate x0
-    q_rest = np.zeros((points,) * (d - 1))
-    lin = np.zeros_like(q_rest)
-    for i in range(1, d):
-        lin += 2.0 * k[0, i] * rest[i - 1]
-        q_rest += k[i, i] * rest[i - 1] * rest[i - 1]
-        for j in range(i + 1, d):
-            q_rest += 2.0 * k[i, j] * rest[i - 1] * rest[j - 1]
-    q_rest, lin = q_rest.ravel(), lin.ravel()
-
-    batch = max(1, _SLAB_BATCH // q_rest.size)
-    mass = 0.0
-    moment = 0.0
-    for lo in range(0, points, batch):
-        x0, w0 = axes[0][lo:lo + batch, None], weights[0][lo:lo + batch]
-        q = x0 * lin + q_rest + k[0, 0] * x0 * x0
-        p = np.exp(-q)
-        mass += float(w0 @ (p @ w_rest))
-        moment += float(w0 @ ((q * p) @ w_rest))
-    return mass, moment
+    x0, w0 = axes[0][:, None], weights[0]
+    lin, q_rest, w_rest = np.zeros(1), np.zeros(1), np.ones(1)
+    if len(axes) == 2:
+        y = axes[1]
+        lin, q_rest, w_rest = 2.0 * k[0, 1] * y, k[1, 1] * y * y, weights[1]
+    q = x0 * lin + q_rest + k[0, 0] * x0 * x0
+    p = np.exp(-q)
+    return float(w0 @ (p @ w_rest)), float(w0 @ ((q * p) @ w_rest))
 
 
 def _entropy_on_grid(kernel, norm_const, sigmas, half_width, points):
     """Trapezoid mass and entropy (bits) of c * exp(-w kernel w^T), c = norm_const.
 
     The kernel's indices split into the connected components of its nonzero
-    pattern, and each block b is integrated on its own axes as
-    p_b = exp(-q_b), giving a mass m_b and a sum S_b of w p_b q_b. The
-    density is c times the product of the p_b, the grid a tensor product and
-    its weights products of per-axis weights, so the trapezoid sums factor
-    exactly: mass = c * prod m_b, and with -ln p = sum q_b - ln c,
+    pattern, and each block b of one or two axes is integrated on its whole
+    grid as p_b = exp(-q_b), giving a mass m_b and a sum S_b of w p_b q_b; a
+    block of three or more axes raises DimensionMismatch. The density is c
+    times the product of the p_b, the grid a tensor product and its weights
+    products of per-axis weights, so the trapezoid sums factor exactly:
+    mass = c * prod m_b, and with -ln p = sum q_b - ln c,
     entropy = c * (sum_b S_b * prod_{b' != b} m_b' - ln c * prod m_b).
-    A kernel that couples every index is one block.
     """
     axes, weights = [], []
     for s_i in sigmas:
@@ -339,8 +320,11 @@ def _entropy_on_grid(kernel, norm_const, sigmas, half_width, points):
     k = np.asarray(kernel, dtype=float)
     masses, moments = [], []
     for block in _independent_blocks(k):
-        m_b, s_b = _slab_integrals(k[np.ix_(block, block)], [axes[i] for i in block],
-                                   [weights[i] for i in block])
+        if len(block) > 2:
+            raise DimensionMismatch(f"axes {block} form one block; the quadrature "
+                                    "integrates blocks of one or two axes")
+        m_b, s_b = _block_integrals(k[np.ix_(block, block)], [axes[i] for i in block],
+                                    [weights[i] for i in block])
         masses.append(m_b)
         moments.append(s_b)
     prod_mass = math.prod(masses)
@@ -356,11 +340,13 @@ def quadrature_entropy_n1(kernel, norm_const, points=257):
     The density is norm_const * exp(-w kernel w^T) with the caller-supplied
     normalization. The grid's axes reach _HALF_WIDTH marginal deviations of
     the whole kernel's covariance on either side of 0; each independent
-    block of the kernel is integrated on its own axes and the blocks are
-    combined exactly (see _entropy_on_grid). The grid is checked first (mass within 1e-6 of 1)
-    and the result is gated on agreement between the requested and half
-    resolution, both raising GridTooCoarse on failure, a NaN included.
-    points must be an integer, or InvalidSpec is raised.
+    block of the kernel, of one or two axes, is integrated on its whole
+    grid and the blocks are combined exactly (see _entropy_on_grid). A
+    block of three or more coupled axes raises DimensionMismatch. The grid
+    is checked first (mass within 1e-6 of 1) and the result is gated on
+    agreement between the requested and half resolution, both raising
+    GridTooCoarse on failure, a NaN included. points must be an integer, or
+    InvalidSpec is raised.
     """
     k = np.asarray(kernel, dtype=float)
     if k.ndim != 2 or k.shape[0] != k.shape[1] or k.shape[0] not in (2, 4):

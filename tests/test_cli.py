@@ -295,6 +295,14 @@ def test_verify_full_is_deterministic():
     assert buf_a.getvalue().splitlines()[-1] == "verify full: 14 checks, 14 passed, 0 failed"
 
 
+def test_every_check_returns_a_bool_and_a_str():
+    # numpy bools and floats would not serialise to JSON as they are
+    for name, check in cli._checks("full", 12345, 100000, 2, 0.8, 2.0):
+        ok, detail = check()
+        assert type(ok) is bool, name
+        assert type(detail) is str, name
+
+
 @pytest.mark.parametrize("seed", [23, 50, 51, 2830])
 def test_verify_full_passes_where_estimated_bounds_failed(seed):
     # a max-deviation bound failed sampler-moments at 23, and 3 jackknife
@@ -522,6 +530,8 @@ def test_main_reports_numerical_failure(tmp_path, capsys):
                  "--r-min", "-0.5", "--r-max", "0.5"])
     assert code == 3
     assert "numerical failure:" in capsys.readouterr().err
+    # the grid is evaluated before the CSV is opened
+    assert not os.path.exists(path)
 
 
 def test_degenerate_baseline_refusal_does_not_depend_on_block_length(capsys):

@@ -10,7 +10,7 @@ import io
 import numpy as np
 import pytest
 
-from lossymem import channel_model, cli, oracle
+from lossymem import channel_model, cli, information, oracle
 
 from faults import MOMENT_GRID_FAULTS, patch_everywhere
 
@@ -19,6 +19,23 @@ def _t_prime_scaled(exact):
     def faulty(params, r):
         model = exact(params, r)
         return dataclasses.replace(model, t_pair=model.t_pair * (1 + 1e-4))
+    return faulty
+
+
+def _u_prime_scaled(exact):
+    def faulty(params, r):
+        model = exact(params, r)
+        return dataclasses.replace(model, u_pair=model.u_pair * (1 + 1e-4))
+    return faulty
+
+
+def _x_and_p_coupled(exact):
+    # couples mu_x to mu_p in the n = 1 joint kernel, whose x pair {0, 2}
+    # and p pair {1, 3} become one block of four axes
+    def faulty(model):
+        output, joint = exact(model)
+        joint[0, 1] = joint[1, 0] = 1e-3 * joint[0, 0]
+        return output, joint
     return faulty
 
 
@@ -64,6 +81,13 @@ CATALOGUE = {name: ([MOMENT_GRID_FAULTS[name]], failing)
 CATALOGUE.update({
     "t-prime-scaled": ([(channel_model.assemble_model, _t_prime_scaled)],
                        {"quadrature-joint-entropy"}),
+    "u-prime-scaled": ([(channel_model.assemble_model, _u_prime_scaled)],
+                       {"quadrature-output-entropy"}),
+    "input-entropy-scaled": (
+        [(information.input_entropy, lambda exact: lambda n, n_mod: exact(n, n_mod) * (1 + 1e-4))],
+        {"quadrature-input-entropy"}),
+    "joint-kernel-x-and-p-coupled": ([(channel_model.single_use_kernels, _x_and_p_coupled)],
+                                     {"quadrature-joint-entropy"}),
     "collective-term-scaled-at-n-ge-3": (
         [(channel_model.build_input_kernel, _collective_scaled)],
         {"input-kernel-determinant", "kernel-row-sums", "rate-n-additivity"}),
@@ -90,9 +114,11 @@ STREAM_FAULTS = {
 
 
 def _failing_checks():
+    """The FAIL lines of `verify full`, as {check name: detail}."""
     buf = io.StringIO()
     cli.verify("full", stream=buf)
-    return {line.split()[1] for line in buf.getvalue().splitlines() if line.startswith("FAIL ")}
+    return dict(line.split(" ", 2)[1:] for line in buf.getvalue().splitlines()
+                if line.startswith("FAIL "))
 
 
 def _seed_sequence(monkeypatch, make):
@@ -102,7 +128,7 @@ def _seed_sequence(monkeypatch, make):
 
 
 def test_intact_model_fails_no_check():
-    assert _failing_checks() == set()
+    assert _failing_checks() == {}
 
 
 @pytest.mark.parametrize("fault", list(CATALOGUE))
@@ -110,7 +136,17 @@ def test_function_fault_fails_exactly_its_checks(monkeypatch, fault):
     replacements, failing = CATALOGUE[fault]
     for exact, make_fault in replacements:
         patch_everywhere(monkeypatch, exact, make_fault(exact))
-    assert _failing_checks() == failing
+    assert _failing_checks().keys() == failing
+
+
+def test_coupled_joint_kernel_is_refused(monkeypatch):
+    # the quadrature refuses a block of more than two axes with a typed
+    # error, which verify prints as the check's FAIL line
+    replacements, _ = CATALOGUE["joint-kernel-x-and-p-coupled"]
+    for exact, make_fault in replacements:
+        patch_everywhere(monkeypatch, exact, make_fault(exact))
+    detail = _failing_checks()["quadrature-joint-entropy"]
+    assert detail.startswith("raised DimensionMismatch: ")
 
 
 @pytest.mark.parametrize("fault", list(STREAM_FAULTS))
@@ -126,7 +162,7 @@ def test_stream_fault_fails_exactly_its_checks(monkeypatch, fault):
             return [spawned[k] for k in children]
 
     _seed_sequence(monkeypatch, Mapped)
-    assert _failing_checks() == failing
+    assert _failing_checks().keys() == failing
 
 
 def test_sampler_that_ignores_the_seed_fails_repeatability(monkeypatch):

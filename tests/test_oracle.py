@@ -582,25 +582,6 @@ def _reference_entropy_on_grid(kernel, norm_const, sigmas, half_width, points):
     return mass, ent_nats / LN2
 
 
-def test_slab_quadrature_matches_outer_point_loop():
-    u_p = kernels_n1(0.7, 1.5, 0.4)[0]
-    v_n = kernels_n1(0.8, 1.0, 0.3)[1]
-    kernels = (u_p, v_n,
-               np.array([[1.0, 0.3, -0.2, 0.1], [0.3, 2.0, 0.4, -0.5],
-                         [-0.2, 0.4, 1.5, 0.2], [0.1, -0.5, 0.2, 0.9]]))
-    kernels += (np.array([[1.0, 0.3], [0.3, 2.0]]), u_p[:2, :2])
-    # an odd and an even point count: one grid has a point at 0, the other none
-    for kernel in kernels:
-        sigmas = np.sqrt(np.diag(np.linalg.inv(kernel) / 2.0))
-        for half_width in (8.0, 2.0):
-            for points in (17, 16):
-                args = (kernel, det_norm(kernel), sigmas, half_width, points)
-                mass, ent = _entropy_on_grid(*args)
-                ref_mass, ref_ent = _reference_entropy_on_grid(*args)
-                assert abs(mass - ref_mass) <= 1e-12
-                assert abs(ent - ref_ent) <= 1e-12
-
-
 def test_kernel_splits_into_independent_blocks():
     v_n = kernels_n1(0.8, 1.0, 0.3)[1]
     assert _independent_blocks(v_n) == [[0, 2], [1, 3]]
@@ -618,19 +599,40 @@ def test_kernel_splits_into_independent_blocks():
 
 
 def test_block_quadrature_matches_outer_point_loop():
+    u_p = kernels_n1(0.7, 1.5, 0.4)[0]
     v_n = kernels_n1(0.8, 1.0, 0.3)[1]
-    # the tridiagonal kernel has exact zeros in its corners but is one block
-    chain = np.array([[1.0, 0.3, 0.0, 0.0], [0.3, 2.0, 0.4, 0.0],
-                      [0.0, 0.4, 1.5, 0.2], [0.0, 0.0, 0.2, 0.9]])
-    cases = [(v_n, 17), (v_n, 16), (np.diag([1.0, 0.5, 2.0, 0.7]), 17), (chain, 17),
-             (chain, 16), (np.diag([1.0, 0.25]), 257)]
-    for kernel, points in cases:
+    # the split joint kernel, its x pair, a coupled 2-D kernel and diagonal
+    # ones, at an odd and an even point count: one grid has a point at 0,
+    # the other none
+    kernels = (u_p, v_n, v_n[::2, ::2], np.array([[1.0, 0.3], [0.3, 2.0]]),
+               np.diag([1.0, 0.5, 2.0, 0.7]))
+    cases = [(kernel, half_width, points) for kernel in kernels
+             for half_width in (8.0, 2.0) for points in (17, 16)]
+    cases.append((np.diag([1.0, 0.25]), 8.0, 257))
+    for kernel, half_width, points in cases:
         sigmas = np.sqrt(np.diag(np.linalg.inv(kernel) / 2.0))
-        args = (kernel, det_norm(kernel), sigmas, 8.0, points)
+        args = (kernel, det_norm(kernel), sigmas, half_width, points)
         mass, ent = _entropy_on_grid(*args)
         ref_mass, ref_ent = _reference_entropy_on_grid(*args)
         assert abs(mass - ref_mass) <= 1e-12
         assert abs(ent - ref_ent) <= 1e-12
+
+
+def test_quadrature_refuses_blocks_of_three_or_more_axes():
+    # the tridiagonal kernel has exact zeros in its corners but is one block
+    chain = np.array([[1.0, 0.3, 0.0, 0.0], [0.3, 2.0, 0.4, 0.0],
+                      [0.0, 0.4, 1.5, 0.2], [0.0, 0.0, 0.2, 0.9]])
+    dense = np.array([[1.0, 0.3, -0.2, 0.1], [0.3, 2.0, 0.4, -0.5],
+                      [-0.2, 0.4, 1.5, 0.2], [0.1, -0.5, 0.2, 0.9]])
+    # axes 0, 1 and 3 form one block, axis 2 another
+    star = np.array([[1.0, 0.0, 0.0, 0.2], [0.0, 1.0, 0.0, 0.3],
+                     [0.0, 0.0, 1.0, 0.0], [0.2, 0.3, 0.0, 1.0]])
+    for kernel in (chain, dense, star):
+        sigmas = np.sqrt(np.diag(np.linalg.inv(kernel) / 2.0))
+        with pytest.raises(DimensionMismatch):
+            _entropy_on_grid(kernel, det_norm(kernel), sigmas, 8.0, 17)
+        with pytest.raises(DimensionMismatch):
+            quadrature_entropy_n1(kernel, det_norm(kernel), points=17)
 
 
 def test_quadrature_rejects_wrong_shapes():
