@@ -598,20 +598,34 @@ def test_kernel_splits_into_independent_blocks():
     assert _independent_blocks(np.array([[1.0, 0.0], [np.nan, 1.0]])) == [[0, 1]]
 
 
-def test_block_quadrature_matches_outer_point_loop():
+def test_slab_quadrature_matches_outer_point_loop():
     u_p = kernels_n1(0.7, 1.5, 0.4)[0]
     v_n = kernels_n1(0.8, 1.0, 0.3)[1]
-    # the split joint kernel, its x pair, a coupled 2-D kernel and diagonal
-    # ones, at an odd and an even point count: one grid has a point at 0,
-    # the other none
-    kernels = (u_p, v_n, v_n[::2, ::2], np.array([[1.0, 0.3], [0.3, 2.0]]),
-               np.diag([1.0, 0.5, 2.0, 0.7]))
-    cases = [(kernel, half_width, points) for kernel in kernels
-             for half_width in (8.0, 2.0) for points in (17, 16)]
-    cases.append((np.diag([1.0, 0.25]), 8.0, 257))
-    for kernel, half_width, points in cases:
+    # the output kernel, the split joint kernel, a coupled 2-D kernel and a
+    # 1-D-block 2-D one; the coupled 4-D cases are refusals now
+    kernels = (u_p, v_n, np.array([[1.0, 0.3], [0.3, 2.0]]), u_p[:2, :2])
+    # an odd and an even point count: one grid has a point at 0, the other none
+    for kernel in kernels:
         sigmas = np.sqrt(np.diag(np.linalg.inv(kernel) / 2.0))
-        args = (kernel, det_norm(kernel), sigmas, half_width, points)
+        for half_width in (8.0, 2.0):
+            for points in (17, 16):
+                args = (kernel, det_norm(kernel), sigmas, half_width, points)
+                mass, ent = _entropy_on_grid(*args)
+                ref_mass, ref_ent = _reference_entropy_on_grid(*args)
+                assert abs(mass - ref_mass) <= 1e-12
+                assert abs(ent - ref_ent) <= 1e-12
+
+
+def test_block_quadrature_matches_outer_point_loop():
+    v_n = kernels_n1(0.8, 1.0, 0.3)[1]
+    # the split joint kernel, its x pair and diagonal kernels, at an odd and
+    # an even point count
+    cases = [(v_n, 17), (v_n, 16), (v_n[::2, ::2], 17), (v_n[::2, ::2], 16),
+             (np.diag([1.0, 0.5, 2.0, 0.7]), 17), (np.diag([1.0, 0.5, 2.0, 0.7]), 16),
+             (np.diag([1.0, 0.25]), 257)]
+    for kernel, points in cases:
+        sigmas = np.sqrt(np.diag(np.linalg.inv(kernel) / 2.0))
+        args = (kernel, det_norm(kernel), sigmas, 8.0, points)
         mass, ent = _entropy_on_grid(*args)
         ref_mass, ref_ent = _reference_entropy_on_grid(*args)
         assert abs(mass - ref_mass) <= 1e-12
