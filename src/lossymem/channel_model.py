@@ -45,8 +45,9 @@ class ChannelParams:
         _check_family(self.n, self.s, "s")
         if not (0.0 <= self.eta <= 1.0):
             raise InvalidSpec(f"eta must lie in [0, 1], got {self.eta!r}")
-        if not (math.isfinite(self.n_eff) and self.n_eff > 0.0):
-            raise InvalidSpec(f"n_eff must be positive, got {self.n_eff!r}")
+        # below N_MIN no r is admissible, not even r = 0
+        if not self.n_eff >= N_MIN:
+            raise InvalidSpec(f"n_eff must be at least N_MIN = {N_MIN}, got {self.n_eff!r}")
         if self.n_eff > N_EFF_MAX:
             raise InvalidSpec(f"n_eff must be at most {N_EFF_MAX:.6g}, got {self.n_eff!r}")
 

@@ -62,9 +62,15 @@ _CSV_HEADER = "s,r,N,I_mu,I_zeta,I_joint,I_r,rate,gain"
 _CSV_HEAD = "%.12g,%.12g,%.12g,"
 _CSV_TAIL = ",".join(["%.12g"] * 5)
 # the most rows (r_steps x len(s_list)) a sweep admits: a sweep's peak memory
-# is about 0.26 kB per row over four s and 0.7 kB over one s, where each row
-# has its own line template, so the bound keeps it under about 0.7 GB
+# is about 0.16 kB per row over four s and 0.46 kB over one s, where each r
+# still has its own line template, so the bound keeps it under about 0.5 GB
 SWEEP_MAX_ROWS = 10 ** 6
+# rows per formatted and written slice of an s block; the default grid's 221
+# rows are one slice
+_SWEEP_SLICE_ROWS = 4096
+# the largest n that verify admits: spot-point-oracle builds (4n)^2-float
+# covariances, and verify quick at n = 1024 takes about 3 s and 0.6 GB
+VERIFY_MAX_N = 1024
 _STANDARD_ETAS = tuple(k / 10 for k in range(1, 10))
 _STANDARD_S = (0.0, 1.0, 2.0, 5.0)
 _STANDARD_NEFF = (2.0, 20.0)
@@ -117,10 +123,12 @@ class SweepSpec:
 
 
 def _r_grid(spec):
-    grid = np.linspace(spec.r_min, spec.r_max, spec.r_steps)
+    grid, step = np.linspace(spec.r_min, spec.r_max, spec.r_steps, retstep=True)
     # snap the midpoint of symmetric grids to an exact 0 so baseline rows
-    # have the baseline's inputs and gain 0
-    return [0.0 if abs(r) < 1e-12 else float(r) for r in grid]
+    # have the baseline's inputs and gain 0; within half a step only, so the
+    # points of a grid finer than the snap stay distinct
+    snap = min(1e-12, step / 2)
+    return [0.0 if abs(r) < snap else float(r) for r in grid]
 
 
 def sweep(spec, stream=None):
@@ -139,8 +147,8 @@ def sweep(spec, stream=None):
     r_ok, n_mod, gain, info, base = _gain_grid(spec.n, spec.eta, spec.n_eff, s_sorted, grid)
     # + 0.0 turns a -0.0 into 0.0, which prints as 0, as in _fmt. The r, N
     # and I_mu fields depend on r alone, so each line's are formatted once,
-    # into a template for its other five; an s block is then one % of its
-    # lines' templates over that s row's (k, 5) tail values.
+    # into a template for its other five; a slice of an s block is then one %
+    # of its lines' templates over that s row's tail values for those lines.
     heads = np.stack((r_ok, n_mod, info.i_mu[0]), axis=-1) + 0.0
     templates = [_CSV_HEAD % tuple(values) + _CSV_TAIL + "\n" for values in heads.tolist()]
     tails = np.stack((info.i_zeta, info.i_joint, info.i_r, info.rate, gain), axis=-1) + 0.0
@@ -159,12 +167,15 @@ def sweep(spec, stream=None):
     try:
         with open(spec.output_path, "w", encoding="ascii", newline="") as handle:
             handle.write(_CSV_HEADER + "\n")
-            # one s block at a time, so the CSV is never held whole; with
-            # every point skipped the CSV is the header alone
-            for s, values in zip(s_sorted, tails.reshape(len(s_sorted), -1)):
-                if values.size:
-                    s_text = "%.12g," % (s + 0.0)
-                    handle.write((s_text + s_text.join(templates)) % tuple(values.tolist()))
+            # one slice of an s block at a time, so neither the CSV nor an s
+            # block is held whole; with every point skipped the CSV is the
+            # header alone
+            for s, rows in zip(s_sorted, tails):
+                s_text = "%.12g," % (s + 0.0)
+                for start in range(0, emitted, _SWEEP_SLICE_ROWS):
+                    stop = start + _SWEEP_SLICE_ROWS
+                    handle.write((s_text + s_text.join(templates[start:stop]))
+                                 % tuple(rows[start:stop].ravel().tolist()))
     except OSError as exc:
         raise InvalidSpec(f"cannot write {spec.output_path!r}: {exc}") from exc
     print("\n".join(summary), file=stream)
@@ -178,9 +189,8 @@ def optimize(n, eta, n_eff, s_list, stream=None):
     report = []
     for s in sorted(float(v) for v in s_list):
         params = ChannelParams(n=n, eta=eta, s=s, n_eff=n_eff)
-        r_star, gain_star = optimize_r(params)
-        rate_star = mutual_information(params, r_star).rate
-        report.append((s, r_star, gain_star, rate_star))
+        point = optimize_r(params)
+        report.append((s, point.r, point.gain, point.info.rate))
     print("s,r_star,gain_star,rate_star", file=stream)
     for entry in report:
         print(",".join(_fmt(v) for v in entry), file=stream)
@@ -372,6 +382,8 @@ def _checks(level, seed, samples, n, eta, n_eff):
     invariant that holds by construction is a tier-1 test instead.
     """
     spot = ChannelParams(n=n, eta=eta, s=1.0, n_eff=n_eff)
+    if n > VERIFY_MAX_N:
+        raise InvalidSpec(f"n must be at most VERIFY_MAX_N = {VERIFY_MAX_N} in verify, got {n!r}")
     rng = np.random.default_rng(seed)
     additivity_points = [_random_point(rng) for _ in range(5)]
     # one draw's 8 x 8 covariance for the memory point's two checks (_memory_point)
@@ -405,7 +417,9 @@ def verify(level, seed=12345, samples=100000, n=2, eta=0.8, n_eff=2.0, stream=No
     The checks run in registry order on the calling thread, and each line
     prints as its check returns. A LossyChannelError raised by a check is
     that check's FAIL line; any other exception propagates after the lines
-    of the checks before it.
+    of the checks before it. A request that no check can run (parameters
+    that ChannelParams refuses, or n above VERIFY_MAX_N) raises InvalidSpec
+    before the first line.
     """
     stream = sys.stdout if stream is None else stream
     if level not in ("quick", "full"):

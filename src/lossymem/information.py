@@ -236,8 +236,9 @@ def _descent(params):
 def optimize_r(params):
     """Maximize the relative gain over the admissible entanglement interval.
 
-    Returns (r_star, gain_star), or (0.0, 0.0) when no r beats r = 0. The
-    rate has exactly one peak in r: with x = e^{2r}, a = p0/eta, b = m0/eta,
+    Returns rate_gain's GainPoint at the peak, or the r = 0 point (gain 0,
+    the baseline's InfoBreakdown) when no r beats r = 0. The rate has
+    exactly one peak in r: with x = e^{2r}, a = p0/eta, b = m0/eta,
     p0 = 1 + (1-eta)e^{2s}, m0 = 1 + (1-eta)e^{-2s} and k = 2 N_eff + 1,
     d(rate)/dx is, over a positive denominator, the sextic with coefficients
     (x^6 down to x^0) -b, -2(ab+1), -(2a^2b + 2ab^2 + 4abk + 5a + 4b^2k + 4bk^2),
@@ -263,6 +264,5 @@ def optimize_r(params):
             lo = mid
         mid = 0.5 * (lo + hi)
     best = rate_gain(params, mid)
-    if best.gain > 0.0:
-        return mid, best.gain
-    return 0.0, 0.0
+    return best if best.gain > 0.0 else GainPoint(
+        0.0, photon_budget(params.n_eff, 0.0), 0.0, mutual_information(params, 0.0))

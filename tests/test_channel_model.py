@@ -7,6 +7,7 @@ import pytest
 from lossymem import cli
 from lossymem.channel_model import (
     N_EFF_MAX,
+    N_MIN,
     S_MAX,
     ChannelParams,
     _pair_chain,
@@ -199,6 +200,10 @@ def test_params_validation():
         ChannelParams(n=2, eta=0.5, s=math.inf, n_eff=2.0)
     with pytest.raises(InvalidSpec):
         ChannelParams(n=2, eta=0.5, s=0.0, n_eff=0.0)
+    # below N_MIN no r is admissible, not even 0
+    with pytest.raises(InvalidSpec, match="N_MIN"):
+        ChannelParams(n=2, eta=0.5, s=0.0, n_eff=math.nextafter(N_MIN, 0.0))
+    ChannelParams(n=2, eta=0.5, s=0.0, n_eff=N_MIN)
     with pytest.raises(InvalidSpec):
         ChannelParams(n=2, eta=0.5, s=0.0, n_eff=math.nan)
 

@@ -174,6 +174,15 @@ def test_sweep_degenerate_grid(tmp_path):
     assert lines[0].split(",")[8] == "0"
 
 
+def test_sweep_grid_finer_than_the_snap_keeps_its_points(tmp_path):
+    # |r| < 1e-12 snaps to 0 only within half a step: a 5e-13 step writes
+    # its five points, and only the midpoint is the r = 0 baseline row
+    spec = small_spec(tmp_path / "out.csv", s_list=(1.0,), r_min=-1e-12, r_max=1e-12)
+    rows = [line.split(",") for line in csv_lines(spec)]
+    assert [row[1] for row in rows] == ["-1e-12", "-5e-13", "0", "5e-13", "1e-12"]
+    assert [row[8] == "0" for row in rows] == [False, False, True, False, False]
+
+
 def test_sweep_reproduces_gain_profiles(tmp_path):
     # the reference gain-profile grids, checked through the emitted CSV
     def series(n_eff, path):
@@ -258,13 +267,32 @@ def test_optimize_report_is_sorted_and_consistent():
     report = optimize(2, 0.8, 2.0, (5.0, 1.0), stream=buf)
     assert [entry[0] for entry in report] == [1.0, 5.0]
     for s, r_star, gain_star, rate_star in report:
-        want_r, want_gain = optimize_r(ChannelParams(n=2, eta=0.8, s=s, n_eff=2.0))
-        assert r_star == want_r
-        assert gain_star == want_gain
         params = ChannelParams(n=2, eta=0.8, s=s, n_eff=2.0)
-        assert rate_star == pytest.approx(mutual_information(params, r_star).rate)
+        want = optimize_r(params)
+        assert (r_star, gain_star, rate_star) == (want.r, want.gain, want.info.rate)
+        assert rate_star == mutual_information(params, r_star).rate
     assert buf.getvalue().splitlines()[0] == "s,r_star,gain_star,rate_star"
     assert len(buf.getvalue().splitlines()) == 3
+
+
+def test_optimize_evaluates_each_row_once(monkeypatch):
+    # optimize_r's GainPoint carries the rate at r_star, so a row with memory
+    # costs rate_gain's two closed-form calls, baseline and peak; the s = 0
+    # row adds one for its r = 0 point
+    exact, calls = information._closed_form, []
+
+    def counted(*point):
+        calls.append(point)
+        return exact(*point)
+
+    patch_everywhere(monkeypatch, exact, counted)
+    optimize(2, 0.8, 2.0, (1.0, 2.0, 5.0), stream=io.StringIO())
+    assert len(calls) == 2 * 3
+    calls.clear()
+    (row,) = optimize(2, 0.8, 2.0, (0.0,), stream=io.StringIO())
+    assert len(calls) == 3
+    params = ChannelParams(n=2, eta=0.8, s=0.0, n_eff=2.0)
+    assert row == (0.0, 0.0, 0.0, mutual_information(params, 0.0).rate)
 
 
 def test_optimize_finds_nothing_at_unit_transmissivity():
@@ -386,6 +414,23 @@ def test_verify_rejects_bad_seed_and_samples(capsys):
     for kwargs in ({"seed": True}, {"seed": False}, {"samples": True}):
         with pytest.raises(InvalidSpec):
             verify("quick", stream=io.StringIO(), **kwargs)
+
+
+def test_verify_refuses_what_it_cannot_run(tmp_path, capsys):
+    # a budget below N_MIN admits no r, not even 0, and spot-point-oracle's
+    # (4n)^2 covariances at n = 10^6 would take terabytes: each exits 2
+    # before the first check line. The bound itself is tested on the
+    # registry, which builds nothing.
+    for argv in (["verify", "--neff", "1e-10"], ["verify", "full", "--n", "1000000"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+    assert main(["sweep", "--neff", "1e-10", "--out", str(tmp_path / "x.csv")]) == 2
+    assert not (tmp_path / "x.csv").exists()
+    with pytest.raises(InvalidSpec, match="VERIFY_MAX_N"):
+        cli._checks("quick", 12345, 100000, cli.VERIFY_MAX_N + 1, 0.8, 2.0)
+    cli._checks("quick", 12345, 100000, cli.VERIFY_MAX_N, 0.8, 2.0)
 
 
 def test_verify_reports_a_failing_check(monkeypatch, capsys):

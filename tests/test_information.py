@@ -10,6 +10,7 @@ from lossymem import cli
 from lossymem.channel_model import N_EFF_MAX, N_MIN, ChannelParams, assemble_model, photon_budgets
 from lossymem.errors import DegenerateBaseline, NotPositiveDefinite, PhotonBudgetExceeded
 from lossymem.information import (
+    GainPoint,
     _closed_form,
     _gain_grid,
     input_entropy,
@@ -222,13 +223,15 @@ def test_rate_does_not_depend_on_block_length():
 
 def test_rate_and_gain_are_bit_equal_across_block_lengths():
     # n only scales the reported totals: the per-use rate and the gain of
-    # every path are the same floats at n = 1, 2, 3 and 32
+    # every path, the optimum's r included, are the same floats at n = 1, 2,
+    # 3 and 32
     def per_use(n, eta, s, n_eff, r):
         params = params_at(n=n, eta=eta, s=s, n_eff=n_eff)
         point = rate_gain(params, r)
         _, _, gain, info, _ = _gain_grid(n, eta, n_eff, [s], [r])
+        best = optimize_r(params)
         return (mutual_information(params, r).rate, point.info.rate, point.gain,
-                float(info.rate[0, 0]), float(gain[0, 0]), optimize_r(params))
+                float(info.rate[0, 0]), float(gain[0, 0]), best.r, best.gain, best.info.rate)
 
     points = list(zip(*(axis.tolist() for axis in random_points()[1:])))
     want = [per_use(1, *point) for point in points]
@@ -445,24 +448,28 @@ def test_gain_tracks_budget():
 # ---------------------------------------------------------------- optimizer
 
 def test_optimizer_without_memory_stays_at_zero():
+    # the r = 0 point: gain 0, the whole budget on modulation and the
+    # baseline's InfoBreakdown
     for eta in [k / 10 for k in range(1, 11)] + [0.31]:
         for n_eff in (1e-3, 0.5, 2.0, 20.0, 1e4, 1e10):
-            r_star, gain_star = optimize_r(params_at(eta=eta, n_eff=n_eff, s=0.0))
-            assert (r_star, gain_star) == (0.0, 0.0), (eta, n_eff)
+            params = params_at(eta=eta, n_eff=n_eff, s=0.0)
+            assert optimize_r(params) == GainPoint(
+                0.0, n_eff, 0.0, mutual_information(params, 0.0)), (eta, n_eff)
 
 
 def test_optimizer_gains_grow_with_memory():
     results = {s: optimize_r(params_at(s=s)) for s in (1.0, 2.0, 5.0)}
-    assert 0.0 < results[1.0][1] < results[2.0][1] < results[5.0][1]
-    for r_star, _ in results.values():
-        assert r_star > 0.0
+    assert 0.0 < results[1.0].gain < results[2.0].gain < results[5.0].gain
+    for point in results.values():
+        assert point.r > 0.0
 
 
 def test_optimizer_matches_dense_scan():
     # a 1e4-point scan over the admissible interval, refined by a second
     # 1e4-point pass around its argmax, pins r_star to ~1e-7 resolution
     params = params_at(s=5.0)
-    r_star, gain_star = optimize_r(params)
+    best = optimize_r(params)
+    r_star, gain_star = best.r, best.gain
     lim = r_limit(2.0)
     coarse = np.linspace(-lim, lim, 10000)
     gains = np.array([rate_gain(params, float(r)).gain for r in coarse])
@@ -489,16 +496,17 @@ def test_optimizer_meets_high_precision_argmax():
             (2, 0.3, 8.0, 1e8, 3.90961652956366, 0.013097864749601744),
             (2, 0.3, 40.0, 1e8, 4.65073688545607, 0.014863840646531035),
             (2, 0.7, 300.0, 20.0, 0.971093184849176, 0.12272562868405483)):
-        r_star, gain_star = optimize_r(params_at(n=n, eta=eta, s=s, n_eff=n_eff))
-        assert abs(r_star - r_mp) <= 1e-12, (n, eta, s, n_eff)
+        best = optimize_r(params_at(n=n, eta=eta, s=s, n_eff=n_eff))
+        assert abs(best.r - r_mp) <= 1e-12, (n, eta, s, n_eff)
         if gain_mp is not None:
-            assert abs(gain_star - gain_mp) <= 1e-12 * gain_mp, (n, eta, s, n_eff)
+            assert abs(best.gain - gain_mp) <= 1e-12 * gain_mp, (n, eta, s, n_eff)
 
 
 def _bisection_with_slope_terms_per_step(params):
     """optimize_r's bisection with every term of the slope, those in s
-    included, computed at each step: the reference for optimize_r, which
-    computes the s terms once."""
+    included, computed at each step, and the r = 0 point from rate_gain: the
+    reference for optimize_r, which computes the s terms once and builds the
+    r = 0 point from one mutual_information call."""
     eta, s, n_eff = params.eta, params.s, params.n_eff
     lim = r_limit(n_eff)
     lo, hi, mid = -lim, lim, 0.0
@@ -518,9 +526,7 @@ def _bisection_with_slope_terms_per_step(params):
             lo = mid
         mid = 0.5 * (lo + hi)
     best = rate_gain(params, mid)
-    if best.gain > 0.0:
-        return mid, best.gain
-    return 0.0, 0.0
+    return best if best.gain > 0.0 else rate_gain(params, 0.0)
 
 
 def test_optimizer_is_bit_equal_to_the_per_step_slope():
