@@ -71,6 +71,9 @@ _SWEEP_SLICE_ROWS = 4096
 # the largest n that verify admits: spot-point-oracle builds (4n)^2-float
 # covariances, and verify quick at n = 1024 takes about 3 s and 0.6 GB
 VERIFY_MAX_N = 1024
+# the largest n x N_eff that verify admits: from about 8e14 the moment oracle's
+# covariance fails spd_factor's pivot test, whose tolerance grows as 2 n eps N_eff
+VERIFY_MAX_N_NEFF = 1e14
 _STANDARD_ETAS = tuple(k / 10 for k in range(1, 10))
 _STANDARD_S = (0.0, 1.0, 2.0, 5.0)
 _STANDARD_NEFF = (2.0, 20.0)
@@ -299,9 +302,11 @@ def _check_moment_oracle_grid():
 
 
 def _check_spot_point(params):
+    # the moment oracle's log-determinants lose about n eps N_eff bits
     r = min(0.4, 0.9 * r_limit(params.n_eff))
     dev = abs(mutual_information(params, r).i_r - gaussian_mi_from_moments(params, r))
-    return dev <= 1e-7, f"dev={dev:.3e} at r={_fmt(r)}"
+    bound = 1e-7 + 16 * params.n * sys.float_info.epsilon * params.n_eff
+    return dev <= bound, f"dev={dev:.3e} at r={_fmt(r)}"
 
 
 def _check_mc_anchor(samples, seed):
@@ -380,10 +385,15 @@ def _checks(level, seed, samples, n, eta, n_eff):
     checks. Each one fails under a fault of the model or its oracles
     (tests/test_mutants.py pins which check catches which fault). An
     invariant that holds by construction is a tier-1 test instead.
+    spot-point-oracle, at the requested (n, eta, N_eff), allows the moment
+    oracle's round-off: 1e-7 + 16 n eps N_eff bits.
     """
     spot = ChannelParams(n=n, eta=eta, s=1.0, n_eff=n_eff)
     if n > VERIFY_MAX_N:
         raise InvalidSpec(f"n must be at most VERIFY_MAX_N = {VERIFY_MAX_N} in verify, got {n!r}")
+    if n * n_eff > VERIFY_MAX_N_NEFF:
+        raise InvalidSpec(f"n x N_eff must be at most VERIFY_MAX_N_NEFF = {VERIFY_MAX_N_NEFF:g} "
+                          f"in verify, got {n * n_eff:g}")
     rng = np.random.default_rng(seed)
     additivity_points = [_random_point(rng) for _ in range(5)]
     # one draw's 8 x 8 covariance for the memory point's two checks (_memory_point)
@@ -418,8 +428,8 @@ def verify(level, seed=12345, samples=100000, n=2, eta=0.8, n_eff=2.0, stream=No
     prints as its check returns. A LossyChannelError raised by a check is
     that check's FAIL line; any other exception propagates after the lines
     of the checks before it. A request that no check can run (parameters
-    that ChannelParams refuses, or n above VERIFY_MAX_N) raises InvalidSpec
-    before the first line.
+    that ChannelParams refuses, n above VERIFY_MAX_N or n x N_eff above
+    VERIFY_MAX_N_NEFF) raises InvalidSpec before the first line.
     """
     stream = sys.stdout if stream is None else stream
     if level not in ("quick", "full"):

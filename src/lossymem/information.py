@@ -210,52 +210,39 @@ def rate_gains(params, r_values):
     return r_arr, n_mod, gain[0], row, base
 
 
-def _descent(params):
-    """The function r -> a positive multiple of -d(rate)/dr at admissible r,
-    for eta > 0. The terms in s alone are computed once, before it.
-
-    Each fraction divides by plus or minus before it multiplies by e^{2r} or
-    e^{-2r}, so no intermediate overflows, even at N_eff near 1e300.
-    """
-    eta, n_eff = params.eta, params.n_eff
-    c_plus = (1.0 - eta) * math.exp(2.0 * params.s)
-    c_minus = (1.0 - eta) * math.exp(-2.0 * params.s)
-
-    def descent(r):
-        up, down = math.exp(2.0 * r), math.exp(-2.0 * r)
-        plus = 1.0 + eta * up + c_plus
-        minus = 1.0 + eta * down + c_minus
-        signal = 2.0 * eta * photon_budget(n_eff, r)
-        sinh2r = math.sinh(2.0 * r)
-        return ((sinh2r + signal / plus * up) / (plus + signal)
-                + (sinh2r - signal / minus * down) / (minus + signal))
-
-    return descent
-
-
 def optimize_r(params):
     """Maximize the relative gain over the admissible entanglement interval.
 
     Returns rate_gain's GainPoint at the peak, or the r = 0 point (gain 0,
-    the baseline's InfoBreakdown) when no r beats r = 0. The rate has
-    exactly one peak in r: with x = e^{2r}, a = p0/eta, b = m0/eta,
-    p0 = 1 + (1-eta)e^{2s}, m0 = 1 + (1-eta)e^{-2s} and k = 2 N_eff + 1,
-    d(rate)/dx is, over a positive denominator, the sextic with coefficients
-    (x^6 down to x^0) -b, -2(ab+1), -(2a^2b + 2ab^2 + 4abk + 5a + 4b^2k + 4bk^2),
-    -4(a^2-b^2), 2a^2b + 4a^2k + 2ab^2 + 4abk + 4ak^2 + 5b, 2(ab+1), a. Their
-    signs change once, so by Descartes' rule of signs it has one positive root.
-    Bisecting on the sign of the slope over [-r_limit, r_limit] thus finds the
-    peak to the last bit, stopping when the slope is exactly 0 or the midpoint
-    reaches an endpoint. (The sextic's roots, from a companion matrix, miss
-    the peak from |s| of about 35.)
+    the baseline's InfoBreakdown) when no r beats r = 0, r_limit = 0 included;
+    a peak at 0 is that point, so a call costs at most two closed-form calls.
+    The rate has exactly one peak in r: with x = e^{2r}, a = p0/eta,
+    b = m0/eta, p0 = 1 + (1-eta)e^{2s}, m0 = 1 + (1-eta)e^{-2s} and
+    k = 2 N_eff + 1, d(rate)/dx is, over a positive denominator, the sextic
+    with coefficients (x^6 down to x^0) -b, -2(ab+1),
+    -(2a^2b + 2ab^2 + 4abk + 5a + 4b^2k + 4bk^2), -4(a^2-b^2),
+    2a^2b + 4a^2k + 2ab^2 + 4abk + 4ak^2 + 5b, 2(ab+1), a. Their signs change
+    once, so by Descartes' rule of signs it has one positive root. Bisecting
+    on the sign of the slope over [-r_limit, r_limit] thus finds the peak to
+    the last bit, stopping when the slope is exactly 0 or the midpoint reaches
+    an endpoint. (The sextic's roots, from a companion matrix, miss the peak
+    from |s| of about 35.) The slope's fractions divide before they multiply,
+    so nothing overflows, even at N_eff near 1e300.
     """
-    lim = r_limit(params.n_eff)
-    if lim <= 0.0:
-        raise PhotonBudgetExceeded(f"photon budget {params.n_eff!r} leaves no admissible r")
-    slope = _descent(params)
+    eta, n_eff = params.eta, params.n_eff
+    c_plus = (1.0 - eta) * math.exp(2.0 * params.s)
+    c_minus = (1.0 - eta) * math.exp(-2.0 * params.s)
+    lim = r_limit(n_eff)
     lo, hi, mid = -lim, lim, 0.0
     while lo < mid < hi:
-        descent = slope(mid)
+        # a positive multiple of -d(rate)/dr at mid
+        up, down = math.exp(2.0 * mid), math.exp(-2.0 * mid)
+        plus = 1.0 + eta * up + c_plus
+        minus = 1.0 + eta * down + c_minus
+        signal = 2.0 * eta * photon_budget(n_eff, mid)
+        sinh2r = math.sinh(2.0 * mid)
+        descent = ((sinh2r + signal / plus * up) / (plus + signal)
+                   + (sinh2r - signal / minus * down) / (minus + signal))
         if descent == 0.0:
             break
         if descent > 0.0:
@@ -264,5 +251,4 @@ def optimize_r(params):
             lo = mid
         mid = 0.5 * (lo + hi)
     best = rate_gain(params, mid)
-    return best if best.gain > 0.0 else GainPoint(
-        0.0, photon_budget(params.n_eff, 0.0), 0.0, mutual_information(params, 0.0))
+    return best if best.gain > 0.0 or mid == 0.0 else rate_gain(params, 0.0)

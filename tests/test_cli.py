@@ -276,9 +276,9 @@ def test_optimize_report_is_sorted_and_consistent():
 
 
 def test_optimize_evaluates_each_row_once(monkeypatch):
-    # optimize_r's GainPoint carries the rate at r_star, so a row with memory
-    # costs rate_gain's two closed-form calls, baseline and peak; the s = 0
-    # row adds one for its r = 0 point
+    # optimize_r's GainPoint carries the rate at r_star, so a row costs
+    # rate_gain's two closed-form calls, baseline and peak; at s = 0 the peak
+    # is r = 0, whose point is the search's own
     exact, calls = information._closed_form, []
 
     def counted(*point):
@@ -290,9 +290,17 @@ def test_optimize_evaluates_each_row_once(monkeypatch):
     assert len(calls) == 2 * 3
     calls.clear()
     (row,) = optimize(2, 0.8, 2.0, (0.0,), stream=io.StringIO())
-    assert len(calls) == 3
+    assert len(calls) == 2
     params = ChannelParams(n=2, eta=0.8, s=0.0, n_eff=2.0)
     assert row == (0.0, 0.0, 0.0, mutual_information(params, 0.0).rate)
+
+
+def test_optimize_reports_r_zero_where_the_budget_admits_it_alone(capsys):
+    # N_eff = 1.5e-9 is at least N_MIN, so r = 0 is admissible, and r_limit is 0
+    assert main(["optimize", "--neff", "1.5e-9", "--s", "0,1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "s,r_star,gain_star,rate_star"
+    assert [line.split(",")[1:3] for line in lines[1:]] == [["0", "0"], ["0", "0"]]
 
 
 def test_optimize_finds_nothing_at_unit_transmissivity():
@@ -417,11 +425,13 @@ def test_verify_rejects_bad_seed_and_samples(capsys):
 
 
 def test_verify_refuses_what_it_cannot_run(tmp_path, capsys):
-    # a budget below N_MIN admits no r, not even 0, and spot-point-oracle's
-    # (4n)^2 covariances at n = 10^6 would take terabytes: each exits 2
-    # before the first check line. The bound itself is tested on the
+    # a budget below N_MIN admits no r, not even 0, spot-point-oracle's
+    # (4n)^2 covariances at n = 10^6 would take terabytes, and past
+    # n x N_eff = VERIFY_MAX_N_NEFF they can fail the pivot test: each exits
+    # 2 before the first check line. The bounds themselves are tested on the
     # registry, which builds nothing.
-    for argv in (["verify", "--neff", "1e-10"], ["verify", "full", "--n", "1000000"]):
+    for argv in (["verify", "--neff", "1e-10"], ["verify", "full", "--n", "1000000"],
+                 ["verify", "--n", "1024", "--neff", "1e12"], ["verify", "--neff", "1e15"]):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
@@ -431,6 +441,17 @@ def test_verify_refuses_what_it_cannot_run(tmp_path, capsys):
     with pytest.raises(InvalidSpec, match="VERIFY_MAX_N"):
         cli._checks("quick", 12345, 100000, cli.VERIFY_MAX_N + 1, 0.8, 2.0)
     cli._checks("quick", 12345, 100000, cli.VERIFY_MAX_N, 0.8, 2.0)
+    with pytest.raises(InvalidSpec, match="VERIFY_MAX_N_NEFF"):
+        cli._checks("quick", 12345, 100000, 2, 0.8, 0.5e14 * (1 + 1e-15))
+    cli._checks("quick", 12345, 100000, 2, 0.8, 0.5e14)
+
+
+@pytest.mark.parametrize("n, n_eff", [(32, 1e8), (2, 1e10), (128, 1e10)])
+def test_spot_point_allows_the_moment_oracles_round_off(n, n_eff):
+    # the oracle's log-determinants lose about n eps N_eff bits, which a flat
+    # 1e-7 bound failed here; at (2, 1e10) the deviation is 3.2 n eps N_eff
+    ok, detail = cli._check_spot_point(ChannelParams(n=n, eta=0.8, s=1.0, n_eff=n_eff))
+    assert ok is True, detail
 
 
 def test_verify_reports_a_failing_check(monkeypatch, capsys):

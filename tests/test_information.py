@@ -535,6 +535,10 @@ def test_optimizer_is_bit_equal_to_the_per_step_slope():
         assert optimize_r(params) == _bisection_with_slope_terms_per_step(params), params
 
 
-def test_optimizer_rejects_exhausted_budget():
-    with pytest.raises(PhotonBudgetExceeded):
-        optimize_r(params_at(n_eff=2 * 1e-9))
+@pytest.mark.parametrize("n_eff", [N_MIN, 1.5e-9, 2e-9])
+def test_optimizer_returns_the_zero_point_where_only_r_zero_is_admissible(n_eff):
+    # r_limit is 0 at these budgets, which ChannelParams admits: the search
+    # has no interval to bisect and returns the r = 0 point
+    params = params_at(n_eff=n_eff)
+    assert r_limit(n_eff) == 0.0
+    assert optimize_r(params) == GainPoint(0.0, n_eff, 0.0, mutual_information(params, 0.0))
