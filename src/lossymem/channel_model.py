@@ -14,10 +14,10 @@ exp(-w M w^T), quadrature ordering (x_1..x_n, p_1..p_n) per 2n-block and
 M^{-1}/2, so the vacuum kernel 2I gives per-quadrature variance 1/4.
 """
 import math
+import sys
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .errors import InvalidSpec, PhotonBudgetExceeded
 from .matrix_core import spd_factor, symmetrize
 
@@ -26,10 +26,10 @@ from .matrix_core import spd_factor, symmetrize
 N_MIN = 1e-9
 # Largest |s| and kernel |r|: the kernels' largest entry, 2e^{2|x|}, stays
 # at most float max / 2, out of reach of exp's round-off and the chain's sums.
-S_MAX = 0.5 * math.log(np.finfo(float).max / 4)
+S_MAX = 0.5 * math.log(sys.float_info.max / 4)
 # Largest photon budget for which pi N and 2 eta N are finite floats.
-N_EFF_MAX = np.finfo(float).max / 4
-_EPS = np.finfo(np.float64).eps
+N_EFF_MAX = sys.float_info.max / 4
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -110,10 +110,10 @@ class ModelMatrices:
     n: int
     n_mod: float
     logdet_gl: float
-    r_pair: np.ndarray
-    s_pair: np.ndarray
-    t_pair: np.ndarray
-    u_pair: np.ndarray
+    r_pair: "np.ndarray"
+    s_pair: "np.ndarray"
+    t_pair: "np.ndarray"
+    u_pair: "np.ndarray"
 
     def joint_pairs(self):
         """The joint (mu, zeta) kernel of each class, including the 1/N
@@ -127,10 +127,12 @@ class ModelMatrices:
 def _check_family(n, x=0.0, name="x"):
     """Raise InvalidSpec unless n is a positive int (not a bool) and every
     element of x is finite with |x| <= S_MAX, the one bound on s and on
-    kernel r, where every kernel entry, at most 2e^{2|x|}, is finite."""
+    kernel r, where every kernel entry, at most 2e^{2|x|}, is finite. A
+    float x is tested on floats, which leaves numpy unloaded."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise InvalidSpec(f"n must be a positive integer, got {n!r}")
-    if not (np.abs(x) <= S_MAX).all():
+    within = abs(x) <= S_MAX if isinstance(x, (int, float)) else (np.abs(x) <= S_MAX).all()
+    if not within:
         raise InvalidSpec(f"{name} must lie in [-{S_MAX:.6g}, {S_MAX:.6g}], got {x!r}")
 
 

@@ -13,8 +13,7 @@ import re
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .channel_model import (
     ChannelParams,
     _pair_chain,

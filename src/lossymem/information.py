@@ -7,8 +7,10 @@ quadrature is Gaussian, so per use the noise entropy is a sum of
 log-variances and the rate is one `log1p` term per pair class, the one-mode
 Gaussian-channel reduction of Holevo & Werner, PRA 63, 032312 (2001). n only
 scales the reported totals (`_breakdown`), so rate and gain do not depend on
-n, bit for bit. In numpy ufuncs, floats and 1-D arrays of points
-(eta, s, r, N) give the same bits element by element.
+n, bit for bit. Floats run on `math` and arrays on numpy (`_namespace`):
+numpy gives 1-D arrays of points (eta, s, r, N) the same bits element by
+element, and math agrees with it to a few ulp, bit for bit on CPUs where
+numpy's exp, log and log1p are libm's.
 `mutual_information`, `rate_gain`, `rate_gains` and `optimize_r` run on it,
 build no matrix and take every gain from per-use rates. A sweep's whole
 (s, r) grid is one stacked evaluation, `_gain_grid`: one photon-budget call
@@ -33,8 +35,7 @@ conversion to bits happens once, at each entropy's return.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .channel_model import N_MIN, photon_budget, photon_budgets, r_limit
 from .errors import DegenerateBaseline, PhotonBudgetExceeded
 from .matrix_core import spd_logdet
@@ -67,11 +68,19 @@ class GainPoint:
     info: InfoBreakdown
 
 
+def _namespace(*values):
+    """math when every value is a Python int or float (np.float64 is one),
+    numpy otherwise: exp, log and log1p have the same names in both."""
+    return math if all(isinstance(v, (int, float)) for v in values) else np
+
+
 def input_entropy(n, n_mod):
     """Entropy of the Gaussian modulation ensemble, in bits (n_mod a float or an array)."""
-    if not np.all(n_mod >= N_MIN):
-        raise PhotonBudgetExceeded(f"modulation variance {float(np.min(n_mod))!r} below {N_MIN}")
-    return (n + n * np.log(math.pi * n_mod)) / LN2
+    xp = _namespace(n_mod)
+    low = n_mod if xp is math else xp.min(n_mod)
+    if not low >= N_MIN:
+        raise PhotonBudgetExceeded(f"modulation variance {float(low)!r} below {N_MIN}")
+    return (n + n * xp.log(math.pi * n_mod)) / LN2
 
 
 def _pair_logdet(model, pairs):
@@ -124,13 +133,17 @@ def _closed_form(eta, s, r, n_mod):
     plus/4 and one of minus/4; the modulation adds eta N / 2 to both. So
     h_noise, the output entropy per use given the modulation, is a sum of
     log-variances, and the rate is one log1p term per quadrature class. Each
-    element of an array result is bit-equal to the call at that point's floats.
+    element of an array result is bit-equal to the call on that point's
+    values as 0-d arrays. Floats, np.float64 included, run on math
+    (`_namespace`), whose exp, log and log1p may differ from numpy's SIMD
+    kernels in the last bit.
     """
-    plus = 1.0 + eta * np.exp(2.0 * r) + (1.0 - eta) * np.exp(2.0 * s)
-    minus = 1.0 + eta * np.exp(-2.0 * r) + (1.0 - eta) * np.exp(-2.0 * s)
+    xp = _namespace(eta, s, r, n_mod)
+    plus = 1.0 + eta * xp.exp(2.0 * r) + (1.0 - eta) * xp.exp(2.0 * s)
+    minus = 1.0 + eta * xp.exp(-2.0 * r) + (1.0 - eta) * xp.exp(-2.0 * s)
     signal = 2.0 * eta * n_mod
-    h_noise = (_LN_2PI_E + 0.5 * (np.log(plus / 4.0) + np.log(minus / 4.0))) / LN2
-    rate = 0.5 * (np.log1p(signal / plus) + np.log1p(signal / minus)) / LN2
+    h_noise = (_LN_2PI_E + 0.5 * (xp.log(plus / 4.0) + xp.log(minus / 4.0))) / LN2
+    rate = 0.5 * (xp.log1p(signal / plus) + xp.log1p(signal / minus)) / LN2
     return h_noise, rate
 
 
@@ -174,8 +187,9 @@ def _gain_grid(n, eta, n_eff, s_values, r_values):
     s_values' order. Returns the admissible (r, n_mod) as (k,) arrays, the
     (S, k) gains, the InfoBreakdown of (S, k) arrays and the baselines'
     InfoBreakdown of (S,) arrays. A column at r = 0 is computed from the
-    same inputs as its baseline, so its gain is 0 by construction. Ufuncs
-    broadcast element by element, so each value is bit-equal to rate_gain's.
+    same inputs as its baseline, so its gain is 0 by construction. The grid
+    runs on numpy and rate_gain on math, so each value is within a few ulp
+    of rate_gain's, and bit-equal where numpy's dispatch is libm's.
     """
     r_arr = np.fromiter(r_values, dtype=float)
     n_mod, admissible = photon_budgets(n_eff, r_arr)
@@ -199,7 +213,7 @@ def rate_gains(params, r_values):
     Values of r outside the photon budget, by the element-wise test of
     `photon_budgets`, are dropped. Returns arrays (r, n_mod, gain) of the
     admissible points, in input order, their InfoBreakdown of arrays
-    (element by element they equal rate_gain's), and the r = 0 baseline's
+    (element by element within a few ulp of rate_gain's), and the r = 0 baseline's
     InfoBreakdown of floats, whose per-use rate the gains divide by. The
     gain at r = 0 is 0 by construction.
     """

@@ -10,12 +10,12 @@ and pivot test guards both, so a matrix that fails it raises
 NotPositiveDefinite instead of yielding a silently wrong result.
 """
 import functools
+import sys
 
-import numpy as np
-
+from ._lazy import np
 from .errors import DimensionMismatch, NotPositiveDefinite
 
-_EPS = np.finfo(np.float64).eps
+_EPS = sys.float_info.epsilon
 
 
 def symmetrize(m):

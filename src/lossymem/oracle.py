@@ -38,8 +38,7 @@ points.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .channel_model import (
     build_input_kernel,
     build_memory_kernel,

@@ -1,5 +1,6 @@
 """Random admissible channel points for the tests that pin each stacked core
-bit-equal to its per-point call."""
+to its per-point call: bit-equal, or within tests/path_bound.py's bound
+where the call runs on math."""
 import numpy as np
 
 from lossymem.channel_model import r_limit

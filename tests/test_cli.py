@@ -24,6 +24,7 @@ from lossymem.information import _gain_grid, mutual_information, optimize_r, r_l
 from lossymem.channel_model import N_EFF_MAX, S_MAX, ChannelParams
 
 from faults import MOMENT_GRID_FAULTS, patch_everywhere
+from path_bound import gains_agree, paths_agree
 
 HEADER = "s,r,N,I_mu,I_zeta,I_joint,I_r,rate,gain"
 
@@ -211,17 +212,17 @@ def test_sweep_reproduces_gain_profiles(tmp_path):
 def test_sweep_rows_match_scalar_rate_gain(tmp_path):
     spec = small_spec(tmp_path / "out.csv", s_list=(0.0, 1.0, 5.0), r_min=-1.3,
                       r_max=1.3, r_steps=27)
-    r_ok, n_mod, gain, info, _ = grid_of(spec)
+    # the grid runs on numpy and rate_gain on math: the budget is exact, the
+    # rates and entropies within PATH_ULPS and the gain within its scaled bound
+    r_ok, n_mod, gain, info, base = grid_of(spec)
     assert gain.shape == (3, 23)
     for i, s in enumerate(sorted(spec.s_list)):
         for j, r in enumerate(r_ok.tolist()):
             point = rate_gain(ChannelParams(n=2, eta=0.8, s=s, n_eff=2.0), r)
-            for got, want in ((n_mod[j], point.n_mod), (info.i_mu[i, j], point.info.i_mu),
-                              (info.i_zeta[i, j], point.info.i_zeta),
-                              (info.i_joint[i, j], point.info.i_joint),
-                              (info.i_r[i, j], point.info.i_r),
-                              (info.rate[i, j], point.info.rate), (gain[i, j], point.gain)):
-                assert got == want
+            assert n_mod[j] == point.n_mod
+            for field in ("i_mu", "i_zeta", "i_joint", "i_r", "rate"):
+                assert paths_agree(getattr(point.info, field), getattr(info, field)[i, j]), field
+            assert gains_agree(point.gain, gain[i, j], point.info.rate, base.rate[i])
 
 
 def test_csv_lines_match_the_rows_value_by_value(tmp_path):
@@ -641,13 +642,30 @@ def test_parser_rejects_unknown_level():
 
 # ---------------------------------------------------------------- dependencies
 
-def test_import_needs_numpy_only():
+_OPTIMIZE_ARGS = ["optimize", "--n", "32", "--neff", "20", "--s", "1,2,5"]
+
+
+def test_import_needs_numpy_only(capsys):
+    # in a fresh process: the package and its CLI import every module and
+    # neither scipy nor numpy, and optimize, on math alone, loads no numpy;
+    # its bytes are those of a run in this process, where numpy is loaded
     src = os.path.dirname(os.path.dirname(lossymem.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    code = "import sys, lossymem, lossymem.cli; print('scipy' in sys.modules)"
+    code = ("import sys, lossymem, lossymem.cli\n"
+            "print(*(m for m in ('numpy', 'scipy') if m in sys.modules), file=sys.stderr)\n"
+            "print(*(m for m in sys.modules if m.startswith('lossymem.')), file=sys.stderr)\n"
+            f"code = lossymem.cli.main({_OPTIMIZE_ARGS!r})\n"
+            "print(code, 'numpy' in sys.modules, file=sys.stderr)\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=path), check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    loaded, modules, after = out.stderr.splitlines()
+    assert loaded == ""
+    assert {f"lossymem.{name}" for name in ("channel_model", "information", "matrix_core",
+                                            "oracle", "cli")} <= set(modules.split())
+    assert after == "0 False"
+    assert "numpy" in sys.modules
+    assert main(_OPTIMIZE_ARGS) == 0
+    assert out.stdout == capsys.readouterr().out
 
 
 def test_all_exports_resolve():
