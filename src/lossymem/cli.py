@@ -11,7 +11,7 @@ import functools
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ._lazy import np
 from .channel_model import (
@@ -48,6 +48,7 @@ from .oracle import (
     McConfig,
     _covariances,
     _mi_from_covariance,
+    _mixing_map,
     gaussian_mi_from_moments,
     monte_carlo_mi,
     pipeline_covariance,
@@ -79,6 +80,9 @@ _STANDARD_NEFF = (2.0, 20.0)
 # sampled-check bounds at a 1e-4 false-fail rate: |z| and chi^2_36 quantiles
 _MC_Z_BOUND = 3.8906
 _SAMPLER_LR_BOUND = 76.365
+# sampler-map's and input-energy's round-off allowance: intact maps read at
+# most 2.7 eps and 6.1 eps at 402 random points up to N_eff = 1e3 and |s| = 6
+_MAP_BOUND = 64 * sys.float_info.epsilon
 
 
 def _fmt(value):
@@ -315,14 +319,19 @@ def _check_mc_anchor(samples, seed):
     return dev <= _MC_Z_BOUND * est.std_error, f"dev={dev:.3e} std_error={est.std_error:.3e}"
 
 
-def _memory_point(samples, seed):
+def _memory_point():
+    """(params, r) of the memory point, whose map sampler-map and
+    input-energy check and whose draw _memory_draw makes."""
+    return ChannelParams(n=2, eta=0.8, s=2.0, n_eff=2.0), 0.4
+
+
+def _memory_draw(samples, seed):
     """(params, r, cfg) of the draw of monte-carlo-memory-point and sampler-moments."""
-    return (ChannelParams(n=2, eta=0.8, s=2.0, n_eff=2.0), 0.4,
-            McConfig(samples=samples, seed=seed + 1))
+    return (*_memory_point(), McConfig(samples=samples, seed=seed + 1))
 
 
 def _check_mc_memory_point(samples, seed, covariance):
-    params, r, cfg = _memory_point(samples, seed)
+    params, r, cfg = _memory_draw(samples, seed)
     est = monte_carlo_mi(params, r, cfg, covariance)
     dev = abs(est.value - mutual_information(params, r).rate)
     return dev <= _MC_Z_BOUND * est.std_error, f"dev={dev:.3e} std_error={est.std_error:.3e}"
@@ -339,11 +348,33 @@ def _check_mc_repeatability(samples, seed):
 
 def _check_sampler_moments(samples, seed, covariance):
     # the Wishart likelihood-ratio statistic (m - 1)(tr(T^-1 S) - ln det(T^-1 S) - d)
-    params, r, cfg = _memory_point(samples, seed)
+    params, r, cfg = _memory_draw(samples, seed)
     sample, target = covariance(params, r, cfg), pipeline_covariance(params, r)
     stat = (samples - 1) * float(np.trace(np.linalg.solve(target, sample))
                                  - spd_logdet(sample) + spd_logdet(target) - len(target))
     return stat <= _SAMPLER_LR_BOUND, f"lr_stat={stat:.3f} bound={_SAMPLER_LR_BOUND}"
+
+
+def _check_sampler_map():
+    # M^T M against the moment oracle's covariance, at the two maps that the
+    # sampled checks draw through: the anchor's and the memory point's
+    worst = 0.0
+    for params, r in ((ChannelParams(n=2, eta=0.8, s=0.0, n_eff=2.0), 0.0), _memory_point()):
+        mix, target = _mixing_map(params, r), pipeline_covariance(params, r)
+        worst = max(worst, float(np.abs(mix.T @ mix - target).max() / np.abs(target).max()))
+    return worst <= _MAP_BOUND, f"max_rel_dev={worst:.3e}"
+
+
+def _check_input_energy():
+    # at eta = 1 the zeta block of M^T M less I/4 is the input covariance, and
+    # tr / n - 1/2 = N + sinh^2 r = N_eff; at r != 0, where both terms enter:
+    # a fault of the budget that spares r = 0 fails no other check
+    params, r = _memory_point()
+    params = replace(params, eta=1.0)
+    zeta = _mixing_map(params, r)[:, 2 * params.n:]
+    sigma_in = zeta.T @ zeta - np.eye(2 * params.n) / 4.0
+    dev = abs(float(np.trace(sigma_in)) / params.n - 0.5 - params.n_eff) / params.n_eff
+    return dev <= _MAP_BOUND, f"rel_dev={dev:.3e}"
 
 
 def _check_quadrature_input():
@@ -379,13 +410,16 @@ def _checks(level, seed, samples, n, eta, n_eff):
     """verify's registry: (name, check) pairs in print order, each check
     a call without arguments returning (ok, detail).
 
-    `quick` runs 7 checks of the kernels, the pair chain, the closed form
-    and the moment oracle; `full` adds the 4 sampled and the 3 quadrature
-    checks. Each one fails under a fault of the model or its oracles
-    (tests/test_mutants.py pins which check catches which fault). An
-    invariant that holds by construction is a tier-1 test instead.
+    `quick` runs 9 checks of the kernels, the pair chain, the closed form,
+    the moment oracle and the sampler's mixing map; `full` adds the 4
+    sampled and the 3 quadrature checks. Each one fails under a fault of
+    the model or its oracles (tests/test_mutants.py pins which check
+    catches which fault). An invariant that holds by construction is a
+    tier-1 test instead.
     spot-point-oracle, at the requested (n, eta, N_eff), allows the moment
-    oracle's round-off: 1e-7 + 16 n eps N_eff bits.
+    oracle's round-off: 1e-7 + 16 n eps N_eff bits. sampler-map and
+    input-energy read the maps of fixed points, never the requested n,
+    whose map is (8n, 4n).
     """
     spot = ChannelParams(n=n, eta=eta, s=1.0, n_eff=n_eff)
     if n > VERIFY_MAX_N:
@@ -395,7 +429,7 @@ def _checks(level, seed, samples, n, eta, n_eff):
                           f"in verify, got {n * n_eff:g}")
     rng = np.random.default_rng(seed)
     additivity_points = [_random_point(rng) for _ in range(5)]
-    # one draw's 8 x 8 covariance for the memory point's two checks (_memory_point)
+    # one draw's 8 x 8 covariance for the memory point's two checks (_memory_draw)
     covariance = functools.cache(sample_covariance)
     checks = [
         ("memoryless-anchor", _check_memoryless_anchor),
@@ -405,6 +439,8 @@ def _checks(level, seed, samples, n, eta, n_eff):
         ("rate-n-additivity", lambda: _check_rate_additivity(additivity_points)),
         ("moment-oracle-grid", _check_moment_oracle_grid),
         ("spot-point-oracle", lambda: _check_spot_point(spot)),
+        ("sampler-map", _check_sampler_map),
+        ("input-energy", _check_input_energy),
     ]
     if level == "full":
         checks += [

@@ -23,12 +23,15 @@ a tensor product and its weights products of per-axis weights, so the
 trapezoid sums of the whole grid are exact combinations of the blocks'
 sums: no approximation enters, only a different order of round-off.
 
-The sampler draws each physical noise source (modulation, input ensemble,
-environment, detector) from its own SFC64 stream, spawned from the seed,
-and mixes the rows in blocks of _MIX_ROWS through buffers of a fixed size.
-sample_covariance sums each block's column sums and Gram matrix, so it
-holds about 1.25 MiB however many samples it draws; sample_joint copies
-the blocks into its output.
+The sampler is one linear map: the (8n, 4n) matrix M of _mixing_map takes
+a row of the physical noise sources' standard normals (modulation, input
+ensemble, environment, detector, each from its own SFC64 stream spawned
+from the seed) to a (mu, zeta) row, so M^T M must equal
+pipeline_covariance, which verify's sampler-map check reads.
+_sample_blocks applies M in blocks of _MIX_ROWS through three buffers of
+a fixed size. sample_covariance sums each block's column sums and Gram
+matrix, so it holds about 1.25 MiB however many samples it draws;
+sample_joint copies the blocks into its output.
 
 `pipeline_covariance` is the per-params form of `_covariances`, which
 builds the covariance at 1-D arrays of points (eta, s, r, N) in one
@@ -151,67 +154,60 @@ def _sampling_factor(kernel):
     return upper.T / math.sqrt(8.0)
 
 
+def _mixing_map(params, r):
+    """The (8n, 4n) map M from one row of the four sources' standard normals
+    (modulation, input ensemble, environment, detector: 2n each, in spawn
+    order) to one (mu, zeta) row: mu = sqrt(N/2) z_mod, and the heterodyned
+    signal output of the beam splitter,
+    zeta = sqrt(eta) (mu + z_in F_in) - sqrt(1 - eta) z_env F_mem + z_det / 2,
+    with N = photon_budget(n_eff, r) and F = _sampling_factor of the kernel
+    at -r or -s, so that z F has the ensemble noise's covariance
+    A(x)^-1 / 2. M^T M is the covariance of the rows.
+    """
+    n = params.n
+    mod_scale = math.sqrt(photon_budget(params.n_eff, r) / 2.0)
+    rt, eye, zero = math.sqrt(params.eta), np.eye(2 * n), np.zeros((2 * n, 2 * n))
+    return np.block([
+        [mod_scale * eye, mod_scale * rt * eye],
+        [zero, rt * _sampling_factor(build_input_kernel(n, -r))],
+        [zero, -math.sqrt(1.0 - params.eta) * _sampling_factor(build_memory_kernel(n, -params.s))],
+        [zero, eye / 2.0]])
+
+
 def _sample_blocks(params, r, cfg):
     """Yield sample_joint's (mu, zeta) rows in order, at most _MIX_ROWS at a time.
 
     Each block is a view of one reused (rows, 4n) buffer, valid until the
-    next block is drawn. Each noise source reads its own SFC64 stream, one
-    of four children of SeedSequence(cfg.seed) in the order modulation,
-    input ensemble, environment, detector, and reads it in row order, so
-    the rows do not depend on the block size. mu and then zeta are formed
-    in a contiguous (rows, 2n) buffer, where every elementwise step runs
-    over whole rows, and each is copied into its half of the block once;
-    the same operations on the block's strided halves give the same bits,
-    several times slower.
+    next block is drawn: the sum over the four sources of the source's
+    (rows, 2n) standard normals times its 2n rows of _mixing_map. Each
+    source reads its own SFC64 stream, one of four children of
+    SeedSequence(cfg.seed) in spawn order, and reads it in row order, so
+    the rows do not depend on the block size.
     """
-    n = params.n
-    mod_scale = math.sqrt(photon_budget(params.n_eff, r) / 2.0)
-    rt = math.sqrt(params.eta)
-    # the beam splitter's amplitudes folded into the noise factors
-    f_in = _sampling_factor(build_input_kernel(n, -r)) * rt
-    f_mem = _sampling_factor(build_memory_kernel(n, -params.s)) * -math.sqrt(1.0 - params.eta)
-    modulation, ensemble, environment, detector = (
-        np.random.Generator(np.random.SFC64(seq))
-        for seq in np.random.SeedSequence(cfg.seed).spawn(4))
-
+    seqs = np.random.SeedSequence(cfg.seed).spawn(4)
+    sources = [(np.random.Generator(np.random.SFC64(seq)), part)
+               for seq, part in zip(seqs, np.split(_mixing_map(params, r), 4))]
     rows = min(cfg.samples, _MIX_ROWS)
-    buf = np.empty((rows, 4 * n))
-    # contiguous (rows, 2n) buffers: the normals, a noise product, and mu
-    # then zeta, each copied into its half of the block once
-    z, prod, acc = np.empty((3, rows, 2 * n))
+    z = np.empty((rows, 2 * params.n))
+    prod, buf = np.empty((2, rows, 4 * params.n))
     for lo in range(0, cfg.samples, rows):
         k = min(rows, cfg.samples - lo)
-        block, z_k, prod_k, acc_k = buf[:k], z[:k], prod[:k], acc[:k]
-        modulation.standard_normal(out=z_k)
-        np.multiply(z_k, mod_scale, out=acc_k)
-        block[:, :2 * n] = acc_k
-        acc_k *= rt
-        ensemble.standard_normal(out=z_k)
-        acc_k += np.matmul(z_k, f_in, out=prod_k)
-        environment.standard_normal(out=z_k)
-        acc_k += np.matmul(z_k, f_mem, out=prod_k)
-        detector.standard_normal(out=z_k)
-        z_k *= 0.5
-        acc_k += z_k
-        block[:, 2 * n:] = acc_k
+        block, z_k, prod_k = buf[:k], z[:k], prod[:k]
+        block[...] = 0.0
+        for generator, part in sources:
+            generator.standard_normal(out=z_k)
+            block += np.matmul(z_k, part, out=prod_k)
         yield block
 
 
 def sample_joint(params, r, cfg):
     """Simulate the physical pipeline, returning (samples, 4n) rows of (mu, zeta).
 
-    Per sample: draw the modulation mu, add input-ensemble noise to get the
-    signal quadratures, draw environment quadratures, mix at the beam
-    splitter, then heterodyne the signal output (adds variance 1/4 per
-    quadrature). Each of the four noise sources draws its standard normals
-    z from its own SFC64 stream, spawned in that order from cfg.seed, so a
-    seed fixes the samples. Only the signal output of the beam splitter is
-    formed: zeta = sqrt(eta) (mu + z F_in) - sqrt(1 - eta) (z F_mem) + z / 2,
-    F = _sampling_factor of the kernel at -r or -s, so that its rows have
-    the covariance A(x)^-1 / 2 of the ensemble's noise.
-
-    The rows are drawn in blocks of _MIX_ROWS (_sample_blocks) and copied
-    into the output, so the peak memory is the output plus about 1.25 MiB.
+    Each of the four noise sources draws its standard normals from its own
+    SFC64 stream, spawned from cfg.seed, so a seed fixes the samples; the
+    rows are those normals through _mixing_map. They are drawn in blocks
+    of _MIX_ROWS (_sample_blocks) and copied into the output, so the peak
+    memory is the output plus about 1.25 MiB.
     """
     out = np.empty((cfg.samples, 4 * params.n))
     lo = 0

@@ -320,7 +320,7 @@ def test_verify_quick_passes():
     assert verify("quick", stream=buf) is True
     assert time.perf_counter() - t0 < 10.0
     lines = buf.getvalue().splitlines()
-    assert lines[-1] == "verify quick: 7 checks, 7 passed, 0 failed"
+    assert lines[-1] == "verify quick: 9 checks, 9 passed, 0 failed"
     assert all(line.startswith("PASS ") for line in lines[:-1])
 
 
@@ -329,7 +329,7 @@ def test_verify_full_is_deterministic():
     assert verify("full", seed=42, stream=buf_a) is True
     assert verify("full", seed=42, stream=buf_b) is True
     assert buf_a.getvalue() == buf_b.getvalue()
-    assert buf_a.getvalue().splitlines()[-1] == "verify full: 14 checks, 14 passed, 0 failed"
+    assert buf_a.getvalue().splitlines()[-1] == "verify full: 16 checks, 16 passed, 0 failed"
 
 
 def test_every_check_returns_a_bool_and_a_str():
@@ -351,13 +351,24 @@ def test_verify_full_passes_where_estimated_bounds_failed(seed):
 
 def test_sampler_moments_catches_a_three_percent_sampler_fault(monkeypatch):
     # noise deviations 3 % too large: the gross faults the sampled checks
-    # are for; fine faults are the moment oracle's to catch
+    # are for; fine faults are sampler-map's to catch
     exact = oracle._sampling_factor
     monkeypatch.setattr(oracle, "_sampling_factor", lambda kernel: 1.03 * exact(kernel))
     buf = io.StringIO()
     assert verify("full", stream=buf) is False
     assert any(line.startswith("FAIL sampler-moments lr_stat=")
                for line in buf.getvalue().splitlines())
+
+
+def test_sampler_map_catches_a_fine_sampling_factor_fault(monkeypatch):
+    # noise deviations 1e-9 too large read about 1.2e-9, far above the 64 eps
+    # bound, and no sampled check could resolve them
+    assert cli._check_sampler_map()[0] is True
+    exact = oracle._sampling_factor
+    monkeypatch.setattr(oracle, "_sampling_factor", lambda kernel: (1 + 1e-9) * exact(kernel))
+    ok, detail = cli._check_sampler_map()
+    assert ok is False
+    assert detail.startswith("max_rel_dev=")
 
 
 def test_kernel_determinant_catches_a_broken_inverse_identity(monkeypatch):
@@ -461,7 +472,7 @@ def test_verify_reports_a_failing_check(monkeypatch, capsys):
     assert verify("quick", stream=buf) is False
     lines = buf.getvalue().splitlines()
     assert "FAIL memoryless-anchor dev=1.000e+00" in lines
-    assert lines[-1] == "verify quick: 7 checks, 6 passed, 1 failed"
+    assert lines[-1] == "verify quick: 9 checks, 8 passed, 1 failed"
     assert main(["verify"]) == 1
     assert "FAIL memoryless-anchor" in capsys.readouterr().out
 
@@ -472,9 +483,9 @@ def _registry_names():
 
 @pytest.mark.parametrize("level, function, name, summary", [
     ("quick", "_check_kernel_determinant", "input-kernel-determinant",
-     "verify quick: 7 checks, 6 passed, 1 failed"),
+     "verify quick: 9 checks, 8 passed, 1 failed"),
     ("full", "_check_mc_anchor", "monte-carlo-anchor",
-     "verify full: 14 checks, 13 passed, 1 failed"),
+     "verify full: 16 checks, 15 passed, 1 failed"),
 ], ids=["quick", "full"])
 def test_verify_reports_a_raising_check(monkeypatch, capsys, level, function, name, summary):
     def raising(*args):

@@ -2,7 +2,8 @@
 
 Each fault replaces one function in every lossymem module that holds it,
 or maps the sampler's four noise streams onto fewer SeedSequence children.
-An empty set is a fault that no check catches (ROADMAP item 9's gaps).
+An empty set is a fault that no check catches: only the beam splitter's,
+which no verify path reads.
 """
 import dataclasses
 import io
@@ -68,12 +69,12 @@ def _budgets_scaled(exact):
 # the failing checks of each fault that moment-oracle-grid catches
 MOMENT_GRID_FAILING = {
     "input-kernel-scaled": {"input-kernel-determinant", "kernel-row-sums",
-                            "moment-oracle-grid", "spot-point-oracle"},
+                            "moment-oracle-grid", "spot-point-oracle", "input-energy"},
     "memory-kernel-at-1.02s": {"moment-oracle-grid", "spot-point-oracle"},
     "closed-form-i_r-scaled": {"memoryless-anchor", "moment-oracle-grid", "spot-point-oracle"},
     "closed-form-at-1.001s": {"moment-oracle-grid", "spot-point-oracle"},
     "heterodyne-variance-plus-0.01": {"moment-oracle-grid", "spot-point-oracle",
-                                      "sampler-moments"},
+                                      "sampler-map", "sampler-moments"},
 }
 # name: ([(function, fault built from the exact function)], failing checks)
 CATALOGUE = {name: ([MOMENT_GRID_FAULTS[name]], failing)
@@ -92,9 +93,11 @@ CATALOGUE.update({
         [(channel_model.build_input_kernel, _collective_scaled)],
         {"input-kernel-determinant", "kernel-row-sums", "rate-n-additivity"}),
     "sampling-factor-scaled": (
-        [(oracle._sampling_factor, lambda exact: lambda kernel: 1.01 * exact(kernel))], set()),
+        [(oracle._sampling_factor, lambda exact: lambda kernel: 1.01 * exact(kernel))],
+        {"sampler-map", "input-energy"}),
     "photon-budget-scaled-off-r-0": ([(channel_model.photon_budget, _budget_scaled),
-                                      (channel_model.photon_budgets, _budgets_scaled)], set()),
+                                      (channel_model.photon_budgets, _budgets_scaled)],
+                                     {"input-energy"}),
     # no verify path reads the beam splitter: the sampler and the pair chain
     # mix at sqrt(eta) and sqrt(1 - eta) themselves
     "beam-splitter-at-1.001eta": (

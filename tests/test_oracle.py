@@ -310,6 +310,25 @@ def test_kernel_sampler_matches_triangular_solve():
             assert np.abs(rows - ref).max() <= 1e-11 * np.abs(ref).max()
 
 
+def test_mixing_map_squares_to_the_pipeline_covariance():
+    # sampler-map's bound, 64 eps of the largest entry; 2.7 eps measured
+    for n, eta, s, n_eff, r in zip(*(axis.tolist() for axis in random_points())):
+        params = ChannelParams(n=n, eta=eta, s=s, n_eff=n_eff)
+        mix, target = oracle._mixing_map(params, r), pipeline_covariance(params, r)
+        assert mix.shape == (8 * n, 4 * n)
+        assert np.abs(mix.T @ mix - target).max() <= cli._MAP_BOUND * np.abs(target).max()
+
+
+def test_input_energy_of_the_mixing_map_is_the_photon_budget():
+    # at eta = 1 the zeta block of M^T M less I/4 is the input covariance,
+    # and tr / n - 1/2 = N + sinh^2 r = N_eff: input-energy's identity and
+    # bound, 6.1 eps N_eff measured
+    for n, _, s, n_eff, r in zip(*(axis.tolist() for axis in random_points())):
+        zeta = oracle._mixing_map(ChannelParams(n=n, eta=1.0, s=s, n_eff=n_eff), r)[:, 2 * n:]
+        energy = np.trace(zeta.T @ zeta - np.eye(2 * n) / 4.0) / n - 0.5
+        assert abs(energy - n_eff) <= cli._MAP_BOUND * n_eff
+
+
 def _reference_sample_joint(params, r, cfg):
     """The pipeline with each noise source's whole block drawn from its own
     SFC64 stream (modulation, input ensemble, environment, detector, spawned
@@ -394,8 +413,8 @@ def _traced_peak(fn, *args):
 
 
 def test_sampler_holds_one_draw_buffer():
-    # the output plus the (8192, 4n) block and three (8192, 2n) buffers,
-    # 1.25 MiB at n = 2 (1.26 MiB measured), padded to 2 MiB
+    # the output plus the (8192, 2n) normals and the (8192, 4n) product and
+    # block, 1.25 MiB at n = 2 (1.26 MiB measured), padded to 2 MiB
     params = ChannelParams(n=2, eta=0.8, s=1.0, n_eff=2.0)
     data, peak = _traced_peak(sample_joint, params, 0.3, McConfig(samples=100000, seed=1))
     assert peak <= data.nbytes + 2 * 2 ** 20
