@@ -47,13 +47,14 @@ from .matrix_core import spd_logdet
 from .oracle import (
     McConfig,
     _covariances,
+    _mapped_covariance,
     _mi_from_covariance,
     _mixing_map,
+    _source_covariance,
     gaussian_mi_from_moments,
     monte_carlo_mi,
     pipeline_covariance,
     quadrature_entropy_n1,
-    sample_covariance,
 )
 
 _CSV_HEADER = "s,r,N,I_mu,I_zeta,I_joint,I_r,rate,gain"
@@ -77,7 +78,9 @@ VERIFY_MAX_N_NEFF = 1e14
 _STANDARD_ETAS = tuple(k / 10 for k in range(1, 10))
 _STANDARD_S = (0.0, 1.0, 2.0, 5.0)
 _STANDARD_NEFF = (2.0, 20.0)
-# sampled-check bounds at a 1e-4 false-fail rate: |z| and chi^2_36 quantiles
+# sampled-check bounds, each at a 1e-4 false-fail rate of its own check:
+# |z| and chi^2_36 quantiles. monte-carlo-anchor, monte-carlo-memory-point and
+# sampler-moments read one draw, so their failures are not independent
 _MC_Z_BOUND = 3.8906
 _SAMPLER_LR_BOUND = 76.365
 # sampler-map's and input-energy's round-off allowance: intact maps read at
@@ -312,27 +315,30 @@ def _check_spot_point(params):
     return dev <= bound, f"dev={dev:.3e} at r={_fmt(r)}"
 
 
-def _check_mc_anchor(samples, seed):
+def _check_mc_anchor(samples, seed, covariance):
     est = monte_carlo_mi(ChannelParams(n=2, eta=0.8, s=0.0, n_eff=2.0), 0.0,
-                         McConfig(samples=samples, seed=seed))
+                         _shared_draw(samples, seed), covariance)
     dev = abs(est.value - math.log2(2.6))
     return dev <= _MC_Z_BOUND * est.std_error, f"dev={dev:.3e} std_error={est.std_error:.3e}"
 
 
 def _memory_point():
     """(params, r) of the memory point, whose map sampler-map and
-    input-energy check and whose draw _memory_draw makes."""
+    input-energy check and whose moments monte-carlo-memory-point and
+    sampler-moments read."""
     return ChannelParams(n=2, eta=0.8, s=2.0, n_eff=2.0), 0.4
 
 
-def _memory_draw(samples, seed):
-    """(params, r, cfg) of the draw of monte-carlo-memory-point and sampler-moments."""
-    return (*_memory_point(), McConfig(samples=samples, seed=seed + 1))
+def _shared_draw(samples, seed):
+    """The cfg of the one draw that monte-carlo-anchor,
+    monte-carlo-memory-point and sampler-moments read, each through its
+    point's map."""
+    return McConfig(samples=samples, seed=seed + 1)
 
 
 def _check_mc_memory_point(samples, seed, covariance):
-    params, r, cfg = _memory_draw(samples, seed)
-    est = monte_carlo_mi(params, r, cfg, covariance)
+    params, r = _memory_point()
+    est = monte_carlo_mi(params, r, _shared_draw(samples, seed), covariance)
     dev = abs(est.value - mutual_information(params, r).rate)
     return dev <= _MC_Z_BOUND * est.std_error, f"dev={dev:.3e} std_error={est.std_error:.3e}"
 
@@ -348,8 +354,9 @@ def _check_mc_repeatability(samples, seed):
 
 def _check_sampler_moments(samples, seed, covariance):
     # the Wishart likelihood-ratio statistic (m - 1)(tr(T^-1 S) - ln det(T^-1 S) - d)
-    params, r, cfg = _memory_draw(samples, seed)
-    sample, target = covariance(params, r, cfg), pipeline_covariance(params, r)
+    params, r = _memory_point()
+    sample = covariance(params, r, _shared_draw(samples, seed))
+    target = pipeline_covariance(params, r)
     stat = (samples - 1) * float(np.trace(np.linalg.solve(target, sample))
                                  - spd_logdet(sample) + spd_logdet(target) - len(target))
     return stat <= _SAMPLER_LR_BOUND, f"lr_stat={stat:.3f} bound={_SAMPLER_LR_BOUND}"
@@ -412,10 +419,14 @@ def _checks(level, seed, samples, n, eta, n_eff):
 
     `quick` runs 9 checks of the kernels, the pair chain, the closed form,
     the moment oracle and the sampler's mixing map; `full` adds the 4
-    sampled and the 3 quadrature checks. Each one fails under a fault of
-    the model or its oracles (tests/test_mutants.py pins which check
-    catches which fault). An invariant that holds by construction is a
-    tier-1 test instead.
+    sampled and the 3 quadrature checks. monte-carlo-anchor,
+    monte-carlo-memory-point and sampler-moments read one draw of `samples`
+    rows (_shared_draw), whose (16, 16) normals' covariance is summed once
+    and taken through each point's mixing map; each check keeps its 1e-4
+    false-fail rate. monte-carlo-repeatability makes its own two draws,
+    which it compares. Each check fails under a fault of the model or its
+    oracles (tests/test_mutants.py pins which check catches which fault).
+    An invariant that holds by construction is a tier-1 test instead.
     spot-point-oracle, at the requested (n, eta, N_eff), allows the moment
     oracle's round-off: 1e-7 + 16 n eps N_eff bits. sampler-map and
     input-energy read the maps of fixed points, never the requested n,
@@ -429,8 +440,12 @@ def _checks(level, seed, samples, n, eta, n_eff):
                           f"in verify, got {n * n_eff:g}")
     rng = np.random.default_rng(seed)
     additivity_points = [_random_point(rng) for _ in range(5)]
-    # one draw's 8 x 8 covariance for the memory point's two checks (_memory_draw)
-    covariance = functools.cache(sample_covariance)
+    # the shared draw's normals' covariance, summed once (_shared_draw)
+    source_covariance = functools.cache(_source_covariance)
+
+    def covariance(params, r, cfg):
+        return _mapped_covariance(_mixing_map(params, r), source_covariance(params.n, cfg))
+
     checks = [
         ("memoryless-anchor", _check_memoryless_anchor),
         ("input-kernel-determinant", _check_kernel_determinant),
@@ -444,7 +459,7 @@ def _checks(level, seed, samples, n, eta, n_eff):
     ]
     if level == "full":
         checks += [
-            ("monte-carlo-anchor", lambda: _check_mc_anchor(samples, seed)),
+            ("monte-carlo-anchor", lambda: _check_mc_anchor(samples, seed, covariance)),
             ("monte-carlo-memory-point",
              lambda: _check_mc_memory_point(samples, seed, covariance)),
             ("monte-carlo-repeatability", lambda: _check_mc_repeatability(samples, seed)),
@@ -469,7 +484,7 @@ def verify(level, seed=12345, samples=100000, n=2, eta=0.8, n_eff=2.0, stream=No
     stream = sys.stdout if stream is None else stream
     if level not in ("quick", "full"):
         raise InvalidSpec(f"level must be 'quick' or 'full', got {level!r}")
-    # the Monte Carlo checks seed with seed .. seed + 2; McConfig checks samples
+    # the Monte Carlo checks seed with seed + 1 .. seed + 2; McConfig checks samples
     if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed <= 2 ** 64 - 3:
         raise InvalidSpec(f"seed must be an integer in [0, 2**64 - 3], got {seed!r}")
     McConfig(samples=samples, seed=seed)

@@ -27,11 +27,12 @@ The sampler is one linear map: the (8n, 4n) matrix M of _mixing_map takes
 a row of the physical noise sources' standard normals (modulation, input
 ensemble, environment, detector, each from its own SFC64 stream spawned
 from the seed) to a (mu, zeta) row, so M^T M must equal
-pipeline_covariance, which verify's sampler-map check reads.
-_sample_blocks applies M in blocks of _MIX_ROWS through three buffers of
-a fixed size. sample_covariance sums each block's column sums and Gram
-matrix, so it holds about 1.25 MiB however many samples it draws;
-sample_joint copies the blocks into its output.
+pipeline_covariance, which verify's sampler-map check reads. A draw's
+moments are its normals': _source_covariance sums _source_blocks' blocks
+of _MIX_ROWS rows into their (8n, 8n) sample covariance C in about
+1.25 MiB at any sample count, and sample_covariance is M^T C M, so one
+draw serves the map of every point of its n. sample_joint writes each
+block times M into its output.
 
 `pipeline_covariance` is the per-params form of `_covariances`, which
 builds the covariance at 1-D arrays of points (eta, s, r, N) in one
@@ -54,7 +55,7 @@ from .matrix_core import spd_factor, spd_logdet
 
 # the sampling law of monte_carlo_mi is asymptotic in the sample count
 _MIN_SAMPLES = 40
-# sample rows per block of _sample_blocks; the rows do not depend on it
+# sample rows per block of _source_blocks; the rows do not depend on it
 _MIX_ROWS = 8192
 # the quadrature grid's half-width in marginal deviations: a Gaussian's mass
 # beyond +-8 sigma is 1.2e-15, far below the quadrature's 1e-6 mass gate
@@ -174,61 +175,59 @@ def _mixing_map(params, r):
         [zero, eye / 2.0]])
 
 
-def _sample_blocks(params, r, cfg):
-    """Yield sample_joint's (mu, zeta) rows in order, at most _MIX_ROWS at a time.
-
-    Each block is a view of one reused (rows, 4n) buffer, valid until the
-    next block is drawn: the sum over the four sources of the source's
-    (rows, 2n) standard normals times its 2n rows of _mixing_map. Each
-    source reads its own SFC64 stream, one of four children of
-    SeedSequence(cfg.seed) in spawn order, and reads it in row order, so
-    the rows do not depend on the block size.
-    """
-    seqs = np.random.SeedSequence(cfg.seed).spawn(4)
-    sources = [(np.random.Generator(np.random.SFC64(seq)), part)
-               for seq, part in zip(seqs, np.split(_mixing_map(params, r), 4))]
-    rows = min(cfg.samples, _MIX_ROWS)
-    z = np.empty((rows, 2 * params.n))
-    prod, buf = np.empty((2, rows, 4 * params.n))
+def _source_blocks(n, cfg):
+    """Yield the four sources' standard normals side by side in (rows, 8n)
+    views of one buffer, rows <= _MIX_ROWS, each valid until the next. Each
+    source fills a (rows, 2n) buffer from its own SFC64 stream, one of four
+    children of SeedSequence(cfg.seed) in spawn order, in row order, so the
+    rows do not depend on the block size."""
+    generators = [np.random.Generator(np.random.SFC64(seq))
+                  for seq in np.random.SeedSequence(cfg.seed).spawn(4)]
+    rows, width = min(cfg.samples, _MIX_ROWS), 2 * n
+    z, buf = np.empty((rows, width)), np.empty((rows, 4 * width))
     for lo in range(0, cfg.samples, rows):
         k = min(rows, cfg.samples - lo)
-        block, z_k, prod_k = buf[:k], z[:k], prod[:k]
-        block[...] = 0.0
-        for generator, part in sources:
-            generator.standard_normal(out=z_k)
-            block += np.matmul(z_k, part, out=prod_k)
-        yield block
+        for col, generator in zip(range(0, 4 * width, width), generators):
+            generator.standard_normal(out=z[:k])
+            buf[:k, col:col + width] = z[:k]
+        yield buf[:k]
+
+
+def _source_covariance(n, cfg):
+    """The (8n, 8n) sample covariance C of the normals that _source_blocks
+    draws, from each block's column sums and Gram matrix: the draw itself
+    is never held."""
+    total, gram = np.zeros(8 * n), np.zeros((8 * n, 8 * n))
+    for block in _source_blocks(n, cfg):
+        # the column sums: sum(axis=0) takes 5x as long on 8n columns
+        total += np.einsum("ij->j", block)
+        gram += block.T @ block
+    m, mean = cfg.samples, total / cfg.samples
+    return (gram - m * np.outer(mean, mean)) / (m - 1)
+
+
+def _mapped_covariance(mix, source_cov):
+    """M^T C M, symmetrized: the sample covariance of the rows z M."""
+    cov = mix.T @ source_cov @ mix
+    return (cov + cov.T) / 2.0
 
 
 def sample_joint(params, r, cfg):
-    """Simulate the physical pipeline, returning (samples, 4n) rows of (mu, zeta).
-
-    Each of the four noise sources draws its standard normals from its own
-    SFC64 stream, spawned from cfg.seed, so a seed fixes the samples; the
-    rows are those normals through _mixing_map. They are drawn in blocks
-    of _MIX_ROWS (_sample_blocks) and copied into the output, so the peak
-    memory is the output plus about 1.25 MiB.
-    """
+    """Simulate the physical pipeline, returning (samples, 4n) rows of (mu, zeta):
+    each block of _source_blocks' normals through _mixing_map. A seed fixes
+    the samples; the peak memory is the output plus about 1.25 MiB."""
+    mix = _mixing_map(params, r)
     out = np.empty((cfg.samples, 4 * params.n))
-    lo = 0
-    for block in _sample_blocks(params, r, cfg):
-        out[lo:lo + len(block)] = block
-        lo += len(block)
+    for lo, block in zip(range(0, cfg.samples, _MIX_ROWS), _source_blocks(params.n, cfg)):
+        np.matmul(block, mix, out=out[lo:lo + len(block)])
     return out
 
 
 def sample_covariance(params, r, cfg):
-    """Sample covariance (4n x 4n) of the rows sample_joint draws, summed
-    block by block: the draw itself is never held."""
-    d = 4 * params.n
-    total = np.zeros(d)
-    gram = np.zeros((d, d))
-    for block in _sample_blocks(params, r, cfg):
-        total += block.sum(axis=0)
-        gram += block.T @ block
-    m = cfg.samples
-    mean = total / m
-    return (gram - m * np.outer(mean, mean)) / (m - 1)
+    """Sample covariance (4n x 4n) of the rows sample_joint draws, up to
+    round-off: M^T C M for the normals' C (_source_covariance), which holds
+    about 1.25 MiB of block buffers, never the draw."""
+    return _mapped_covariance(_mixing_map(params, r), _source_covariance(params.n, cfg))
 
 
 def monte_carlo_mi(params, r, cfg, covariance=sample_covariance):

@@ -525,16 +525,38 @@ def test_verify_runs_each_check_on_the_calling_thread_and_prints_as_it_returns(m
     seen = {}
     anchor = cli._check_mc_anchor
 
-    def recording(samples, seed):
+    def recording(samples, seed, covariance):
         seen["thread"] = threading.get_ident()
         seen["text"] = buf.getvalue()
-        return anchor(samples, seed)
+        return anchor(samples, seed, covariance)
 
     monkeypatch.setattr(cli, "_check_mc_anchor", recording)
     assert verify("full", seed=42, samples=2000, stream=buf) is True
     assert seen["thread"] == threading.get_ident()
     before = _registry_names().index("monte-carlo-anchor")
     assert seen["text"] == "".join(buf.getvalue().splitlines(keepends=True)[:before])
+
+
+def test_verify_full_draws_the_anchor_and_memory_point_once(monkeypatch):
+    # monte-carlo-anchor, monte-carlo-memory-point and sampler-moments read
+    # one draw of m rows, and monte-carlo-repeatability makes two of
+    # max(2000, m // 10): each row is 8n = 16 normals of the four sources
+    exact = np.random.Generator
+    drawn = []
+
+    class Counting:
+        def __init__(self, bit_generator):
+            self.generator = exact(bit_generator)
+
+        def standard_normal(self, *args, **kwargs):
+            values = self.generator.standard_normal(*args, **kwargs)
+            drawn.append(values.size)
+            return values
+
+    monkeypatch.setattr(np.random, "Generator", Counting)
+    m = 40000
+    assert verify("full", seed=42, samples=m, stream=io.StringIO()) is True
+    assert sum(drawn) == 16 * (m + 2 * max(2000, m // 10))
 
 
 # ---------------------------------------------------------------- main

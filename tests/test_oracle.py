@@ -382,22 +382,28 @@ def test_streamed_covariance_matches_the_covariance_of_the_draw():
 
 
 def test_streamed_covariance_is_the_blockwise_sum_of_the_draw():
-    # bit for bit: the column sums and Gram matrices of sample_joint's rows
-    # in _MIX_ROWS blocks, summed in block order, as the sampled checks print
+    # bit for bit: each source's normals, drawn whole from its stream, side
+    # by side; their column sums and Gram matrices in _MIX_ROWS blocks,
+    # summed in block order into C; and the rows' covariance M^T C M,
+    # symmetrized, as the sampled checks print
     for n in (1, 2, 3):
         params = ChannelParams(n=n, eta=0.7, s=2.0, n_eff=2.0)
         m = 20011
         cfg = McConfig(samples=m, seed=n)
-        rows = sample_joint(params, 0.4, cfg)
-        total = np.zeros(4 * n)
-        gram = np.zeros((4 * n, 4 * n))
+        normals = np.hstack([np.random.Generator(np.random.SFC64(seq)).standard_normal((m, 2 * n))
+                             for seq in np.random.SeedSequence(cfg.seed).spawn(4)])
+        total = np.zeros(8 * n)
+        gram = np.zeros((8 * n, 8 * n))
         for lo in range(0, m, oracle._MIX_ROWS):
-            block = rows[lo:lo + oracle._MIX_ROWS]
-            total += block.sum(axis=0)
+            block = normals[lo:lo + oracle._MIX_ROWS]
+            total += np.einsum("ij->j", block)
             gram += block.T @ block
         mean = total / m
-        reference = (gram - m * np.outer(mean, mean)) / (m - 1)
-        assert np.array_equal(sample_covariance(params, 0.4, cfg), reference)
+        source_cov = (gram - m * np.outer(mean, mean)) / (m - 1)
+        assert np.array_equal(oracle._source_covariance(n, cfg), source_cov)
+        mix = oracle._mixing_map(params, 0.4)
+        cov = mix.T @ source_cov @ mix
+        assert np.array_equal(sample_covariance(params, 0.4, cfg), (cov + cov.T) / 2.0)
 
 
 def _traced_peak(fn, *args):
@@ -413,15 +419,16 @@ def _traced_peak(fn, *args):
 
 
 def test_sampler_holds_one_draw_buffer():
-    # the output plus the (8192, 2n) normals and the (8192, 4n) product and
-    # block, 1.25 MiB at n = 2 (1.26 MiB measured), padded to 2 MiB
+    # the output plus the (8192, 2n) normals of one source and the (8192, 8n)
+    # normals of all four, 1.25 MiB at n = 2 (1.26 MiB measured), padded to 2 MiB
     params = ChannelParams(n=2, eta=0.8, s=1.0, n_eff=2.0)
     data, peak = _traced_peak(sample_joint, params, 0.3, McConfig(samples=100000, seed=1))
     assert peak <= data.nbytes + 2 * 2 ** 20
 
 
 def test_streamed_covariance_holds_nothing_sized_by_the_samples():
-    # 1.26 MiB measured at both counts: the block buffers, never the draw
+    # 1.26 MiB measured at both counts: the (8192, 2n) and (8192, 8n) normals
+    # buffers, never the draw
     params = ChannelParams(n=2, eta=0.8, s=1.0, n_eff=2.0)
     for m in (20000, 200000):
         _, peak = _traced_peak(sample_covariance, params, 0.3, McConfig(samples=m, seed=1))
