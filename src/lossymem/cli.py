@@ -84,7 +84,7 @@ _STANDARD_NEFF = (2.0, 20.0)
 _MC_Z_BOUND = 3.8906
 _SAMPLER_LR_BOUND = 76.365
 # sampler-map's and input-energy's round-off allowance: intact maps read at
-# most 2.7 eps and 6.1 eps at 402 random points up to N_eff = 1e3 and |s| = 6
+# most 2.5 eps and 8.8 eps at 402 random points up to N_eff = 1e3 and |s| = 6
 _MAP_BOUND = 64 * sys.float_info.epsilon
 
 

@@ -3,10 +3,10 @@
 NumPy alone, on plain float64 arrays. `spd_factor` returns the lower
 Cholesky factor of a matrix or of every matrix of a (..., d, d) stack; the
 reference chain of channel_model factors its (co, rel) pair stack through
-it, and the oracle's sampler and quadrature read the factor directly.
-`spd_logdet` reads the factor's diagonal; the chain's entropies in
-information and the oracles take log-determinants through it. One symmetry
-and pivot test guards both, so a matrix that fails it raises
+it, and the quadrature oracle and monte_carlo_mi's standard error read the
+factor directly. `spd_logdet` reads the factor's diagonal; the chain's
+entropies in information and the oracles take log-determinants through it.
+One symmetry and pivot test guards both, so a matrix that fails it raises
 NotPositiveDefinite instead of yielding a silently wrong result.
 """
 import functools

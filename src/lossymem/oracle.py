@@ -6,13 +6,15 @@ kernel builders and the photon budget, and mix at the beam splitter's
 amplitudes sqrt(eta) and sqrt(1 - eta) themselves. The moment oracle
 propagates the exact covariance of the encode -> loss -> heterodyne pipeline
 and takes the mutual information from the Gaussian block-determinant
-formula. Neither it nor the sampler inverts a kernel numerically: the input
-and memory kernels are one family, whose spectrum 2e^{-+2x} inverts to
-e^{+-2x}/2, so A(x)^-1 = A(-x)/4 exactly, and both read A(-x). A physical
-Monte Carlo simulation of the same pipeline estimates it from the sample
-covariance, with the bias and standard error of that estimate's sampling
-law. Direct numerical quadrature evaluates the single-use entropy integrals
-of a given kernel.
+formula. Neither it nor the Monte Carlo sampler inverts or factors a
+kernel: the input and memory kernels are one family, whose spectrum
+2e^{-+2x} inverts to e^{+-2x}/2, so A(x)^-1 = A(-x)/4 exactly, which the
+moment oracle reads; and A(-x/2)/4, of spectrum e^{+-x}/2 on the same
+eigenvectors, is the symmetric square root of A(x)^-1 / 2 = A(-x)/8, which
+the sampler maps its normals through. A physical Monte Carlo simulation of
+the same pipeline estimates it from the sample covariance, with the bias
+and standard error of that estimate's sampling law. Direct numerical
+quadrature evaluates the single-use entropy integrals of a given kernel.
 
 The quadrature integrates each independent block of the kernel (a connected
 component of its nonzero pattern; the n = 1 joint kernel splits into its x
@@ -51,7 +53,7 @@ from .channel_model import (
 )
 from .errors import DimensionMismatch, GridTooCoarse, InvalidSpec
 from .information import LN2
-from .matrix_core import spd_factor, spd_logdet
+from .matrix_core import spd_factor, spd_logdet, symmetrize
 
 # the sampling law of monte_carlo_mi is asymptotic in the sample count
 _MIN_SAMPLES = 40
@@ -142,36 +144,25 @@ def gaussian_mi_from_moments(params, r):
     return _mi_from_covariance(pipeline_covariance(params, r), params.n)
 
 
-def _sampling_factor(kernel):
-    """F = U^T / sqrt(8) for the upper factor U of kernel = A(-x) = U U^T:
-    rows z F of standard normals z have covariance A(-x)/8 = A(x)^-1 / 2.
-
-    U is the Cholesky factor of the index-reversed matrix, reversed back.
-    F is lower triangular with a positive diagonal, as L^-1 / sqrt(2) for
-    A(x) = L L^T is, and both square A(x)^-1 / 2, so the two are one matrix
-    up to round-off and a seed keeps its samples.
-    """
-    upper = spd_factor(kernel[::-1, ::-1])[::-1, ::-1]
-    return upper.T / math.sqrt(8.0)
-
-
 def _mixing_map(params, r):
     """The (8n, 4n) map M from one row of the four sources' standard normals
     (modulation, input ensemble, environment, detector: 2n each, in spawn
     order) to one (mu, zeta) row: mu = sqrt(N/2) z_mod, and the heterodyned
     signal output of the beam splitter,
     zeta = sqrt(eta) (mu + z_in F_in) - sqrt(1 - eta) z_env F_mem + z_det / 2,
-    with N = photon_budget(n_eff, r) and F = _sampling_factor of the kernel
-    at -r or -s, so that z F has the ensemble noise's covariance
-    A(x)^-1 / 2. M^T M is the covariance of the rows.
+    with N = photon_budget(n_eff, r) and F = A(-x/2)/4 of the family at
+    x = r or s. A(-x/2) has the spectrum 2e^{+-x} on the eigenvectors of
+    A(-x), so F is symmetric and F^T F = F^2 = A(-x)/8 = A(x)^-1 / 2: z F
+    has the ensemble noise's covariance, and no kernel is factored. M^T M
+    is the covariance of the rows.
     """
     n = params.n
     mod_scale = math.sqrt(photon_budget(params.n_eff, r) / 2.0)
     rt, eye, zero = math.sqrt(params.eta), np.eye(2 * n), np.zeros((2 * n, 2 * n))
     return np.block([
         [mod_scale * eye, mod_scale * rt * eye],
-        [zero, rt * _sampling_factor(build_input_kernel(n, -r))],
-        [zero, -math.sqrt(1.0 - params.eta) * _sampling_factor(build_memory_kernel(n, -params.s))],
+        [zero, rt * build_input_kernel(n, -r / 2.0) / 4.0],
+        [zero, -math.sqrt(1.0 - params.eta) * build_memory_kernel(n, -params.s / 2.0) / 4.0],
         [zero, eye / 2.0]])
 
 
@@ -208,8 +199,7 @@ def _source_covariance(n, cfg):
 
 def _mapped_covariance(mix, source_cov):
     """M^T C M, symmetrized: the sample covariance of the rows z M."""
-    cov = mix.T @ source_cov @ mix
-    return (cov + cov.T) / 2.0
+    return symmetrize(mix.T @ source_cov @ mix)
 
 
 def sample_joint(params, r, cfg):

@@ -32,6 +32,18 @@ def heterodyne_noisier(exact):
     return faulty
 
 
+def noise_rows_scaled(factor):
+    """A fault of the sampler's mixing map: its noise rows 2n to 6n, the
+    input ensemble's and the environment's factors, scaled by factor."""
+    def make(exact):
+        def faulty(params, r):
+            mix = exact(params, r)
+            mix[2 * params.n:6 * params.n] *= factor
+            return mix
+        return faulty
+    return make
+
+
 # the faults that moment-oracle-grid catches in ROADMAP item 6's table:
 # (function, fault built from the exact function)
 MOMENT_GRID_FAULTS = {

@@ -23,7 +23,7 @@ from lossymem.errors import (
 from lossymem.information import _gain_grid, mutual_information, optimize_r, r_limit, rate_gain
 from lossymem.channel_model import N_EFF_MAX, S_MAX, ChannelParams
 
-from faults import MOMENT_GRID_FAULTS, patch_everywhere
+from faults import MOMENT_GRID_FAULTS, noise_rows_scaled, patch_everywhere
 from path_bound import gains_agree, paths_agree
 
 HEADER = "s,r,N,I_mu,I_zeta,I_joint,I_r,rate,gain"
@@ -352,8 +352,8 @@ def test_verify_full_passes_where_estimated_bounds_failed(seed):
 def test_sampler_moments_catches_a_three_percent_sampler_fault(monkeypatch):
     # noise deviations 3 % too large: the gross faults the sampled checks
     # are for; fine faults are sampler-map's to catch
-    exact = oracle._sampling_factor
-    monkeypatch.setattr(oracle, "_sampling_factor", lambda kernel: 1.03 * exact(kernel))
+    exact = oracle._mixing_map
+    patch_everywhere(monkeypatch, exact, noise_rows_scaled(1.03)(exact))
     buf = io.StringIO()
     assert verify("full", stream=buf) is False
     assert any(line.startswith("FAIL sampler-moments lr_stat=")
@@ -364,8 +364,8 @@ def test_sampler_map_catches_a_fine_sampling_factor_fault(monkeypatch):
     # noise deviations 1e-9 too large read about 1.2e-9, far above the 64 eps
     # bound, and no sampled check could resolve them
     assert cli._check_sampler_map()[0] is True
-    exact = oracle._sampling_factor
-    monkeypatch.setattr(oracle, "_sampling_factor", lambda kernel: (1 + 1e-9) * exact(kernel))
+    exact = oracle._mixing_map
+    patch_everywhere(monkeypatch, exact, noise_rows_scaled(1 + 1e-9)(exact))
     ok, detail = cli._check_sampler_map()
     assert ok is False
     assert detail.startswith("max_rel_dev=")

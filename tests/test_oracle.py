@@ -1,6 +1,7 @@
 """Moment-formula, Monte Carlo, and quadrature verification paths."""
 import decimal
 import math
+import sys
 import tracemalloc
 from decimal import Decimal
 
@@ -39,7 +40,6 @@ from lossymem.oracle import (
     _covariances,
     _entropy_on_grid,
     _independent_blocks,
-    _sampling_factor,
     _mi_from_covariance,
     gaussian_mi_from_moments,
     monte_carlo_mi,
@@ -53,6 +53,7 @@ from chain_reference import joint_kernel
 from random_points import random_points
 
 LN2 = math.log(2.0)
+EPS = sys.float_info.epsilon
 
 
 def kernels_n1(eta, s, r):
@@ -267,19 +268,28 @@ def test_sampled_covariance_scales_with_entry_size():
     assert np.abs((np.cov(data, rowvar=False) - target) / scale).max() <= 5.0
 
 
+def _decimal_kernel(n, r):
+    """A(r) of the family, a Decimal r, from build_input_kernel's formula
+    K_r = 2e^{-2r} J/n + 2e^{2r} (I - J/n), in the current decimal context."""
+    shrink, grow = (-2 * r).exp(), (2 * r).exp()
+    d = 2 * n
+    a = [[Decimal(0)] * d for _ in range(d)]
+    for off, (small, big) in ((0, (shrink, grow)), (n, (grow, shrink))):
+        for i in range(n):
+            for j in range(n):
+                a[off + i][off + j] = 2 * (small - big + (n * big if i == j else 0)) / n
+    return a
+
+
 def _exact_sampling_factor(n, x):
     """L^-1 / sqrt(2) for the Cholesky factor L of A(x) = L L^T, with A(x)
     built from its formula and factored and inverted in 50-digit decimal
-    arithmetic, then rounded to float."""
+    arithmetic, then rounded to float: a square root of A(x)^-1 / 2 that
+    reads neither the family identity nor the kernel builders."""
     with decimal.localcontext() as ctx:
         ctx.prec = 50
-        shrink, grow = (-2 * Decimal(x)).exp(), (2 * Decimal(x)).exp()
+        a = _decimal_kernel(n, Decimal(x))
         d = 2 * n
-        a = [[Decimal(0)] * d for _ in range(d)]
-        for off, (small, big) in ((0, (shrink, grow)), (n, (grow, shrink))):
-            for i in range(n):
-                for j in range(n):
-                    a[off + i][off + j] = 2 * (small - big + (n * big if i == j else 0)) / n
         lower = [[Decimal(0)] * d for _ in range(d)]
         for j in range(d):
             lower[j][j] = (a[j][j] - sum(lower[j][k] ** 2 for k in range(j))).sqrt()
@@ -296,22 +306,31 @@ def _exact_sampling_factor(n, x):
         return np.array([[float(v / root2) for v in row] for row in inv])
 
 
+def _exact_spectral_root(n, x):
+    """A(-x/2) / 4, the symmetric square root of A(x)^-1 / 2, from its
+    formula in 50-digit decimal arithmetic, then rounded to float."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        return np.array([[float(v / 4) for v in row]
+                         for row in _decimal_kernel(n, -Decimal(x) / 2)])
+
+
 def test_kernel_sampler_matches_triangular_solve():
-    # the factor of A(-x) squares A(x)^-1 / 2 with no numerical inverse:
-    # 2.3e-12 of the largest row entry off at |x| = 5, where inv(L) / sqrt(2)
-    # of A(x) is 2.4e-8 off
-    rng = np.random.default_rng(5)
+    # the sampler's factor F, read from the mixing map's environment rows at
+    # eta = 0, squares to A(x)^-1 / 2 with no numerical factor or inverse:
+    # F^T F is at most 1.6 eps of the largest entry off E^T E, the exact
+    # triangular solve's
     for n in (1, 2, 3):
-        z = rng.standard_normal((1000, 2 * n))
         for x in (-5.0, -1.0, -0.5, 0.0, 1.0, 2.0, 5.0):
-            rows = z @ _sampling_factor(build_input_kernel(n, -x))
-            ref = z @ _exact_sampling_factor(n, x)
-            assert rows.shape == z.shape
-            assert np.abs(rows - ref).max() <= 1e-11 * np.abs(ref).max()
+            mix = oracle._mixing_map(ChannelParams(n=n, eta=0.0, s=x, n_eff=2.0), 0.0)
+            factor = -mix[4 * n:6 * n, 2 * n:]
+            exact = _exact_sampling_factor(n, x)
+            ref = exact.T @ exact
+            assert np.abs(factor.T @ factor - ref).max() <= 16 * EPS * np.abs(ref).max()
 
 
 def test_mixing_map_squares_to_the_pipeline_covariance():
-    # sampler-map's bound, 64 eps of the largest entry; 2.7 eps measured
+    # sampler-map's bound, 64 eps of the largest entry; 2.5 eps measured
     for n, eta, s, n_eff, r in zip(*(axis.tolist() for axis in random_points())):
         params = ChannelParams(n=n, eta=eta, s=s, n_eff=n_eff)
         mix, target = oracle._mixing_map(params, r), pipeline_covariance(params, r)
@@ -322,7 +341,7 @@ def test_mixing_map_squares_to_the_pipeline_covariance():
 def test_input_energy_of_the_mixing_map_is_the_photon_budget():
     # at eta = 1 the zeta block of M^T M less I/4 is the input covariance,
     # and tr / n - 1/2 = N + sinh^2 r = N_eff: input-energy's identity and
-    # bound, 6.1 eps N_eff measured
+    # bound, 8.8 eps N_eff measured
     for n, _, s, n_eff, r in zip(*(axis.tolist() for axis in random_points())):
         zeta = oracle._mixing_map(ChannelParams(n=n, eta=1.0, s=s, n_eff=n_eff), r)[:, 2 * n:]
         energy = np.trace(zeta.T @ zeta - np.eye(2 * n) / 4.0) / n - 0.5
@@ -332,16 +351,16 @@ def test_input_energy_of_the_mixing_map_is_the_photon_budget():
 def _reference_sample_joint(params, r, cfg):
     """The pipeline with each noise source's whole block drawn from its own
     SFC64 stream (modulation, input ensemble, environment, detector, spawned
-    from the seed), the signal and environment rows (noise from the exact
-    factors) stacked and mixed by the beam splitter's first 2n columns."""
+    from the seed), the signal and environment rows (noise through the exact
+    spectral roots) stacked and mixed by the beam splitter's first 2n columns."""
     n = params.n
     modulation, ensemble, environment, detector = (
         np.random.Generator(np.random.SFC64(seq))
         for seq in np.random.SeedSequence(cfg.seed).spawn(4))
     shape = (cfg.samples, 2 * n)
     mu = modulation.standard_normal(shape) * math.sqrt(photon_budget(params.n_eff, r) / 2.0)
-    sig = mu + ensemble.standard_normal(shape) @ _exact_sampling_factor(n, r)
-    env = environment.standard_normal(shape) @ _exact_sampling_factor(n, params.s)
+    sig = mu + ensemble.standard_normal(shape) @ _exact_spectral_root(n, r)
+    env = environment.standard_normal(shape) @ _exact_spectral_root(n, params.s)
     zeta = np.hstack([sig, env]) @ build_beam_splitter(n, params.eta)[:, :2 * n]
     zeta += detector.standard_normal(shape) * 0.5
     return np.hstack([mu, zeta])
@@ -349,7 +368,7 @@ def _reference_sample_joint(params, r, cfg):
 
 def test_sampler_matches_the_stacked_beam_splitter_pipeline():
     # 40 and 5003 rows: below the mixing block and not a multiple of it. At
-    # s = 4 the sampler's rows are 4.9e-13 of the largest off the exact factor's
+    # s = 4 the sampler's rows are 3.1e-16 of the largest off the exact root's
     for n in (1, 2, 3):
         for eta in (0.0, 0.3, 1.0):
             for s, r, m in ((0.0, 0.0, 40), (4.0, 0.4, 5003), (-2.0, -0.6, 5003)):
@@ -504,6 +523,24 @@ def test_std_error_refuses_an_ill_conditioned_block_with_a_typed_error():
                       (3, 0.0, 100.0), (3, 0.3, 100.0)):
         with pytest.raises(NotPositiveDefinite):
             monte_carlo_mi(ChannelParams(n=n, eta=eta, s=s, n_eff=2.0), 0.3, cfg)
+
+
+def test_monte_carlo_reaches_as_far_in_s_as_the_moment_oracle():
+    # the sampler factors no kernel, so the estimate answers wherever the
+    # pipeline covariance's blocks pass the pivot test: at |s| = 10 and 14,
+    # and at eta = 1, where the environment has zero weight, up to |s| = 354.
+    # A Cholesky factor of A(-s) fails its pivot test from |s| = 9 to 9.25 at
+    # these n. The worst |z| measured here is 1.30
+    cfg = McConfig(samples=20000, seed=7)
+    points = [(n, eta, s) for n in (1, 2, 3) for eta in (0.3, 0.8)
+              for s in (-14.0, -10.0, 10.0, 14.0)]
+    points += [(n, 1.0, s) for n in (1, 2, 3) for s in (-354.0, 354.0)]
+    for n, eta, s in points:
+        params = ChannelParams(n=n, eta=eta, s=s, n_eff=2.0)
+        est = monte_carlo_mi(params, 0.3, cfg)
+        assert math.isfinite(est.value) and math.isfinite(est.std_error)
+        dev = abs(est.value - mutual_information(params, 0.3).rate)
+        assert dev <= cli._MC_Z_BOUND * est.std_error, (n, eta, s)
 
 
 def test_a_given_covariance_replaces_the_draw():
