@@ -7,7 +7,6 @@ view), `optimize` reports the best entanglement parameter per memory value,
 1 verification failure, 2 invalid spec, 3 numerical failure.
 """
 import argparse
-import functools
 import math
 import re
 import sys
@@ -47,14 +46,13 @@ from .matrix_core import spd_logdet
 from .oracle import (
     McConfig,
     _covariances,
-    _mapped_covariance,
     _mi_from_covariance,
     _mixing_map,
-    _source_covariance,
     gaussian_mi_from_moments,
     monte_carlo_mi,
     pipeline_covariance,
     quadrature_entropy_n1,
+    sample_covariance,
 )
 
 _CSV_HEADER = "s,r,N,I_mu,I_zeta,I_joint,I_r,rate,gain"
@@ -315,9 +313,9 @@ def _check_spot_point(params):
     return dev <= bound, f"dev={dev:.3e} at r={_fmt(r)}"
 
 
-def _check_mc_anchor(samples, seed, covariance):
+def _check_mc_anchor(samples, seed):
     est = monte_carlo_mi(ChannelParams(n=2, eta=0.8, s=0.0, n_eff=2.0), 0.0,
-                         _shared_draw(samples, seed), covariance)
+                         _shared_draw(samples, seed))
     dev = abs(est.value - math.log2(2.6))
     return dev <= _MC_Z_BOUND * est.std_error, f"dev={dev:.3e} std_error={est.std_error:.3e}"
 
@@ -332,13 +330,13 @@ def _memory_point():
 def _shared_draw(samples, seed):
     """The cfg of the one draw that monte-carlo-anchor,
     monte-carlo-memory-point and sampler-moments read, each through its
-    point's map."""
+    point's map: the seed fixes the normals' covariance C bit for bit."""
     return McConfig(samples=samples, seed=seed + 1)
 
 
-def _check_mc_memory_point(samples, seed, covariance):
+def _check_mc_memory_point(samples, seed):
     params, r = _memory_point()
-    est = monte_carlo_mi(params, r, _shared_draw(samples, seed), covariance)
+    est = monte_carlo_mi(params, r, _shared_draw(samples, seed))
     dev = abs(est.value - mutual_information(params, r).rate)
     return dev <= _MC_Z_BOUND * est.std_error, f"dev={dev:.3e} std_error={est.std_error:.3e}"
 
@@ -352,10 +350,10 @@ def _check_mc_repeatability(samples, seed):
     return same, f"value={_fmt(first.value)} repeated={'yes' if same else 'no'}"
 
 
-def _check_sampler_moments(samples, seed, covariance):
+def _check_sampler_moments(samples, seed):
     # the Wishart likelihood-ratio statistic (m - 1)(tr(T^-1 S) - ln det(T^-1 S) - d)
     params, r = _memory_point()
-    sample = covariance(params, r, _shared_draw(samples, seed))
+    sample = sample_covariance(params, r, _shared_draw(samples, seed))
     target = pipeline_covariance(params, r)
     stat = (samples - 1) * float(np.trace(np.linalg.solve(target, sample))
                                  - spd_logdet(sample) + spd_logdet(target) - len(target))
@@ -421,11 +419,12 @@ def _checks(level, seed, samples, n, eta, n_eff):
     the moment oracle and the sampler's mixing map; `full` adds the 4
     sampled and the 3 quadrature checks. monte-carlo-anchor,
     monte-carlo-memory-point and sampler-moments read one draw of `samples`
-    rows (_shared_draw), whose (16, 16) normals' covariance is summed once
-    and taken through each point's mixing map; each check keeps its 1e-4
-    false-fail rate. monte-carlo-repeatability makes its own two draws,
-    which it compares. Each check fails under a fault of the model or its
-    oracles (tests/test_mutants.py pins which check catches which fault).
+    rows (_shared_draw): its (16, 16) normals' covariance, drawn from its
+    Wishart law and fixed by the seed, taken through each point's mixing
+    map; each check keeps its 1e-4 false-fail rate.
+    monte-carlo-repeatability makes its own two draws, which it compares.
+    Each check fails under a fault of the model or its oracles
+    (tests/test_mutants.py pins which check catches which fault).
     An invariant that holds by construction is a tier-1 test instead.
     spot-point-oracle, at the requested (n, eta, N_eff), allows the moment
     oracle's round-off: 1e-7 + 16 n eps N_eff bits. sampler-map and
@@ -440,12 +439,6 @@ def _checks(level, seed, samples, n, eta, n_eff):
                           f"in verify, got {n * n_eff:g}")
     rng = np.random.default_rng(seed)
     additivity_points = [_random_point(rng) for _ in range(5)]
-    # the shared draw's normals' covariance, summed once (_shared_draw)
-    source_covariance = functools.cache(_source_covariance)
-
-    def covariance(params, r, cfg):
-        return _mapped_covariance(_mixing_map(params, r), source_covariance(params.n, cfg))
-
     checks = [
         ("memoryless-anchor", _check_memoryless_anchor),
         ("input-kernel-determinant", _check_kernel_determinant),
@@ -459,11 +452,11 @@ def _checks(level, seed, samples, n, eta, n_eff):
     ]
     if level == "full":
         checks += [
-            ("monte-carlo-anchor", lambda: _check_mc_anchor(samples, seed, covariance)),
+            ("monte-carlo-anchor", lambda: _check_mc_anchor(samples, seed)),
             ("monte-carlo-memory-point",
-             lambda: _check_mc_memory_point(samples, seed, covariance)),
+             lambda: _check_mc_memory_point(samples, seed)),
             ("monte-carlo-repeatability", lambda: _check_mc_repeatability(samples, seed)),
-            ("sampler-moments", lambda: _check_sampler_moments(samples, seed, covariance)),
+            ("sampler-moments", lambda: _check_sampler_moments(samples, seed)),
             ("quadrature-input-entropy", _check_quadrature_input),
             ("quadrature-output-entropy", _check_quadrature_output),
             ("quadrature-joint-entropy", _check_quadrature_joint),

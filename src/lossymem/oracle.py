@@ -27,14 +27,15 @@ sums: no approximation enters, only a different order of round-off.
 
 The sampler is one linear map: the (8n, 4n) matrix M of _mixing_map takes
 a row of the physical noise sources' standard normals (modulation, input
-ensemble, environment, detector, each from its own SFC64 stream spawned
-from the seed) to a (mu, zeta) row, so M^T M must equal
+ensemble, environment, detector) to a (mu, zeta) row, so M^T M must equal
 pipeline_covariance, which verify's sampler-map check reads. A draw's
-moments are its normals': _source_covariance sums _source_blocks' blocks
-of _MIX_ROWS rows into their (8n, 8n) sample covariance C in about
-1.25 MiB at any sample count, and sample_covariance is M^T C M, so one
-draw serves the map of every point of its n. sample_joint writes each
-block times M into its output.
+moments are its normals': the (8n, 8n) sample covariance C of m iid rows
+of 8n standard normals has (m - 1) C ~ Wishart_8n(I, m - 1), and
+_source_covariance draws C from that law by Bartlett's decomposition, in
+8n (8n + 1) / 2 draws from one SFC64 stream whatever m is.
+sample_covariance is M^T C M, so one seed's C serves the map of every
+point of its n. sample_joint simulates the rows themselves, z M, from one
+stream seeded the same way: its rows share C's law, not C's realisation.
 
 `pipeline_covariance` is the per-params form of `_covariances`, which
 builds the covariance at 1-D arrays of points (eta, s, r, N) in one
@@ -57,7 +58,7 @@ from .matrix_core import spd_factor, spd_logdet, symmetrize
 
 # the sampling law of monte_carlo_mi is asymptotic in the sample count
 _MIN_SAMPLES = 40
-# sample rows per block of _source_blocks; the rows do not depend on it
+# sample rows per block of sample_joint; the rows do not depend on it
 _MIX_ROWS = 8192
 # the quadrature grid's half-width in marginal deviations: a Gaussian's mass
 # beyond +-8 sigma is 1.2e-15, far below the quadrature's 1e-6 mass gate
@@ -146,7 +147,7 @@ def gaussian_mi_from_moments(params, r):
 
 def _mixing_map(params, r):
     """The (8n, 4n) map M from one row of the four sources' standard normals
-    (modulation, input ensemble, environment, detector: 2n each, in spawn
+    (modulation, input ensemble, environment, detector: 2n each, in that
     order) to one (mu, zeta) row: mu = sqrt(N/2) z_mod, and the heterodyned
     signal output of the beam splitter,
     zeta = sqrt(eta) (mu + z_in F_in) - sqrt(1 - eta) z_env F_mem + z_det / 2,
@@ -166,72 +167,64 @@ def _mixing_map(params, r):
         [zero, eye / 2.0]])
 
 
-def _source_blocks(n, cfg):
-    """Yield the four sources' standard normals side by side in (rows, 8n)
-    views of one buffer, rows <= _MIX_ROWS, each valid until the next. Each
-    source fills a (rows, 2n) buffer from its own SFC64 stream, one of four
-    children of SeedSequence(cfg.seed) in spawn order, in row order, so the
-    rows do not depend on the block size."""
-    generators = [np.random.Generator(np.random.SFC64(seq))
-                  for seq in np.random.SeedSequence(cfg.seed).spawn(4)]
-    rows, width = min(cfg.samples, _MIX_ROWS), 2 * n
-    z, buf = np.empty((rows, width)), np.empty((rows, 4 * width))
-    for lo in range(0, cfg.samples, rows):
-        k = min(rows, cfg.samples - lo)
-        for col, generator in zip(range(0, 4 * width, width), generators):
-            generator.standard_normal(out=z[:k])
-            buf[:k, col:col + width] = z[:k]
-        yield buf[:k]
+def _generator(seed):
+    """The SFC64 generator of a seed, through SeedSequence."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed)))
 
 
 def _source_covariance(n, cfg):
-    """The (8n, 8n) sample covariance C of the normals that _source_blocks
-    draws, from each block's column sums and Gram matrix: the draw itself
-    is never held."""
-    total, gram = np.zeros(8 * n), np.zeros((8 * n, 8 * n))
-    for block in _source_blocks(n, cfg):
-        # the column sums: sum(axis=0) takes 5x as long on 8n columns
-        total += np.einsum("ij->j", block)
-        gram += block.T @ block
-    m, mean = cfg.samples, total / cfg.samples
-    return (gram - m * np.outer(mean, mean)) / (m - 1)
-
-
-def _mapped_covariance(mix, source_cov):
-    """M^T C M, symmetrized: the sample covariance of the rows z M."""
-    return symmetrize(mix.T @ source_cov @ mix)
+    """The (8n, 8n) sample covariance C of cfg.samples = m rows of 8n iid
+    standard normals, drawn from its law: (m - 1) C ~ Wishart_8n(I, m - 1).
+    By Bartlett's decomposition C = L L^T / (m - 1), with L lower triangular,
+    L_jj = sqrt(chi^2(m - 1 - j)) and L_ij ~ N(0, 1) below the diagonal, in
+    row-major order, all from one stream of the seed. The diagonal's degrees
+    of freedom must stay positive, so m <= 8n raises InvalidSpec."""
+    d, m = 8 * n, cfg.samples
+    if m - 1 < d:
+        raise InvalidSpec(f"samples must exceed 8n = {d} for a full-rank sample "
+                          f"covariance, got {m}")
+    generator = _generator(cfg.seed)
+    lower = np.diag(np.sqrt(generator.chisquare(m - 1 - np.arange(d))))
+    lower[np.tril_indices(d, -1)] = generator.standard_normal(d * (d - 1) // 2)
+    return lower @ lower.T / (m - 1)
 
 
 def sample_joint(params, r, cfg):
     """Simulate the physical pipeline, returning (samples, 4n) rows of (mu, zeta):
-    each block of _source_blocks' normals through _mixing_map. A seed fixes
-    the samples; the peak memory is the output plus about 1.25 MiB."""
+    rows of 8n standard normals, filled block by block from one stream of
+    the seed, through _mixing_map. The rows do not depend on the block size,
+    and their sample covariance shares the law of sample_covariance, not its
+    realisation. The peak memory is the output plus one (_MIX_ROWS, 8n) block."""
     mix = _mixing_map(params, r)
-    out = np.empty((cfg.samples, 4 * params.n))
-    for lo, block in zip(range(0, cfg.samples, _MIX_ROWS), _source_blocks(params.n, cfg)):
-        np.matmul(block, mix, out=out[lo:lo + len(block)])
+    generator = _generator(cfg.seed)
+    rows = min(cfg.samples, _MIX_ROWS)
+    z, out = np.empty((rows, 8 * params.n)), np.empty((cfg.samples, 4 * params.n))
+    for lo in range(0, cfg.samples, rows):
+        k = min(rows, cfg.samples - lo)
+        generator.standard_normal(out=z[:k])
+        np.matmul(z[:k], mix, out=out[lo:lo + k])
     return out
 
 
 def sample_covariance(params, r, cfg):
-    """Sample covariance (4n x 4n) of the rows sample_joint draws, up to
-    round-off: M^T C M for the normals' C (_source_covariance), which holds
-    about 1.25 MiB of block buffers, never the draw."""
-    return _mapped_covariance(_mixing_map(params, r), _source_covariance(params.n, cfg))
+    """Sample covariance (4n x 4n) of cfg.samples simulated (mu, zeta) rows:
+    M^T C M, symmetrized, for the normals' C of _source_covariance."""
+    mix = _mixing_map(params, r)
+    return symmetrize(mix.T @ _source_covariance(params.n, cfg) @ mix)
 
 
-def monte_carlo_mi(params, r, cfg, covariance=sample_covariance):
+def monte_carlo_mi(params, r, cfg):
     """Estimate the mutual information per channel use from simulated samples.
 
     With p = q = 2n and m samples, the value is the moment formula on
-    covariance(params, r, cfg) less its first-order bias pq / (2m) nats, the
-    same for every covariance. The standard error is sqrt((sum rho_i^2 +
-    pq / (2m)) / m) nats: the rho_i^2 are the eigenvalues of S_mu^-1 S_mu,zeta
-    S_zeta^-1 S_zeta,mu of pipeline_covariance, and pq / (2m^2), the null
-    chi^2 variance, keeps it nonzero at eta = 0. Both are divided by n ln 2.
-    The sum is the squared Frobenius norm of L_zeta^-1 S_zeta,mu L_mu^-T,
-    with the pivot-tested factors of spd_factor, so a block that fails the
-    test raises NotPositiveDefinite.
+    sample_covariance(params, r, cfg) less its first-order bias pq / (2m)
+    nats. The standard error is sqrt((sum rho_i^2 + pq / (2m)) / m) nats:
+    the rho_i^2 are the eigenvalues of S_mu^-1 S_mu,zeta S_zeta^-1 S_zeta,mu
+    of pipeline_covariance, and pq / (2m^2), the null chi^2 variance, keeps
+    it nonzero at eta = 0. Both are divided by n ln 2. The sum is the
+    squared Frobenius norm of L_zeta^-1 S_zeta,mu L_mu^-T, with the
+    pivot-tested factors of spd_factor, so a block that fails the test
+    raises NotPositiveDefinite. m <= 8n raises InvalidSpec before the draw.
     """
     n, m = params.n, cfg.samples
     exact = pipeline_covariance(params, r)
@@ -240,7 +233,7 @@ def monte_carlo_mi(params, r, cfg, covariance=sample_covariance):
     whitened = np.linalg.solve(lower_zeta, np.linalg.solve(lower_mu, exact[:2 * n, 2 * n:]).T)
     rho2 = float(np.sum(whitened * whitened))
     bias = (2 * n) ** 2 / (2.0 * m)
-    value = _mi_from_covariance(covariance(params, r, cfg), n) - bias / LN2
+    value = _mi_from_covariance(sample_covariance(params, r, cfg), n) - bias / LN2
     std_error = math.sqrt((rho2 + bias) / m) / LN2
     return MiEstimate(value=value / n, std_error=std_error / n)
 

@@ -525,10 +525,10 @@ def test_verify_runs_each_check_on_the_calling_thread_and_prints_as_it_returns(m
     seen = {}
     anchor = cli._check_mc_anchor
 
-    def recording(samples, seed, covariance):
+    def recording(samples, seed):
         seen["thread"] = threading.get_ident()
         seen["text"] = buf.getvalue()
-        return anchor(samples, seed, covariance)
+        return anchor(samples, seed)
 
     monkeypatch.setattr(cli, "_check_mc_anchor", recording)
     assert verify("full", seed=42, samples=2000, stream=buf) is True
@@ -538,25 +538,35 @@ def test_verify_runs_each_check_on_the_calling_thread_and_prints_as_it_returns(m
 
 
 def test_verify_full_draws_the_anchor_and_memory_point_once(monkeypatch):
-    # monte-carlo-anchor, monte-carlo-memory-point and sampler-moments read
-    # one draw of m rows, and monte-carlo-repeatability makes two of
-    # max(2000, m // 10): each row is 8n = 16 normals of the four sources
+    # the sampled checks draw their normals' covariance C from its Wishart
+    # law, whatever the sample count: 8n chi^2 and 8n (8n - 1) / 2 normal
+    # values per C, 136 at n = 2. monte-carlo-anchor, monte-carlo-memory-point
+    # and sampler-moments each draw the shared seed's C, and
+    # monte-carlo-repeatability draws its own twice
     exact = np.random.Generator
-    drawn = []
 
-    class Counting:
-        def __init__(self, bit_generator):
-            self.generator = exact(bit_generator)
+    def count(samples):
+        drawn = []
 
-        def standard_normal(self, *args, **kwargs):
-            values = self.generator.standard_normal(*args, **kwargs)
-            drawn.append(values.size)
-            return values
+        class Counting:
+            def __init__(self, bit_generator):
+                self.generator = exact(bit_generator)
 
-    monkeypatch.setattr(np.random, "Generator", Counting)
-    m = 40000
-    assert verify("full", seed=42, samples=m, stream=io.StringIO()) is True
-    assert sum(drawn) == 16 * (m + 2 * max(2000, m // 10))
+            def chisquare(self, df):
+                values = self.generator.chisquare(df)
+                drawn.append(values.size)
+                return values
+
+            def standard_normal(self, size):
+                values = self.generator.standard_normal(size)
+                drawn.append(values.size)
+                return values
+
+        monkeypatch.setattr(np.random, "Generator", Counting)
+        assert verify("full", seed=42, samples=samples, stream=io.StringIO()) is True
+        return sum(drawn)
+
+    assert count(40000) == count(400000) == 5 * 136
 
 
 # ---------------------------------------------------------------- main

@@ -1,9 +1,10 @@
 """Which `verify full` checks each catalogued fault fails, at the default seed.
 
 Each fault replaces one function in every lossymem module that holds it,
-or maps the sampler's four noise streams onto fewer SeedSequence children.
-An empty set is a fault that no check catches: only the beam splitter's,
-which no verify path reads.
+or distorts the Wishart law of the sampler's source covariance through the
+draws of its generator. An empty set is a fault that no check catches: the
+beam splitter's, which no verify path reads, and a source covariance whose
+off-diagonal normals are dropped, which no sampled check bounds from below.
 """
 import dataclasses
 import io
@@ -109,14 +110,14 @@ CATALOGUE.update({
         set()),
 })
 
-# the sampler's sources, in spawn order: modulation, input ensemble,
-# environment, detector; each entry names the child that each source reads
-STREAM_FAULTS = {
-    "one-child-for-all-four-sources": ((0, 0, 0, 0), {
-        "monte-carlo-anchor", "monte-carlo-memory-point", "monte-carlo-repeatability",
-        "sampler-moments"}),
-    "ensemble-and-environment-share-a-child": ((0, 1, 1, 3), {
-        "monte-carlo-anchor", "monte-carlo-memory-point", "sampler-moments"}),
+# faults of the Bartlett draw of the normals' covariance C = L L^T / (m - 1):
+# (scale of the normals below L's diagonal, map of the diagonal's chi^2
+# degrees of freedom), failing checks. Only the gross ones fail, and only
+# sampler-moments: a C too tight fails none
+LAW_FAULTS = {
+    "off-diagonal-normals-doubled": ((2.0, lambda df: df), {"sampler-moments"}),
+    "diagonal-dof-halved": ((1.0, lambda df: df / 2), {"sampler-moments"}),
+    "off-diagonal-normals-dropped": ((0.0, lambda df: df), set()),
 }
 
 
@@ -156,19 +157,22 @@ def test_coupled_joint_kernel_is_refused(monkeypatch):
     assert detail.startswith("raised DimensionMismatch: ")
 
 
-@pytest.mark.parametrize("fault", list(STREAM_FAULTS))
-def test_stream_fault_fails_exactly_its_checks(monkeypatch, fault):
-    children, failing = STREAM_FAULTS[fault]
+@pytest.mark.parametrize("fault", list(LAW_FAULTS))
+def test_law_fault_fails_exactly_its_checks(monkeypatch, fault):
+    (scale, dof), failing = LAW_FAULTS[fault]
+    exact = np.random.Generator
 
-    class Mapped:
-        def __init__(self, exact, seed):
-            self.sequence = exact(seed)
+    class Faulty:
+        def __init__(self, bit_generator):
+            self.generator = exact(bit_generator)
 
-        def spawn(self, count):
-            spawned = self.sequence.spawn(count)
-            return [spawned[k] for k in children]
+        def chisquare(self, df):
+            return self.generator.chisquare(dof(df))
 
-    _seed_sequence(monkeypatch, Mapped)
+        def standard_normal(self, size):
+            return scale * self.generator.standard_normal(size)
+
+    monkeypatch.setattr(np.random, "Generator", Faulty)
     assert _failing_checks().keys() == failing
 
 

@@ -348,21 +348,25 @@ def test_input_energy_of_the_mixing_map_is_the_photon_budget():
         assert abs(energy - n_eff) <= cli._MAP_BOUND * n_eff
 
 
+def _stream(seed):
+    """The SFC64 stream of a seed, through SeedSequence."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed)))
+
+
 def _reference_sample_joint(params, r, cfg):
-    """The pipeline with each noise source's whole block drawn from its own
-    SFC64 stream (modulation, input ensemble, environment, detector, spawned
-    from the seed), the signal and environment rows (noise through the exact
-    spectral roots) stacked and mixed by the beam splitter's first 2n columns."""
+    """The pipeline with the noise sources' normals drawn whole from the
+    seed's stream, 8n to a row, in row order, and split into the columns of
+    modulation, input ensemble, environment and detector; the signal and
+    environment rows (noise through the exact spectral roots) stacked and
+    mixed by the beam splitter's first 2n columns."""
     n = params.n
-    modulation, ensemble, environment, detector = (
-        np.random.Generator(np.random.SFC64(seq))
-        for seq in np.random.SeedSequence(cfg.seed).spawn(4))
-    shape = (cfg.samples, 2 * n)
-    mu = modulation.standard_normal(shape) * math.sqrt(photon_budget(params.n_eff, r) / 2.0)
-    sig = mu + ensemble.standard_normal(shape) @ _exact_spectral_root(n, r)
-    env = environment.standard_normal(shape) @ _exact_spectral_root(n, params.s)
+    normals = _stream(cfg.seed).standard_normal((cfg.samples, 8 * n))
+    modulation, ensemble, environment, detector = np.hsplit(normals, 4)
+    mu = modulation * math.sqrt(photon_budget(params.n_eff, r) / 2.0)
+    sig = mu + ensemble @ _exact_spectral_root(n, r)
+    env = environment @ _exact_spectral_root(n, params.s)
     zeta = np.hstack([sig, env]) @ build_beam_splitter(n, params.eta)[:, :2 * n]
-    zeta += detector.standard_normal(shape) * 0.5
+    zeta += detector * 0.5
     return np.hstack([mu, zeta])
 
 
@@ -389,40 +393,67 @@ def test_sampler_rows_do_not_depend_on_the_block_size(monkeypatch):
         assert np.array_equal(sample_joint(params, 0.3, cfg), default)
 
 
-def test_streamed_covariance_matches_the_covariance_of_the_draw():
-    for n in (1, 2, 3):
-        params = ChannelParams(n=n, eta=0.7, s=2.0, n_eff=2.0)
-        cfg = McConfig(samples=20011, seed=n)
-        ref = np.cov(sample_joint(params, 0.4, cfg), rowvar=False)
-        cov = sample_covariance(params, 0.4, cfg)
-        assert cov.shape == ref.shape
-        assert np.abs(cov - ref).max() <= 1e-13 * np.abs(ref).max()
-        np.testing.assert_array_equal(cov, cov.T)
-
-
-def test_streamed_covariance_is_the_blockwise_sum_of_the_draw():
-    # bit for bit: each source's normals, drawn whole from its stream, side
-    # by side; their column sums and Gram matrices in _MIX_ROWS blocks,
-    # summed in block order into C; and the rows' covariance M^T C M,
+def test_source_covariance_is_the_bartlett_factor_of_the_seed():
+    # bit for bit: the diagonal's chi^2(m - 1 - j) draws, square-rooted,
+    # then the normals below the diagonal in row-major order, one stream of
+    # the seed; C = L L^T / (m - 1), and the rows' covariance M^T C M,
     # symmetrized, as the sampled checks print
     for n in (1, 2, 3):
         params = ChannelParams(n=n, eta=0.7, s=2.0, n_eff=2.0)
-        m = 20011
-        cfg = McConfig(samples=m, seed=n)
-        normals = np.hstack([np.random.Generator(np.random.SFC64(seq)).standard_normal((m, 2 * n))
-                             for seq in np.random.SeedSequence(cfg.seed).spawn(4)])
-        total = np.zeros(8 * n)
-        gram = np.zeros((8 * n, 8 * n))
-        for lo in range(0, m, oracle._MIX_ROWS):
-            block = normals[lo:lo + oracle._MIX_ROWS]
-            total += np.einsum("ij->j", block)
-            gram += block.T @ block
-        mean = total / m
-        source_cov = (gram - m * np.outer(mean, mean)) / (m - 1)
-        assert np.array_equal(oracle._source_covariance(n, cfg), source_cov)
-        mix = oracle._mixing_map(params, 0.4)
-        cov = mix.T @ source_cov @ mix
-        assert np.array_equal(sample_covariance(params, 0.4, cfg), (cov + cov.T) / 2.0)
+        for m in (8 * n + 1 + 40, 20011):
+            cfg = McConfig(samples=m, seed=n)
+            d = 8 * n
+            stream = _stream(cfg.seed)
+            lower = np.diag(np.sqrt(stream.chisquare(m - 1 - np.arange(d))))
+            below = iter(stream.standard_normal(d * (d - 1) // 2))
+            for i in range(d):
+                for j in range(i):
+                    lower[i, j] = next(below)
+            source_cov = lower @ lower.T / (m - 1)
+            assert np.array_equal(oracle._source_covariance(n, cfg), source_cov)
+            mix = oracle._mixing_map(params, 0.4)
+            cov = mix.T @ source_cov @ mix
+            assert np.array_equal(sample_covariance(params, 0.4, cfg), (cov + cov.T) / 2.0)
+
+
+def test_source_covariance_follows_the_wishart_law():
+    # W = (m - 1) C ~ Wishart_8n(I, m - 1), k = m - 1: over 2000 seeds each
+    # diagonal entry is chi^2(k), of mean k and variance 2k, and each entry
+    # below it has variance k. Each z is against the sampling law of the
+    # pooled mean or variance (fourth moments 12k(k + 4) and 3k^2 + 6k); a
+    # chi^2 degree of freedom off by one reads z = 9.3, off-diagonal normals
+    # 3 % too large z = 9.1. The worst |z| measured here is 1.05, in about
+    # 0.1 s of a 0.5 s budget
+    n, m, seeds = 1, 100, range(1, 2001)
+    k, d = m - 1, 8 * n
+    w = np.array([oracle._source_covariance(n, McConfig(samples=m, seed=seed)) * k
+                  for seed in seeds])
+    diag = w[:, np.arange(d), np.arange(d)].ravel()
+    rows, cols = np.tril_indices(d, -1)
+    below = w[:, rows, cols].ravel()
+    z_mean = (diag.mean() - k) / math.sqrt(2 * k / diag.size)
+    z_diag_var = (diag.var(ddof=1) - 2 * k) / math.sqrt((8 * k * k + 48 * k) / diag.size)
+    z_below_var = (below.var(ddof=1) - k) / math.sqrt((2 * k * k + 6 * k) / below.size)
+    for z in (z_mean, z_diag_var, z_below_var):
+        assert abs(z) <= 4.0, (z_mean, z_diag_var, z_below_var)
+
+
+def test_monte_carlo_refuses_samples_at_most_8n(monkeypatch):
+    # Bartlett's chi^2 degrees of freedom m - 1 - j reach 0 at m = 8n: a
+    # typed refusal before any draw, never numpy's ValueError
+    for n in (5, 8, 32):
+        params = ChannelParams(n=n, eta=0.8, s=1.0, n_eff=2.0)
+        assert math.isfinite(monte_carlo_mi(params, 0.3, McConfig(samples=8 * n + 1, seed=1)).value)
+
+    def no_draw(seed):
+        raise AssertionError("drew before refusing")
+
+    monkeypatch.setattr(oracle, "_generator", no_draw)
+    for n in (5, 8, 32):
+        params = ChannelParams(n=n, eta=0.8, s=1.0, n_eff=2.0)
+        for m in (40, 8 * n):
+            with pytest.raises(InvalidSpec, match=f"samples must exceed 8n = {8 * n} .* got {m}$"):
+                monte_carlo_mi(params, 0.3, McConfig(samples=m, seed=1))
 
 
 def _traced_peak(fn, *args):
@@ -438,20 +469,20 @@ def _traced_peak(fn, *args):
 
 
 def test_sampler_holds_one_draw_buffer():
-    # the output plus the (8192, 2n) normals of one source and the (8192, 8n)
-    # normals of all four, 1.25 MiB at n = 2 (1.26 MiB measured), padded to 2 MiB
+    # the output plus one (8192, 8n) block of normals, 1 MiB at n = 2
+    # (1.003 MiB measured), padded to 2 MiB
     params = ChannelParams(n=2, eta=0.8, s=1.0, n_eff=2.0)
     data, peak = _traced_peak(sample_joint, params, 0.3, McConfig(samples=100000, seed=1))
     assert peak <= data.nbytes + 2 * 2 ** 20
 
 
 def test_streamed_covariance_holds_nothing_sized_by_the_samples():
-    # 1.26 MiB measured at both counts: the (8192, 2n) and (8192, 8n) normals
-    # buffers, never the draw
+    # 11 kB measured at both counts: the (8n, 8n) Bartlett factor and its
+    # products, never a row
     params = ChannelParams(n=2, eta=0.8, s=1.0, n_eff=2.0)
     for m in (20000, 200000):
         _, peak = _traced_peak(sample_covariance, params, 0.3, McConfig(samples=m, seed=1))
-        assert peak <= 2 * 2 ** 20
+        assert peak <= 2 ** 16
 
 
 def test_sampling_is_reproducible():
@@ -487,20 +518,16 @@ def test_monte_carlo_memory_point():
     assert abs(est.value - closed) <= 3.0 * est.std_error
 
 
-def _reference_mi(data, n):
-    cov = np.cov(data, rowvar=False)
-    return (spd_logdet(cov[:2 * n, :2 * n]) + spd_logdet(cov[2 * n:, 2 * n:])
-            - spd_logdet(cov)) / (2.0 * LN2)
-
-
 def test_value_is_the_bias_corrected_plug_in():
-    # the moment formula on np.cov of the draw, less pq / (2m) nats, p = q = 2n
+    # the moment formula on sample_covariance, less pq / (2m) nats, p = q = 2n
     for n, eta, s, n_eff, r, m, seed in ((2, 0.8, 0.0, 2.0, 0.0, 20000, 1),
                                          (1, 0.5, 5.0, 20.0, -0.7, 5003, 12345),
                                          (3, 0.3, 1.0, 5.0, 0.6, 4019, 7)):
         params = ChannelParams(n=n, eta=eta, s=s, n_eff=n_eff)
         cfg = McConfig(samples=m, seed=seed)
-        plug_in = _reference_mi(sample_joint(params, r, cfg), n)
+        cov = sample_covariance(params, r, cfg)
+        plug_in = (spd_logdet(cov[:2 * n, :2 * n]) + spd_logdet(cov[2 * n:, 2 * n:])
+                   - spd_logdet(cov)) / (2.0 * LN2)
         est = monte_carlo_mi(params, r, cfg)
         assert abs(est.value - (plug_in - (2 * n) ** 2 / (2.0 * m) / LN2) / n) <= 1e-12
 
@@ -541,19 +568,6 @@ def test_monte_carlo_reaches_as_far_in_s_as_the_moment_oracle():
         assert math.isfinite(est.value) and math.isfinite(est.std_error)
         dev = abs(est.value - mutual_information(params, 0.3).rate)
         assert dev <= cli._MC_Z_BOUND * est.std_error, (n, eta, s)
-
-
-def test_a_given_covariance_replaces_the_draw():
-    params = ChannelParams(n=2, eta=0.8, s=2.0, n_eff=2.0)
-    cfg = McConfig(samples=5003, seed=42)
-    calls = []
-
-    def covariance(*args):
-        calls.append(args)
-        return sample_covariance(*args)
-
-    assert monte_carlo_mi(params, 0.4, cfg, covariance) == monte_carlo_mi(params, 0.4, cfg)
-    assert calls == [(params, 0.4, cfg)]
 
 
 def test_error_bar_shrinks_with_samples():
