@@ -32,13 +32,14 @@ def heterodyne_noisier(exact):
     return faulty
 
 
-def noise_rows_scaled(factor):
-    """A fault of the sampler's mixing map: its noise rows 2n to 6n, the
-    input ensemble's and the environment's factors, scaled by factor."""
+def noise_rows_scaled(factor, first=2):
+    """A fault of the sampler's mixing map: its noise rows first * n to 6n
+    scaled by factor. Rows 2n to 4n are the input ensemble's factor and 4n
+    to 6n the environment's."""
     def make(exact):
         def faulty(params, r):
             mix = exact(params, r)
-            mix[2 * params.n:6 * params.n] *= factor
+            mix[first * params.n:6 * params.n] *= factor
             return mix
         return faulty
     return make

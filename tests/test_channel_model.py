@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from lossymem import cli
 from lossymem.channel_model import (
     N_EFF_MAX,
     N_MIN,
@@ -439,8 +438,10 @@ def test_positive_definite_across_parameter_grid():
 
 
 def test_pair_chain_is_bit_equal_to_assemble_model_on_the_verify_grid():
-    # the 81 points of verify's positive-definite-grid, in one stacked call
-    eta, s, r, grid_n = cli._positive_definite_points()
+    # the 81 points of the grid over eta, r, s and the modulation variance N,
+    # in one stacked call
+    eta, r, s, grid_n = (coords.ravel() for coords in np.meshgrid(
+        (0.1, 0.5, 0.9), (-2.0, 0.0, 2.0), (-2.0, 0.0, 2.0), (0.01, 1.0, 50.0), indexing="ij"))
     # each point's budget N + sinh^2 r, which leaves about N at r
     n_eff = np.array([m + math.sinh(x) ** 2 for m, x in zip(grid_n.tolist(), r.tolist())])
     n_mod, admissible = photon_budgets(n_eff, r)

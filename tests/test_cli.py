@@ -1,5 +1,4 @@
 """Sweep, optimize, and verify entry points plus exit-code mapping."""
-import dataclasses
 import io
 import math
 import os
@@ -13,7 +12,7 @@ import numpy as np
 import pytest
 
 import lossymem
-from lossymem import channel_model, cli, information, oracle
+from lossymem import cli, information, oracle
 from lossymem.cli import SweepSpec, build_parser, main, optimize, sweep, verify
 from lossymem.errors import (
     InvalidSpec,
@@ -320,7 +319,7 @@ def test_verify_quick_passes():
     assert verify("quick", stream=buf) is True
     assert time.perf_counter() - t0 < 10.0
     lines = buf.getvalue().splitlines()
-    assert lines[-1] == "verify quick: 9 checks, 9 passed, 0 failed"
+    assert lines[-1] == "verify quick: 8 checks, 8 passed, 0 failed"
     assert all(line.startswith("PASS ") for line in lines[:-1])
 
 
@@ -329,7 +328,7 @@ def test_verify_full_is_deterministic():
     assert verify("full", seed=42, stream=buf_a) is True
     assert verify("full", seed=42, stream=buf_b) is True
     assert buf_a.getvalue() == buf_b.getvalue()
-    assert buf_a.getvalue().splitlines()[-1] == "verify full: 16 checks, 16 passed, 0 failed"
+    assert buf_a.getvalue().splitlines()[-1] == "verify full: 14 checks, 14 passed, 0 failed"
 
 
 def test_every_check_returns_a_bool_and_a_str():
@@ -343,8 +342,9 @@ def test_every_check_returns_a_bool_and_a_str():
 @pytest.mark.parametrize("seed", [23, 50, 51, 2830])
 def test_verify_full_passes_where_estimated_bounds_failed(seed):
     # a max-deviation bound failed sampler-moments at 23, and 3 jackknife
-    # errors failed monte-carlo-memory-point at 50 and monte-carlo-anchor at
-    # 51; at 2830 the false law i_r <= i_mu failed a random point by 0.165 bits
+    # errors failed monte-carlo-memory-point at 50 and a Monte Carlo check of
+    # the memoryless anchor at 51; at 2830 the false law i_r <= i_mu failed a
+    # random point by 0.165 bits
     buf = io.StringIO()
     assert verify("full", seed=seed, stream=buf) is True, buf.getvalue()
 
@@ -390,29 +390,6 @@ def test_moment_oracle_grid_catches_the_catalogued_faults(monkeypatch, fault):
     ok, detail = cli._check_moment_oracle_grid()
     assert ok is False
     assert detail.startswith("max_dev=") and detail.endswith(" points=1512")
-
-
-@pytest.mark.parametrize("bad", [math.nan, -1.0], ids=["nan", "negative"])
-def test_positive_definite_grid_fails_on_one_non_positive_pair(monkeypatch, bad):
-    # one point's rel-class T' made NaN or negative: its joint pair is not
-    # positive definite, whatever the other 80 points hold
-    exact = channel_model._pair_chain
-
-    def faulty(*points):
-        model = exact(*points)
-        t_pair = model.t_pair.copy()
-        t_pair[40, 1] *= bad
-        return dataclasses.replace(model, t_pair=t_pair)
-
-    patch_everywhere(monkeypatch, exact, faulty)
-    monkeypatch.setattr(cli, "_checks", lambda *args: [
-        ("positive-definite-grid", cli._check_positive_definite_grid)])
-    buf = io.StringIO()
-    assert verify("quick", stream=buf) is False
-    assert buf.getvalue().splitlines() == [
-        "FAIL positive-definite-grid raised NotPositiveDefinite: "
-        "matrix of dim 2 failed Cholesky pivot test",
-        "verify quick: 1 checks, 0 passed, 1 failed"]
 
 
 def test_verify_rejects_unknown_level():
@@ -472,7 +449,7 @@ def test_verify_reports_a_failing_check(monkeypatch, capsys):
     assert verify("quick", stream=buf) is False
     lines = buf.getvalue().splitlines()
     assert "FAIL memoryless-anchor dev=1.000e+00" in lines
-    assert lines[-1] == "verify quick: 9 checks, 8 passed, 1 failed"
+    assert lines[-1] == "verify quick: 8 checks, 7 passed, 1 failed"
     assert main(["verify"]) == 1
     assert "FAIL memoryless-anchor" in capsys.readouterr().out
 
@@ -483,9 +460,9 @@ def _registry_names():
 
 @pytest.mark.parametrize("level, function, name, summary", [
     ("quick", "_check_kernel_determinant", "input-kernel-determinant",
-     "verify quick: 9 checks, 8 passed, 1 failed"),
-    ("full", "_check_mc_anchor", "monte-carlo-anchor",
-     "verify full: 16 checks, 15 passed, 1 failed"),
+     "verify quick: 8 checks, 7 passed, 1 failed"),
+    ("full", "_check_mc_memory_point", "monte-carlo-memory-point",
+     "verify full: 14 checks, 13 passed, 1 failed"),
 ], ids=["quick", "full"])
 def test_verify_reports_a_raising_check(monkeypatch, capsys, level, function, name, summary):
     def raising(*args):
@@ -523,25 +500,25 @@ def test_verify_re_raises_another_error_in_the_caller(monkeypatch, function, nam
 def test_verify_runs_each_check_on_the_calling_thread_and_prints_as_it_returns(monkeypatch):
     buf = io.StringIO()
     seen = {}
-    anchor = cli._check_mc_anchor
+    memory_point = cli._check_mc_memory_point
 
     def recording(samples, seed):
         seen["thread"] = threading.get_ident()
         seen["text"] = buf.getvalue()
-        return anchor(samples, seed)
+        return memory_point(samples, seed)
 
-    monkeypatch.setattr(cli, "_check_mc_anchor", recording)
+    monkeypatch.setattr(cli, "_check_mc_memory_point", recording)
     assert verify("full", seed=42, samples=2000, stream=buf) is True
     assert seen["thread"] == threading.get_ident()
-    before = _registry_names().index("monte-carlo-anchor")
+    before = _registry_names().index("monte-carlo-memory-point")
     assert seen["text"] == "".join(buf.getvalue().splitlines(keepends=True)[:before])
 
 
-def test_verify_full_draws_the_anchor_and_memory_point_once(monkeypatch):
+def test_verify_full_draws_four_covariances_whatever_the_sample_count(monkeypatch):
     # the sampled checks draw their normals' covariance C from its Wishart
     # law, whatever the sample count: 8n chi^2 and 8n (8n - 1) / 2 normal
-    # values per C, 136 at n = 2. monte-carlo-anchor, monte-carlo-memory-point
-    # and sampler-moments each draw the shared seed's C, and
+    # values per C, 136 at n = 2. monte-carlo-memory-point and
+    # sampler-moments each draw the shared seed's C, and
     # monte-carlo-repeatability draws its own twice
     exact = np.random.Generator
 
@@ -566,7 +543,7 @@ def test_verify_full_draws_the_anchor_and_memory_point_once(monkeypatch):
         assert verify("full", seed=42, samples=samples, stream=io.StringIO()) is True
         return sum(drawn)
 
-    assert count(40000) == count(400000) == 5 * 136
+    assert count(40000) == count(400000) == 4 * 136
 
 
 # ---------------------------------------------------------------- main

@@ -1,10 +1,13 @@
-"""Which `verify full` checks each catalogued fault fails, at the default seed.
+"""Which `verify full` checks each catalogued fault fails, at the default
+seed, and why each check is in the registry.
 
 Each fault replaces one function in every lossymem module that holds it,
 or distorts the Wishart law of the sampler's source covariance through the
-draws of its generator. An empty set is a fault that no check catches: the
-beam splitter's, which no verify path reads, and a source covariance whose
-off-diagonal normals are dropped, which no sampled check bounds from below.
+draws of its generator. Every check is the only one that fails under some
+fault here, or has a role of its own in ROLES: a check whose faults all
+fail other checks too adds run time and code, but no detection. An empty
+set is a fault that no check catches: the beam splitter's, which no verify
+path reads.
 """
 import dataclasses
 import io
@@ -41,30 +44,49 @@ def _x_and_p_coupled(exact):
     return faulty
 
 
-def _collective_scaled(exact):
-    # the J/n term of each block, 2e^{-+2r} J/n, scaled by 1 + 1e-3 for n >= 3
+def _collective_scaled(n_min):
+    # the J/n term of each block, 2e^{-+2r} J/n, scaled by 1 + 1e-3 for
+    # n >= n_min
+    def make(exact):
+        def faulty(n, r):
+            out = exact(n, r)
+            if n >= n_min:
+                r_arr = np.asarray(r, dtype=float)[..., None, None]
+                term = np.full((n, n), 2e-3 / n)
+                out[..., :n, :n] += np.exp(-2.0 * r_arr) * term
+                out[..., n:, n:] += np.exp(2.0 * r_arr) * term
+            return out
+        return faulty
+    return make
+
+
+def _input_kernel_scaled_past_r_2_5(exact):
+    # the kernel scaled by 1 + 1e-6 where |r| > 2.5
     def faulty(n, r):
-        out = exact(n, r)
-        if n >= 3:
-            r_arr = np.asarray(r, dtype=float)[..., None, None]
-            term = np.full((n, n), 2e-3 / n)
-            out[..., :n, :n] += np.exp(-2.0 * r_arr) * term
-            out[..., n:, n:] += np.exp(2.0 * r_arr) * term
-        return out
+        return exact(n, r) * np.where(np.abs(r) > 2.5, 1 + 1e-6, 1.0)[..., None, None]
     return faulty
 
 
-def _budget_scaled(exact):
-    def faulty(n_eff, r):
-        return exact(n_eff, r) * (1 - 1e-3) if r != 0.0 else exact(n_eff, r)
+def _rate_scaled_at_negative_r(exact):
+    # the per-use rate scaled by 1 + 1e-6 where r < 0
+    def faulty(eta, s, r, n_mod):
+        h_noise, rate = exact(eta, s, r, n_mod)
+        return h_noise, rate * np.where(np.less(r, 0.0), 1 + 1e-6, 1.0)
     return faulty
 
 
-def _budgets_scaled(exact):
-    def faulty(n_eff, r_values):
-        n_mod, admissible = exact(n_eff, r_values)
-        return np.where(r_values != 0.0, n_mod * (1 - 1e-3), n_mod), admissible
-    return faulty
+def _budget_scaled(at):
+    """The replacements that scale the modulation variance N by 1 - 1e-3
+    where at(r) holds, in photon_budget and in its array form alike."""
+    def scalar(exact):
+        return lambda n_eff, r: exact(n_eff, r) * (1 - 1e-3) if at(r) else exact(n_eff, r)
+
+    def array(exact):
+        def faulty(n_eff, r_values):
+            n_mod, admissible = exact(n_eff, r_values)
+            return np.where(at(r_values), n_mod * (1 - 1e-3), n_mod), admissible
+        return faulty
+    return [(channel_model.photon_budget, scalar), (channel_model.photon_budgets, array)]
 
 
 # the failing checks of each fault that moment-oracle-grid catches. A
@@ -95,14 +117,42 @@ CATALOGUE.update({
     "joint-kernel-x-and-p-coupled": ([(channel_model.single_use_kernels, _x_and_p_coupled)],
                                      {"quadrature-joint-entropy"}),
     "collective-term-scaled-at-n-ge-3": (
-        [(channel_model.build_input_kernel, _collective_scaled)],
+        [(channel_model.build_input_kernel, _collective_scaled(3))],
         {"input-kernel-determinant", "kernel-row-sums", "rate-n-additivity"}),
+    # rate-n-additivity's first point runs at n = 32, past the kernel checks'
+    # n <= 8
+    "collective-term-scaled-at-n-ge-9": (
+        [(channel_model.build_input_kernel, _collective_scaled(9))],
+        {"rate-n-additivity"}),
+    # the memory kernel is this builder at s, so (r, s) flips as a whole,
+    # which keeps every rate, det A = 2^{2n} and A(r) A(-r) / 4 = I, and
+    # swaps the row sums of the x and p blocks
+    "input-kernel-sign-flipped": (
+        [(channel_model.build_input_kernel, lambda exact: lambda n, r: exact(n, -r))],
+        {"kernel-row-sums"}),
+    # input-kernel-determinant reads r = +-3, every other check |r| <= 2
+    "input-kernel-scaled-past-r-2.5": (
+        [(channel_model.build_input_kernel, _input_kernel_scaled_past_r_2_5)],
+        {"input-kernel-determinant"}),
+    # moment-oracle-grid reads r = -1 .. -0.1; the other checks that read
+    # the closed form do so at r >= 0
+    "closed-form-scaled-at-negative-r": (
+        [(information._closed_form, _rate_scaled_at_negative_r)],
+        {"moment-oracle-grid"}),
     "sampling-factor-scaled": (
         [(oracle._mixing_map, noise_rows_scaled(1.01))],
         {"sampler-map", "input-energy"}),
-    "photon-budget-scaled-off-r-0": ([(channel_model.photon_budget, _budget_scaled),
-                                      (channel_model.photon_budgets, _budgets_scaled)],
+    # input-energy reads the map at eta = 1, where the environment's rows
+    # carry sqrt(1 - eta) = 0
+    "environment-rows-scaled": (
+        [(oracle._mixing_map, noise_rows_scaled(1.01, first=4))],
+        {"sampler-map"}),
+    "photon-budget-scaled-off-r-0": (_budget_scaled(lambda r: np.not_equal(r, 0.0)),
                                      {"input-energy"}),
+    # the closed form and the moment oracle read one N, so only the anchor's
+    # log2(1 + eta N_eff) sees it
+    "photon-budget-scaled-at-r-0": (_budget_scaled(lambda r: np.equal(r, 0.0)),
+                                    {"memoryless-anchor"}),
     # no verify path reads the beam splitter: the sampler and the pair chain
     # mix at sqrt(eta) and sqrt(1 - eta) themselves
     "beam-splitter-at-1.001eta": (
@@ -112,12 +162,21 @@ CATALOGUE.update({
 
 # faults of the Bartlett draw of the normals' covariance C = L L^T / (m - 1):
 # (scale of the normals below L's diagonal, map of the diagonal's chi^2
-# degrees of freedom), failing checks. Only the gross ones fail, and only
-# sampler-moments: a C too tight fails none
+# degrees of freedom), failing checks. Each fails sampler-moments alone: its
+# statistic reads high for a C too far from its law's mean, and low for one
+# nearer to it than m rows can come
 LAW_FAULTS = {
     "off-diagonal-normals-doubled": ((2.0, lambda df: df), {"sampler-moments"}),
     "diagonal-dof-halved": ((1.0, lambda df: df / 2), {"sampler-moments"}),
-    "off-diagonal-normals-dropped": ((0.0, lambda df: df), set()),
+    "off-diagonal-normals-dropped": ((0.0, lambda df: df), {"sampler-moments"}),
+}
+
+# the checks that no fault need fail alone, each with its role
+ROLES = {
+    "spot-point-oracle": "the only check that follows --n, --eta and --neff",
+    "monte-carlo-memory-point": "the Monte Carlo oracle's estimate against the closed form",
+    "monte-carlo-repeatability":
+        "pinned by test_sampler_that_ignores_the_seed_fails_repeatability",
 }
 
 
@@ -137,6 +196,15 @@ def _seed_sequence(monkeypatch, make):
 
 def test_intact_model_fails_no_check():
     assert _failing_checks() == {}
+
+
+def test_every_check_is_the_sole_catcher_of_a_fault_or_has_a_role():
+    # the failing sets are the ones the tests below pin
+    names = [name for name, _ in cli._checks("full", 12345, 100000, 2, 0.8, 2.0)]
+    sole = {name for _, failing in [*CATALOGUE.values(), *LAW_FAULTS.values()]
+            if len(failing) == 1 for name in failing}
+    assert set(ROLES) <= set(names)
+    assert [name for name in names if name not in sole | set(ROLES)] == []
 
 
 @pytest.mark.parametrize("fault", list(CATALOGUE))
