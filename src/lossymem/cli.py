@@ -69,8 +69,9 @@ _SWEEP_SLICE_ROWS = 4096
 # the largest n that verify admits: spot-point-oracle builds (4n)^2-float
 # covariances, and verify quick at n = 1024 takes about 3 s and 0.6 GB
 VERIFY_MAX_N = 1024
-# the largest n x N_eff that verify admits: from about 8e14 the moment oracle's
-# covariance fails spd_factor's pivot test, whose tolerance grows as 2 n eps N_eff
+# the largest n x N_eff that verify admits: from about 7e14 (7.1e14 at n = 1,
+# 8.0e14 at n = 32) the moment oracle's joint covariance fails spd_factor's
+# pivot test, whose tolerance grows as 2 n eps N_eff
 VERIFY_MAX_N_NEFF = 1e14
 _STANDARD_ETAS = tuple(k / 10 for k in range(1, 10))
 _STANDARD_S = (0.0, 1.0, 2.0, 5.0)
@@ -271,8 +272,9 @@ def _moment_grid_points():
 
 def _check_moment_oracle_grid():
     # one stacked call per layer for all 1512 points: the closed form, the
-    # covariances and their log-determinants, which LAPACK factors one
-    # matrix at a time
+    # covariances and the MI, from two stacked factorizations (the joint
+    # covariance's, whose trailing pivots give ln det of its Schur
+    # complement, and the zeta block's), which LAPACK runs one matrix at a time
     eta, s, n_eff, r = _moment_grid_points()
     n_mod, admissible = photon_budgets(n_eff, r)
     points = (eta[admissible], s[admissible], r[admissible], n_mod[admissible])

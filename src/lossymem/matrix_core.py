@@ -4,8 +4,10 @@ NumPy alone, on plain float64 arrays. `spd_factor` returns the lower
 Cholesky factor of a matrix or of every matrix of a (..., d, d) stack; the
 reference chain of channel_model factors its (co, rel) pair stack through
 it, and the quadrature oracle and monte_carlo_mi's standard error read the
-factor directly. `spd_logdet` reads the factor's diagonal; the chain's
-entropies in information and the oracles take log-determinants through it.
+factor directly, as does the moment oracle: the trailing pivots of a joint
+covariance's factor give the log-determinant of its Schur complement.
+`spd_logdet` reads the factor's diagonal; the chain's entropies in
+information and the oracles take log-determinants through it.
 One symmetry and pivot test guards both, so a matrix that fails it raises
 NotPositiveDefinite instead of yielding a silently wrong result.
 """
@@ -38,10 +40,10 @@ def spd_factor(m):
 
     Raises DimensionMismatch unless the input is a square matrix or a stack
     of them. Raises NotPositiveDefinite when, in any matrix of the stack,
-    max|A - A^T| is not <= d * eps * max(diag) of that matrix, or a squared
-    pivot is not > it. The symmetry test guards the upper triangle, which
-    the factor never reads; it allows round-off because a numerical inverse
-    is symmetric only to that. The tests are written so that a NaN fails
+    an entry of |A - A^T| is not <= d * eps * max(diag) of that matrix, or
+    a squared pivot is not > it. The symmetry test guards the upper
+    triangle, which the factor never reads; it allows round-off because a
+    numerical inverse is symmetric only to that. The tests are written so that a NaN fails
     them. For valid channel parameters a failure only happens on malformed
     inputs, so it is a diagnostic, not a recoverable condition.
     """
@@ -50,21 +52,22 @@ def spd_factor(m):
         raise DimensionMismatch(f"expected a square matrix or a stack of them, got {a.shape}")
     d = a.shape[-1]
     failure = f"matrix of dim {d} failed Cholesky pivot test"
-    max_diag = np.diagonal(a, axis1=-2, axis2=-1).max(axis=-1)
-    if not np.all(max_diag > 0.0):
+    # one max(diag) per matrix, on a trailing axis of length 1, so that each
+    # matrix's tolerance broadcasts against that matrix's entries
+    max_diag = np.diagonal(a, axis1=-2, axis2=-1).max(axis=-1, keepdims=True)
+    if not (max_diag > 0.0).all():
         raise NotPositiveDefinite(failure)
     tol = d * _EPS * max_diag
     iu, ju = _upper_pairs(d)
-    # initial covers d = 1, which has no entry above the diagonal
-    asymmetry = np.abs(a[..., iu, ju] - a[..., ju, iu]).max(axis=-1, initial=0.0)
-    if not np.all(asymmetry <= tol):
+    # at d = 1 there is no entry above the diagonal, and .all() of none is True
+    if not (np.abs(a[..., iu, ju] - a[..., ju, iu]) <= tol).all():
         raise NotPositiveDefinite(f"matrix of dim {d} is not symmetric")
     try:
         lower = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite(failure) from None
     piv = np.diagonal(lower, axis1=-2, axis2=-1)
-    if not np.all(np.min(piv * piv, axis=-1) > tol):
+    if not (piv * piv > tol).all():
         raise NotPositiveDefinite(failure)
     return lower
 

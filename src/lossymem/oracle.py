@@ -6,15 +6,19 @@ kernel builders and the photon budget, and mix at the beam splitter's
 amplitudes sqrt(eta) and sqrt(1 - eta) themselves. The moment oracle
 propagates the exact covariance of the encode -> loss -> heterodyne pipeline
 and takes the mutual information from the Gaussian block-determinant
-formula. Neither it nor the Monte Carlo sampler inverts or factors a
-kernel: the input and memory kernels are one family, whose spectrum
-2e^{-+2x} inverts to e^{+-2x}/2, so A(x)^-1 = A(-x)/4 exactly, which the
-moment oracle reads; and A(-x/2)/4, of spectrum e^{+-x}/2 on the same
-eigenvectors, is the symmetric square root of A(x)^-1 / 2 = A(-x)/8, which
-the sampler maps its normals through. A physical Monte Carlo simulation of
-the same pipeline estimates it from the sample covariance, with the bias
-and standard error of that estimate's sampling law. Direct numerical
-quadrature evaluates the single-use entropy integrals of a given kernel.
+formula in two factorizations, of the joint covariance S and of its zeta
+block: S's factor holds the mu block's in its leading pivots, so its
+trailing pivots give the log-determinant of the Schur complement S / S_mu,
+and I = (ln det S_zeta - ln det(S / S_mu)) / 2 nats. Neither it nor the
+Monte Carlo sampler inverts or factors a kernel: the input and memory
+kernels are one family, whose spectrum 2e^{-+2x} inverts to e^{+-2x}/2, so
+A(x)^-1 = A(-x)/4 exactly, which the moment oracle reads; and A(-x/2)/4,
+of spectrum e^{+-x}/2 on the same eigenvectors, is the symmetric square
+root of A(x)^-1 / 2 = A(-x)/8, which the sampler maps its normals
+through. A physical Monte Carlo simulation of the same pipeline estimates
+it from the sample covariance, with the bias and standard error of that
+estimate's sampling law. Direct numerical quadrature evaluates the
+single-use entropy integrals of a given kernel.
 
 The quadrature integrates each independent block of the kernel (a connected
 component of its nonzero pattern; the n = 1 joint kernel splits into its x
@@ -39,8 +43,8 @@ stream seeded the same way: its rows share C's law, not C's realisation.
 
 `pipeline_covariance` is the per-params form of `_covariances`, which
 builds the covariance at 1-D arrays of points (eta, s, r, N) in one
-stacked pass, so that verify's grid checks make one call for all their
-points.
+stacked pass into one preallocated stack, so that verify's grid checks
+make one call for all their points.
 """
 import math
 from dataclasses import dataclass
@@ -115,25 +119,42 @@ def _covariances(n, eta, s, r, n_mod):
     inverse A(x)^-1 / 2 taken as A(-x)/8 from the family identity. The
     kernel builders are exactly symmetric, so every matrix is.
     """
-    eta = np.asarray(eta, dtype=float)[..., None, None]
-    a_in = build_input_kernel(n, -r)
-    a_mem = build_memory_kernel(n, -s)
-    eye = np.eye(2 * n)
-    sigma_mu = (n_mod / 2.0)[:, None, None] * eye
-    cov = np.empty((r.size, 4 * n, 4 * n))
-    cov[:, :2 * n, :2 * n] = sigma_mu
-    cov[:, :2 * n, 2 * n:] = cov[:, 2 * n:, :2 * n] = np.sqrt(eta) * sigma_mu
-    cov[:, 2 * n:, 2 * n:] = (eta * (sigma_mu + a_in / 8.0) + (1.0 - eta) * a_mem / 8.0
-                              + eye / 4.0)
+    eta = np.asarray(eta, dtype=float)
+    half, i = n_mod / 2.0, np.arange(2 * n)
+    cov = np.zeros((r.size, 4 * n, 4 * n))
+    cov[:, i, i] = half[:, None]
+    cov[:, i, 2 * n + i] = cov[:, 2 * n + i, i] = (np.sqrt(eta) * half)[..., None]
+    # the output block in the order of the formula's operations, in place on
+    # the fresh (contiguous) input kernel; its off-diagonal zeros take their
+    # sign from the last step, + I/4
+    out = build_input_kernel(n, -r)
+    out /= 8.0
+    out[:, i, i] += half[:, None]
+    out *= eta[..., None, None]
+    mem = (1.0 - eta)[..., None, None] * build_memory_kernel(n, -s)
+    mem /= 8.0
+    out += mem
+    out += np.eye(2 * n) / 4.0
+    cov[:, 2 * n:, 2 * n:] = out
     return cov
 
 
 def _mi_from_covariance(cov, n):
     """Gaussian MI (bits) between the first and last 2n coordinates of a
-    4n x 4n covariance, or of each matrix in a (..., 4n, 4n) stack."""
-    ld_mu = spd_logdet(cov[..., :2 * n, :2 * n])
-    ld_zeta = spd_logdet(cov[..., 2 * n:, 2 * n:])
-    return (ld_mu + ld_zeta - spd_logdet(cov)) / (2.0 * LN2)
+    4n x 4n covariance, a float, or of each matrix in a (..., 4n, 4n) stack,
+    an array.
+
+    I = (ln det S_zeta - ln det(S / S_mu)) / (2 ln 2), two factorizations:
+    S's lower factor holds S_mu's in its leading 2n pivots, so by the chain
+    rule of determinants ln det S - ln det S_mu = ln det(S / S_mu), twice the
+    sum of the logs of its last 2n pivots. spd_factor pivot-tests S, which
+    holds S_mu, and spd_logdet the zeta block.
+    """
+    lower = spd_factor(cov)
+    schur_pivots = np.diagonal(lower, axis1=-2, axis2=-1)[..., 2 * n:]
+    ld_schur = 2.0 * np.sum(np.log(schur_pivots), axis=-1)
+    mi = (spd_logdet(cov[..., 2 * n:, 2 * n:]) - ld_schur) / (2.0 * LN2)
+    return float(mi) if lower.ndim == 2 else mi
 
 
 def gaussian_mi_from_moments(params, r):
@@ -159,12 +180,15 @@ def _mixing_map(params, r):
     """
     n = params.n
     mod_scale = math.sqrt(photon_budget(params.n_eff, r) / 2.0)
-    rt, eye, zero = math.sqrt(params.eta), np.eye(2 * n), np.zeros((2 * n, 2 * n))
-    return np.block([
-        [mod_scale * eye, mod_scale * rt * eye],
-        [zero, rt * build_input_kernel(n, -r / 2.0) / 4.0],
-        [zero, -math.sqrt(1.0 - params.eta) * build_memory_kernel(n, -params.s / 2.0) / 4.0],
-        [zero, eye / 2.0]])
+    rt, i = math.sqrt(params.eta), np.arange(2 * n)
+    mix = np.zeros((8 * n, 4 * n))
+    mix[i, i] = mod_scale
+    mix[i, 2 * n + i] = mod_scale * rt
+    mix[2 * n:4 * n, 2 * n:] = rt * build_input_kernel(n, -r / 2.0) / 4.0
+    mix[4 * n:6 * n, 2 * n:] = (-math.sqrt(1.0 - params.eta)
+                                * build_memory_kernel(n, -params.s / 2.0) / 4.0)
+    mix[6 * n + i, 2 * n + i] = 0.5
+    return mix
 
 
 def _generator(seed):

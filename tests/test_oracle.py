@@ -15,6 +15,7 @@ from lossymem.channel_model import (
     assemble_model,
     build_beam_splitter,
     build_input_kernel,
+    build_memory_kernel,
     photon_budget,
     photon_budgets,
     single_use_kernels,
@@ -33,7 +34,7 @@ from lossymem.information import (
     output_entropy,
     r_limit,
 )
-from lossymem.matrix_core import spd_logdet
+from lossymem.matrix_core import spd_logdet, symmetrize
 from lossymem.oracle import (
     McConfig,
     MiEstimate,
@@ -195,6 +196,108 @@ def test_covariance_core_is_bit_equal_to_pipeline_covariance():
             params = ChannelParams(n=uses, eta=float(eta[i]), s=float(s[i]),
                                    n_eff=float(n_eff[i]))
             assert np.array_equal(pipeline_covariance(params, float(r[i])), stacked[k]), i
+
+
+def _covariances_as_written(n, eta, s, r, n_mod):
+    """_covariances as literal block expressions, with a (P, 2n, 2n)
+    temporary per term."""
+    eta = np.asarray(eta, dtype=float)[..., None, None]
+    a_in = build_input_kernel(n, -r)
+    a_mem = build_memory_kernel(n, -s)
+    eye = np.eye(2 * n)
+    sigma_mu = (n_mod / 2.0)[:, None, None] * eye
+    cov = np.empty((r.size, 4 * n, 4 * n))
+    cov[:, :2 * n, :2 * n] = sigma_mu
+    cov[:, :2 * n, 2 * n:] = cov[:, 2 * n:, :2 * n] = np.sqrt(eta) * sigma_mu
+    cov[:, 2 * n:, 2 * n:] = (eta * (sigma_mu + a_in / 8.0) + (1.0 - eta) * a_mem / 8.0
+                              + eye / 4.0)
+    return cov
+
+
+def _mixing_map_as_written(params, r):
+    """_mixing_map as one np.block of its four row blocks."""
+    n = params.n
+    mod_scale = math.sqrt(photon_budget(params.n_eff, r) / 2.0)
+    rt, eye, zero = math.sqrt(params.eta), np.eye(2 * n), np.zeros((2 * n, 2 * n))
+    return np.block([
+        [mod_scale * eye, mod_scale * rt * eye],
+        [zero, rt * build_input_kernel(n, -r / 2.0) / 4.0],
+        [zero, -math.sqrt(1.0 - params.eta) * build_memory_kernel(n, -params.s / 2.0) / 4.0],
+        [zero, eye / 2.0]])
+
+
+def assert_same_bits(got, want):
+    # array_equal takes -0.0 for 0.0, so the signs are compared as well
+    assert got.shape == want.shape
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_covariances_and_mixing_map_keep_the_bits_of_their_formulas():
+    # the in-place builds against the block expressions that they replace:
+    # verify's 1512-point grid at n = 1, 2, 3 and every 19th point at n = 32
+    eta, s, n_eff, r = cli._moment_grid_points()
+    n_mod, _ = photon_budgets(n_eff, r)
+    for n, every in ((1, 1), (2, 1), (3, 1), (32, 19)):
+        at = slice(None, None, every)
+        assert_same_bits(_covariances(n, eta[at], s[at], r[at], n_mod[at]),
+                         _covariances_as_written(n, eta[at], s[at], r[at], n_mod[at]))
+    # the 402 random points, stacked per n, one at a time with float eta and
+    # s as pipeline_covariance passes them, and their maps, also at eta = 0
+    # and 1, where a noise block is all signed zeros
+    n, eta, s, n_eff, r = random_points()
+    n_mod, _ = photon_budgets(n_eff, r)
+    for uses in (1, 2, 3):
+        at = np.flatnonzero(n == uses)
+        assert_same_bits(_covariances(uses, eta[at], s[at], r[at], n_mod[at]),
+                         _covariances_as_written(uses, eta[at], s[at], r[at], n_mod[at]))
+    for i in range(n.size):
+        args = (int(n[i]), float(eta[i]), float(s[i]), r[i:i + 1], n_mod[i:i + 1])
+        assert_same_bits(_covariances(*args), _covariances_as_written(*args))
+        for eta_i in (float(eta[i]), 0.0, 1.0):
+            params = ChannelParams(n=int(n[i]), eta=eta_i, s=float(s[i]),
+                                   n_eff=float(n_eff[i]))
+            assert_same_bits(oracle._mixing_map(params, float(r[i])),
+                             _mixing_map_as_written(params, float(r[i])))
+    params = ChannelParams(n=32, eta=0.8, s=-2.5, n_eff=20.0)
+    assert_same_bits(oracle._mixing_map(params, 0.7), _mixing_map_as_written(params, 0.7))
+
+
+def _mi_from_three_logdets(cov, n):
+    """The Gaussian MI (bits) as ln det S_mu + ln det S_zeta - ln det S, by LU."""
+    def logdet(m):
+        return np.linalg.slogdet(m)[1]
+    return (logdet(cov[..., :2 * n, :2 * n]) + logdet(cov[..., 2 * n:, 2 * n:])
+            - logdet(cov)) / (2.0 * LN2)
+
+
+def test_mi_from_covariance_matches_three_log_determinants():
+    # two Cholesky factors against three LU log-determinants on random SPD
+    # stacks (condition numbers up to about 140); the largest deviation
+    # seen was 2.1e-14 bits at d = 32, a twentieth of the bound
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 3, 8):
+        d = 4 * n
+        g = rng.standard_normal((2, 25, d, d))
+        covs = symmetrize(g @ np.swapaxes(g, -1, -2) + np.eye(d))
+        mi = _mi_from_covariance(covs, n)
+        assert isinstance(mi, np.ndarray) and mi.shape == (2, 25)
+        np.testing.assert_allclose(mi, _mi_from_three_logdets(covs, n), rtol=0,
+                                   atol=64 * d * EPS)
+        one = _mi_from_covariance(covs[1, 3], n)
+        assert type(one) is float
+        assert abs(one - mi[1, 3]) <= 64 * d * EPS
+
+
+def test_mi_from_covariance_refuses_a_bad_mu_block():
+    # the mu block's pivots are tested only inside the joint factor
+    for n in (1, 2):
+        for index, value in (((0, 0), 1e-17), ((0, 0), np.nan), ((0, 1), np.nan)):
+            bad = np.eye(4 * n)
+            bad[index] = value
+            with pytest.raises(NotPositiveDefinite):
+                _mi_from_covariance(bad, n)
+            with pytest.raises(NotPositiveDefinite):
+                _mi_from_covariance(np.stack([np.eye(4 * n), bad]), n)
 
 
 def test_pipeline_covariance_names_the_inadmissible_r():
