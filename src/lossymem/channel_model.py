@@ -4,9 +4,7 @@
 and `r_limit` decide which points are admissible; `assemble_model(params, r)`
 runs the reference chain on its per-use (signal, environment) pairs and
 keeps the pair scalars, and `single_use_kernels` lays them out as the
-n = 1 kernels that the quadrature oracle integrates. `assemble_model` is
-the one-point form of `_pair_chain`, which runs the chain on 1-D arrays of
-points (eta, s, r, N) in one stacked pass.
+n = 1 kernels that the quadrature oracle integrates.
 
 Phase-space conventions: row vectors, densities proportional to
 exp(-w M w^T), quadrature ordering (x_1..x_n, p_1..p_n) per 2n-block and
@@ -96,15 +94,14 @@ def r_limit(n_eff):
 
 @dataclass(frozen=True, eq=False)
 class ModelMatrices:
-    """The reference chain's outputs for one (params, r) point, or for P.
+    """The reference chain's outputs for one (params, r) point.
 
     The chain splits into two (signal, environment) pair classes, co and
     rel, each n-fold (see `assemble_model`). r_pair, s_pair, t_pair and
     u_pair hold the signal entries of R', S', T' and of the output kernel
-    U' for (co, rel), as shape-(2,) arrays; logdet_gl is ln det(G + L) over
-    all n uses; n_mod is the modulation variance N the chain was built at.
-    `assemble_model` gives floats and (2,) pairs; `_pair_chain` stacks P
-    points: n_mod and logdet_gl of shape (P,), pairs of shape (P, 2).
+    U' for (co, rel), as shape-(2,) arrays; logdet_gl, a float, is
+    ln det(G + L) over all n uses; n_mod, a float, is the modulation
+    variance N the chain was built at.
     """
 
     n: int
@@ -118,9 +115,9 @@ class ModelMatrices:
     def joint_pairs(self):
         """The joint (mu, zeta) kernel of each class, including the 1/N
         modulation shift: [[R' + 1/N, -S'/2], [-S'/2, T']], a (2, 2, 2)
-        stack, or (P, 2, 2, 2) for P points."""
+        stack."""
         cross = -self.s_pair / 2.0
-        shifted = self.r_pair + 1.0 / np.expand_dims(self.n_mod, -1)
+        shifted = self.r_pair + 1.0 / self.n_mod
         return np.stack([np.stack([shifted, cross], -1), np.stack([cross, self.t_pair], -1)], -2)
 
 
@@ -189,63 +186,44 @@ def assemble_model(params, r):
     couples (2e^{2r}, 2e^{2s}) on their complements. Each has multiplicity
     n. Every 2n x 2n or 4n x 4n form of the chain is block-diagonal in that
     basis, with n copies of each class, so its log-determinant is n times
-    the pair sum. This is `_pair_chain` at one point: the pairs and
-    logdet_gl are bit-equal to that point's row of a stacked call. An r
-    past S_MAX (`_check_family`; ChannelParams has checked s) raises
-    InvalidSpec.
-    """
-    n_mod = photon_budget(params.n_eff, r)
-    _check_family(params.n, r, "r")
-    point = _pair_chain(params.n, *np.array([[params.eta], [params.s], [r], [n_mod]]))
-    return ModelMatrices(
-        n=params.n, n_mod=n_mod, logdet_gl=float(point.logdet_gl[0]),
-        r_pair=point.r_pair[0], s_pair=point.s_pair[0], t_pair=point.t_pair[0],
-        u_pair=point.u_pair[0])
-
-
-def _pair_chain(n, eta, s, r, n_mod):
-    """The reference chain at P points, given as 1-D arrays of eta, s, r and
-    the modulation variance N, for blocks of n uses.
-
-    The chain formulas run verbatim, in one pass, on the (P, 2, 2, 2) stack
-    of each point's co and rel pairs, with one spd_factor call for all of
-    them; LAPACK factors and solves each 2 x 2 matrix of the stack on its
-    own, so a point's row does not depend on the others. Factoring pairs
+    the pair sum. The chain formulas run verbatim on the (2, 2, 2) stack of
+    the co and rel pairs, with one spd_factor call for both. Factoring pairs
     keeps the digits that factoring the assembled 4n x 4n forms loses, but
     not at strong memory. The pair whose memory kernel entry is 2e^{-2|s|}
     (co for s > 0, rel for s < 0) has a second pivot of that order, and
     spd_factor's pivot test refuses it once it falls to a few eps of the
     pair's largest diagonal entry: at N_eff = 2 and r = 0.3 the chain raises
     NotPositiveDefinite from |s| = 17.5 (eta = 1) to 19.5 (eta = 0.8),
-    where the closed form in information still answers.
-    Returns a ModelMatrices of stacks: n_mod and logdet_gl of shape (P,),
-    each pair field of shape (P, 2).
+    where the closed form in information still answers. An r past S_MAX
+    (`_check_family`; ChannelParams has checked s) raises InvalidSpec.
     """
+    n_mod = photon_budget(params.n_eff, r)
+    _check_family(params.n, r, "r")
     # the (co, rel) kernel pairs: (2e^{-2r}, 2e^{-2s}) and (2e^{2r}, 2e^{2s})
-    a = np.zeros(r.shape + (2, 2, 2))
-    a[..., 0, 0] = 2.0 * np.exp(np.multiply.outer(r, [-2.0, 2.0]))
-    a[..., 1, 1] = 2.0 * np.exp(np.multiply.outer(s, [-2.0, 2.0]))
-    # each point's 2 x 2 rotation, shared by its two classes
-    b = np.empty(r.shape + (1, 2, 2))
-    b[:, 0, 0, 0] = b[:, 0, 1, 1] = np.sqrt(eta)
-    b[:, 0, 0, 1] = np.sqrt(1.0 - eta)
-    b[:, 0, 1, 0] = -b[:, 0, 0, 1]
+    a = np.zeros((2, 2, 2))
+    a[:, 0, 0] = 2.0 * np.exp(np.multiply(r, [-2.0, 2.0]))
+    a[:, 1, 1] = 2.0 * np.exp(np.multiply(params.s, [-2.0, 2.0]))
+    # the 2 x 2 rotation, shared by the two classes
+    rt, rr = math.sqrt(params.eta), math.sqrt(1.0 - params.eta)
+    b = np.array([[rt, rr], [-rr, rt]])
     # l as a full stack: numpy < 2 solves a (2, 2, 2) stack against a
     # (2, 2) right-hand side as against two vectors
     l = np.zeros(a.shape)
     l[..., 0, 0] = 2.0
     f = a @ b
-    g = symmetrize(np.swapaxes(b, -1, -2) @ f)
+    g = symmetrize(b.T @ f)
     lower = spd_factor(g + l)
     upper = np.swapaxes(lower, -1, -2)
     x = np.linalg.solve(upper, np.linalg.solve(lower, np.swapaxes(f, -1, -2)))
     r_pair = (a - f @ x)[..., 0, 0]
     s_pair = (2.0 * (l @ x))[..., 0, 0]
     t_pair = (l - l @ np.linalg.solve(upper, np.linalg.solve(lower, l)))[..., 0, 0]
-    u_pair = t_pair - 0.25 * s_pair * s_pair / (r_pair + 1.0 / n_mod[:, None])
+    u_pair = t_pair - 0.25 * s_pair * s_pair / (r_pair + 1.0 / n_mod)
+    # ln det(G + L) per class, then n times their sum: one sum over all four
+    # pivots moves the last bit at about a quarter of points
     ld_gl = 2.0 * np.sum(np.log(np.diagonal(lower, axis1=-2, axis2=-1)), axis=-1)
     return ModelMatrices(
-        n=n, n_mod=n_mod, logdet_gl=n * ld_gl.sum(axis=-1),
+        n=params.n, n_mod=n_mod, logdet_gl=float(params.n * ld_gl.sum()),
         r_pair=r_pair, s_pair=s_pair, t_pair=t_pair, u_pair=u_pair)
 
 

@@ -9,13 +9,11 @@ from lossymem.channel_model import (
     N_MIN,
     S_MAX,
     ChannelParams,
-    _pair_chain,
     assemble_model,
     build_beam_splitter,
     build_input_kernel,
     build_memory_kernel,
     photon_budget,
-    photon_budgets,
     r_limit,
     single_use_kernels,
 )
@@ -41,7 +39,6 @@ from lossymem.oracle import (
 from lossymem.matrix_core import block_diag, spd_factor, spd_logdet, symmetrize
 
 from chain_reference import joint_kernel, sector_form
-from random_points import random_points
 
 
 def model_at(n, eta, s, r, n_mod):
@@ -426,50 +423,20 @@ def test_conjugation_preserves_logdet():
 
 
 def test_positive_definite_across_parameter_grid():
+    # 375 points, one call each: a float logdet_gl and (2,) pairs, with U'
+    # and the joint pairs passing the pivot test
     r_s_values = (-2.0, -1.0, 0.0, 1.0, 2.0)
     for eta in (0.1, 0.3, 0.5, 0.7, 0.9):
         for r in r_s_values:
             for s in r_s_values:
-                for n_mod in (0.01, 50.0):
+                for n_mod in (0.01, 1.0, 50.0):
                     model = model_at(2, eta, s, r, n_mod)
                     spd_factor(dense_g(2, eta, r, s)[0])
+                    assert type(model.logdet_gl) is float and math.isfinite(model.logdet_gl)
+                    for field in ("r_pair", "s_pair", "t_pair", "u_pair"):
+                        assert getattr(model, field).shape == (2,), field
                     spd_logdet(model.u_pair[:, None, None])
                     spd_logdet(model.joint_pairs())
-
-
-def test_pair_chain_is_bit_equal_to_assemble_model_on_the_verify_grid():
-    # the 81 points of the grid over eta, r, s and the modulation variance N,
-    # in one stacked call
-    eta, r, s, grid_n = (coords.ravel() for coords in np.meshgrid(
-        (0.1, 0.5, 0.9), (-2.0, 0.0, 2.0), (-2.0, 0.0, 2.0), (0.01, 1.0, 50.0), indexing="ij"))
-    # each point's budget N + sinh^2 r, which leaves about N at r
-    n_eff = np.array([m + math.sinh(x) ** 2 for m, x in zip(grid_n.tolist(), r.tolist())])
-    n_mod, admissible = photon_budgets(n_eff, r)
-    assert admissible.all() and r.size == 81
-    stacked = _pair_chain(2, eta, s, r, n_mod)
-    joint = stacked.joint_pairs()
-    assert joint.shape == (81, 2, 2, 2)
-    for k, (eta_k, s_k, r_k, n_eff_k) in enumerate(zip(*(a.tolist() for a in (eta, s, r, n_eff)))):
-        model = assemble_model(ChannelParams(n=2, eta=eta_k, s=s_k, n_eff=n_eff_k), r_k)
-        assert model.n_mod == stacked.n_mod[k]
-        assert model.logdet_gl == stacked.logdet_gl[k]
-        for field in ("r_pair", "s_pair", "t_pair", "u_pair"):
-            assert np.array_equal(getattr(model, field), getattr(stacked, field)[k]), (k, field)
-        assert np.array_equal(model.joint_pairs(), joint[k])
-    # and at 402 random points, where np.exp and math.exp differ at some s
-    n, eta, s, n_eff, r = random_points()
-    n_mod, admissible = photon_budgets(n_eff, r)
-    assert admissible.all()
-    for uses in (1, 2, 3):
-        at = np.flatnonzero(n == uses)
-        stacked = _pair_chain(uses, eta[at], s[at], r[at], n_mod[at])
-        for k, i in enumerate(at.tolist()):
-            params = ChannelParams(n=uses, eta=float(eta[i]), s=float(s[i]),
-                                   n_eff=float(n_eff[i]))
-            model = assemble_model(params, float(r[i]))
-            assert model.logdet_gl == stacked.logdet_gl[k], i
-            for field in ("r_pair", "s_pair", "t_pair", "u_pair"):
-                assert np.array_equal(getattr(model, field), getattr(stacked, field)[k]), (i, field)
 
 
 def test_permutation_of_uses_leaves_model_invariant():
@@ -485,8 +452,8 @@ def test_permutation_of_uses_leaves_model_invariant():
 
 def test_chain_refuses_strong_memory_that_the_closed_form_answers():
     # the pivot test, relative to a pair's largest diagonal entry, refuses
-    # the pair whose second pivot is of order e^{-2|s|} (_pair_chain): from
-    # |s| = 17.5 to 19.5 over these eta at N_eff = 2, r = 0.3
+    # the pair whose second pivot is of order e^{-2|s|} (assemble_model):
+    # from |s| = 17.5 to 19.5 over these eta at N_eff = 2, r = 0.3
     for eta in (1.0, 0.0, 0.3, 0.8):
         for sign in (1.0, -1.0):
             model = assemble_model(ChannelParams(n=1, eta=eta, s=16.0 * sign, n_eff=2.0), 0.3)

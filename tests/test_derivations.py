@@ -6,9 +6,22 @@ K_x = 2e^{-2x} J/n + 2e^{2x} (I - J/n), the formula of build_input_kernel:
 - (A(-x/2) / 4)^2 = A(-x)/8 = A(x)^-1 / 2: the sampler's noise factor
   F = A(-x/2)/4 is a square root of the ensemble noise's covariance.
 
-They hold for every real x; x is a sympy symbol here. Runs only where sympy
-is installed, which the package itself never needs.
+They hold for every real x; x is a sympy symbol here. Then the reference
+chain's per-class identities, from assemble_model's formulas on one
+(signal, environment) pair, with plus = 1 + eta e^{2r} + (1 - eta) e^{2s}
+for co (minus, its r -> -r, s -> -s mirror, for rel):
+
+- 1/(2T') = plus/4 and 1/(2U') = plus/4 + eta N/2, the noise variances of
+  information's closed form;
+- over the two classes, det(G + L) (R' + 1/N) U' and det(G + L) det(V),
+  V the joint pair, each multiply to 64/N^2, so that every ln c of
+  output_entropy and joint_entropy, 3n ln 2 - n ln N - n/2 ln(64/N^2), is 0
+  and c_out = c_joint = 1 exactly.
+
+Runs only where sympy is installed, which the package itself never needs.
 """
+import functools
+
 import pytest
 
 sp = pytest.importorskip("sympy")
@@ -41,3 +54,65 @@ def test_the_sampling_factor_squares_to_half_the_kernel_inverse(n):
     factor = family_kernel(n, -X / 2) / 4
     assert factor == factor.T
     assert is_zero(factor * factor - family_kernel(n, -X) / 8)
+
+
+# rational functions of the rotation entries c = sqrt(eta) and d = sqrt(1 - eta),
+# x = e^{2r}, y = e^{2s} and N; c^2 + d^2 = 1 is imposed on numerators
+FIELD, C, D, XR, YS, N = sp.field("c, d, x, y, N", sp.QQ)
+UNIT = (C**2 + D**2 - 1).numer
+# each class's (x, y): co's kernel pair is (2/x, 2/y), rel's (2x, 2y)
+CLASSES = {"co": (XR, YS), "rel": (1 / XR, 1 / YS)}
+
+
+def pair_matrix(rows):
+    entries = [[FIELD(v) for v in row] for row in rows]
+    return sp.polys.matrices.DomainMatrix(entries, (2, 2), FIELD.to_domain())
+
+
+def vanishes(value):
+    """value is 0 once c^2 + d^2 = 1: its numerator lies in that ideal."""
+    return value.numer.rem(UNIT) == 0
+
+
+@functools.cache
+def chain_pair(cls):
+    """det(G + L), R' + 1/N, T', U' and det(V) of one class, by
+    assemble_model's formulas, with x = (G + L)^-1 F^T as its solves give."""
+    x, y = CLASSES[cls]
+    a = pair_matrix([[2 / x, 0], [0, 2 / y]])
+    b = pair_matrix([[C, D], [-D, C]])
+    l = pair_matrix([[2, 0], [0, 0]])
+    f = a * b
+    g = b.transpose() * f
+    inverse = (g + l).inv()
+    solved = inverse * f.transpose()
+    r_pair = (a - f * solved)[0, 0].element
+    s_pair = 2 * (l * solved)[0, 0].element
+    t_pair = (l - l * inverse * l)[0, 0].element
+    u_pair = t_pair - s_pair * s_pair / (4 * (r_pair + 1 / N))
+    joint = pair_matrix([[r_pair + 1 / N, -s_pair / 2], [-s_pair / 2, t_pair]])
+    return (g + l).det(), r_pair + 1 / N, t_pair, u_pair, joint.det()
+
+
+def noise_term(cls):
+    """plus for co, minus for rel."""
+    x, y = CLASSES[cls]
+    return 1 + C**2 * x + D**2 * y
+
+
+@pytest.mark.parametrize("cls", ["co", "rel"])
+def test_the_chain_pairs_give_the_closed_forms_noise_variances(cls):
+    _, _, t_pair, u_pair, _ = chain_pair(cls)
+    assert vanishes(1 / (2 * t_pair) - noise_term(cls) / 4)
+    assert vanishes(1 / (2 * u_pair) - noise_term(cls) / 4 - C**2 * N / 2)
+
+
+def test_the_output_normalization_is_one():
+    co, rel = ((gl * shifted * u_pair) for gl, shifted, _, u_pair, _ in map(chain_pair, CLASSES))
+    assert vanishes(co - 8 / (N * XR * YS))
+    assert vanishes(co * rel - 64 / N**2)
+
+
+def test_the_joint_normalization_is_one():
+    co, rel = ((gl * joint) for gl, _, _, _, joint in map(chain_pair, CLASSES))
+    assert vanishes(co * rel - 64 / N**2)

@@ -2,13 +2,19 @@
 import dataclasses
 import decimal
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from lossymem import cli
 from lossymem.channel_model import N_EFF_MAX, N_MIN, ChannelParams, assemble_model, photon_budgets
-from lossymem.errors import DegenerateBaseline, NotPositiveDefinite, PhotonBudgetExceeded
+from lossymem.errors import (
+    DegenerateBaseline,
+    DimensionMismatch,
+    NotPositiveDefinite,
+    PhotonBudgetExceeded,
+)
 from lossymem.information import (
     GainPoint,
     _closed_form,
@@ -152,6 +158,24 @@ def test_normalization_coefficients_are_one():
         _, c_joint = joint_entropy(model)
         assert abs(c_out - 1.0) <= 1e-8
         assert abs(c_joint - 1.0) <= 1e-8
+
+
+def test_normalization_log_scales_with_block_length():
+    # every term of ln c is n times a per-use term, and multiplying by a
+    # power of two is exact in floats: ln c(n) / n = ln c(1) but for the
+    # rounding of exp (and of log), at most eps
+    rng = np.random.default_rng(44)
+    for _ in range(100):
+        point = dict(eta=float(rng.uniform(0.05, 0.95)), s=float(rng.uniform(-5.0, 5.0)),
+                     n_eff=float(10.0 ** rng.uniform(-1.0, 3.0)))
+        r = float(rng.uniform(-0.9, 0.9)) * min(r_limit(point["n_eff"]), 2.0)
+        per_use = [math.log(entropy(assemble_model(params_at(n=1, **point), r))[1])
+                   for entropy in (output_entropy, joint_entropy)]
+        for n in (2, 8, 32):
+            model = assemble_model(params_at(n=n, **point), r)
+            for entropy, ln_c1 in zip((output_entropy, joint_entropy), per_use):
+                ln_c = math.log(entropy(model)[1])
+                assert abs(ln_c / n - ln_c1) <= sys.float_info.epsilon, (n, point, r)
 
 
 def test_non_positive_pairs_raise_not_positive_definite():
@@ -361,6 +385,13 @@ def test_gain_grid_is_bit_equal_to_per_s_rate_gains():
         r_ok, gain = _assert_grid_matches_rate_gains(n, eta, n_eff, s_values,
                                                      [2.0 * lim + 1.0, -3.0 * lim - 1.0])
         assert r_ok.size == 0 and gain.shape == (5, 0)
+
+
+def test_rate_gains_refuses_r_values_that_are_not_1d():
+    params = params_at(s=1.0)
+    for r_values in (0.3, np.array(0.3), np.zeros((2, 3)), [[0.1, 0.2]], [[0.1, 0.2], [0.3]]):
+        with pytest.raises(DimensionMismatch):
+            rate_gains(params, r_values)
 
 
 def test_gain_grid_names_the_first_degenerate_baseline():
