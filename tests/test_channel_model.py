@@ -39,6 +39,7 @@ from lossymem.oracle import (
 from lossymem.matrix_core import block_diag, spd_factor, spd_logdet, symmetrize
 
 from chain_reference import joint_kernel, sector_form
+from random_points import random_points
 
 
 def model_at(n, eta, s, r, n_mod):
@@ -423,20 +424,38 @@ def test_conjugation_preserves_logdet():
 
 
 def test_positive_definite_across_parameter_grid():
-    # 375 points, one call each: a float logdet_gl and (2,) pairs, with U'
-    # and the joint pairs passing the pivot test
     r_s_values = (-2.0, -1.0, 0.0, 1.0, 2.0)
     for eta in (0.1, 0.3, 0.5, 0.7, 0.9):
         for r in r_s_values:
             for s in r_s_values:
-                for n_mod in (0.01, 1.0, 50.0):
+                for n_mod in (0.01, 50.0):
                     model = model_at(2, eta, s, r, n_mod)
                     spd_factor(dense_g(2, eta, r, s)[0])
-                    assert type(model.logdet_gl) is float and math.isfinite(model.logdet_gl)
-                    for field in ("r_pair", "s_pair", "t_pair", "u_pair"):
-                        assert getattr(model, field).shape == (2,), field
                     spd_logdet(model.u_pair[:, None, None])
                     spd_logdet(model.joint_pairs())
+
+
+def test_assemble_model_answers_each_point_of_the_verify_grid():
+    # the 81 points of the grid over eta, r, s and the modulation variance N
+    # at n = 2, each point's budget N + sinh^2 r, and the 402 random points
+    # at n = 1, 2, 3; one call each: photon_budget's float n_mod, a finite
+    # float logdet_gl and (2,) pairs, with U' and the joint pairs passing
+    # the pivot test
+    grid = [(2, eta, s, n_mod + math.sinh(r) ** 2, r)
+            for eta in (0.1, 0.5, 0.9) for r in (-2.0, 0.0, 2.0)
+            for s in (-2.0, 0.0, 2.0) for n_mod in (0.01, 1.0, 50.0)]
+    n, eta, s, n_eff, r = random_points()
+    points = grid + list(zip(*(a.tolist() for a in (n, eta, s, n_eff, r))))
+    assert len(points) == 81 + 402
+    for k, (uses, eta_k, s_k, n_eff_k, r_k) in enumerate(points):
+        model = assemble_model(ChannelParams(n=uses, eta=eta_k, s=s_k, n_eff=n_eff_k), r_k)
+        assert type(model.n_mod) is float and model.n_mod == photon_budget(n_eff_k, r_k), k
+        assert type(model.logdet_gl) is float and math.isfinite(model.logdet_gl), k
+        for field in ("r_pair", "s_pair", "t_pair", "u_pair"):
+            assert getattr(model, field).shape == (2,), (k, field)
+        spd_logdet(model.u_pair[:, None, None])
+        assert model.joint_pairs().shape == (2, 2, 2)
+        spd_logdet(model.joint_pairs())
 
 
 def test_permutation_of_uses_leaves_model_invariant():
