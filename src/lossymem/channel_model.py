@@ -166,6 +166,8 @@ def build_beam_splitter(n, eta):
     """Orthogonal 4n x 4n mixing matrix of the signal/environment coupling.
 
     eta is a float or an array; the result has shape np.shape(eta) + (4n, 4n).
+    No package path calls it: the acceptance gate checks its orthogonality,
+    and tier-1 builds the paper's literal 4n x 4n chain with it.
     """
     _check_family(n)
     eta_arr = np.asarray(eta, dtype=float)

@@ -403,7 +403,8 @@ def _checks(level, seed, samples, n, eta, n_eff):
     spot-point-oracle, at the requested (n, eta, N_eff), allows the moment
     oracle's round-off: 1e-7 + 16 n eps N_eff bits. sampler-map and
     input-energy read the maps of fixed points, never the requested n,
-    whose map is (8n, 4n).
+    whose map is (8n, 4n). The catalogue's beam-splitter fault fails no
+    check: no verify path reads build_beam_splitter.
     """
     spot = ChannelParams(n=n, eta=eta, s=1.0, n_eff=n_eff)
     if n > VERIFY_MAX_N:

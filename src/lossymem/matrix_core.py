@@ -82,7 +82,8 @@ def spd_logdet(m):
 
 def block_diag(a, b):
     """Direct sum of two matrices, or of each pair of matrices of two
-    (..., d, d) stacks of one leading shape."""
+    (..., d, d) stacks of one leading shape. No package path calls it: the
+    acceptance gate and tier-1 build block kernels with it."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     return np.block([[a, np.zeros(a.shape[:-1] + b.shape[-1:])],

@@ -20,14 +20,14 @@ it from the sample covariance, with the bias and standard error of that
 estimate's sampling law. Direct numerical quadrature evaluates the
 single-use entropy integrals of a given kernel.
 
-The quadrature integrates each independent block of the kernel (a connected
-component of its nonzero pattern; the n = 1 joint kernel splits into its x
-pair and its p pair, the output and input kernels into single axes) on the
-whole grid of its one or two axes, and refuses a block of three or more
-with DimensionMismatch. The density is a product over the blocks, the grid
-a tensor product and its weights products of per-axis weights, so the
-trapezoid sums of the whole grid are exact combinations of the blocks'
-sums: no approximation enters, only a different order of round-off.
+The quadrature splits the kernel into single axes and coupled pairs (the
+n = 1 joint kernel into its x pair and its p pair, the output and input
+kernels into single axes), integrates each on the whole grid of its one or
+two axes, and refuses with DimensionMismatch an axis coupled to two others.
+The density is a product over the blocks, the grid a tensor product and
+its weights products of per-axis weights, so the trapezoid sums of the
+whole grid are exact combinations of the blocks' sums: no approximation
+enters, only a different order of round-off.
 
 The sampler is one linear map: the (8n, 4n) matrix M of _mixing_map takes
 a row of the physical noise sources' standard normals (modulation, input
@@ -218,7 +218,8 @@ def sample_joint(params, r, cfg):
     rows of 8n standard normals, filled block by block from one stream of
     the seed, through _mixing_map. The rows do not depend on the block size,
     and their sample covariance shares the law of sample_covariance, not its
-    realisation. The peak memory is the output plus one (_MIX_ROWS, 8n) block."""
+    realisation. The peak memory is the output plus one (_MIX_ROWS, 8n)
+    block. No verify path calls it: tier-1 and the benchmark's tracer do."""
     mix = _mixing_map(params, r)
     generator = _generator(cfg.seed)
     rows = min(cfg.samples, _MIX_ROWS)
@@ -263,69 +264,60 @@ def monte_carlo_mi(params, r, cfg):
 
 
 def _independent_blocks(k):
-    """Index lists of the connected components of k's nonzero pattern.
+    """Index lists of k's single axes and coupled pairs, by first axis.
 
-    Indices i and j are coupled when k[i, j] or k[j, i] is nonzero; a NaN
-    is nonzero, so it couples its two indices.
+    Axes i != j are coupled where k[i, j] or k[j, i] is nonzero, a NaN
+    included. An axis with two or more partners, which every connected set
+    of three or more axes holds, raises DimensionMismatch.
     """
-    d = k.shape[0]
-    reach = (k != 0) | (k.T != 0) | np.eye(d, dtype=bool)
-    for _ in range(d):  # boolean squaring: reach ends as the transitive closure
-        reach = reach @ reach
+    coupled = ((k != 0) | (k.T != 0)) & ~np.eye(len(k), dtype=bool)
     blocks = []
-    for row in reach:
-        block = np.flatnonzero(row).tolist()
-        if block not in blocks:
-            blocks.append(block)
+    for i, row in enumerate(coupled):
+        partners = np.flatnonzero(row).tolist()
+        if len(partners) > 1:
+            raise DimensionMismatch(f"axis {i} is coupled to axes {partners}, not to one")
+        if not partners or partners[0] > i:
+            blocks.append([i] + partners)
     return blocks
 
 
-def _block_integrals(k, axes, weights):
-    """Trapezoid sums (sum w p, sum w p q) of p = exp(-q), q = w k w^T, on the
-    whole grid of a block of one or two axes (x0, y).
+def _block_integrals(k, block, axes, weights):
+    """Trapezoid sums (sum w p, sum w p q) of p = exp(-q) on the whole grid of
+    a block of one or two of k's axes, x0 on axis i and y on axis j.
 
-    q = x0 * lin + q_rest + k00 x0^2, with lin = 2 k01 y and q_rest = k11 y^2,
-    both 0 for one axis.
+    q = x0 * lin + q_rest + k_ii x0^2, with lin = 2 k_ij y and
+    q_rest = k_jj y^2, both 0 for one axis.
     """
-    x0, w0 = axes[0][:, None], weights[0]
+    i, j = block[0], block[-1]
+    x0, w0 = axes[i][:, None], weights[i]
     lin, q_rest, w_rest = np.zeros(1), np.zeros(1), np.ones(1)
-    if len(axes) == 2:
-        y = axes[1]
-        lin, q_rest, w_rest = 2.0 * k[0, 1] * y, k[1, 1] * y * y, weights[1]
-    q = x0 * lin + q_rest + k[0, 0] * x0 * x0
+    if len(block) == 2:
+        y = axes[j]
+        lin, q_rest, w_rest = 2.0 * k[i, j] * y, k[j, j] * y * y, weights[j]
+    q = x0 * lin + q_rest + k[i, i] * x0 * x0
     p = np.exp(-q)
     return float(w0 @ (p @ w_rest)), float(w0 @ ((q * p) @ w_rest))
 
 
-def _entropy_on_grid(kernel, norm_const, sigmas, half_width, points):
-    """Trapezoid mass and entropy (bits) of c * exp(-w kernel w^T), c = norm_const.
+def _entropy_on_grid(k, norm_const, sigmas, points):
+    """Trapezoid mass and entropy (bits) of c * exp(-w k w^T), c = norm_const.
 
-    The kernel's indices split into the connected components of its nonzero
-    pattern, and each block b of one or two axes is integrated on its whole
-    grid as p_b = exp(-q_b), giving a mass m_b and a sum S_b of w p_b q_b; a
-    block of three or more axes raises DimensionMismatch. The density is c
-    times the product of the p_b, the grid a tensor product and its weights
-    products of per-axis weights, so the trapezoid sums factor exactly:
-    mass = c * prod m_b, and with -ln p = sum q_b - ln c,
+    Each single axis or coupled pair b of _independent_blocks is integrated
+    on its whole grid, _HALF_WIDTH sigmas wide on either side of 0, as
+    p_b = exp(-q_b), giving a mass m_b and a sum S_b of w p_b q_b. The
+    density is c times the product of the p_b, the grid a tensor product
+    and its weights products of per-axis weights, so the trapezoid sums
+    factor exactly: mass = c * prod m_b, and with -ln p = sum q_b - ln c,
     entropy = c * (sum_b S_b * prod_{b' != b} m_b' - ln c * prod m_b).
     """
-    axes, weights = [], []
-    for s_i in sigmas:
-        ax = np.linspace(-half_width * s_i, half_width * s_i, points)
-        h = ax[1] - ax[0]
-        w = np.full(points, h)
-        w[0] = w[-1] = h / 2.0
-        axes.append(ax)
-        weights.append(w)
+    axes = [np.linspace(-_HALF_WIDTH * s_i, _HALF_WIDTH * s_i, points) for s_i in sigmas]
+    weights = [np.full(points, ax[1] - ax[0]) for ax in axes]
+    for w in weights:
+        w[0] = w[-1] = w[0] / 2.0
 
-    k = np.asarray(kernel, dtype=float)
     masses, moments = [], []
     for block in _independent_blocks(k):
-        if len(block) > 2:
-            raise DimensionMismatch(f"axes {block} form one block; the quadrature "
-                                    "integrates blocks of one or two axes")
-        m_b, s_b = _block_integrals(k[np.ix_(block, block)], [axes[i] for i in block],
-                                    [weights[i] for i in block])
+        m_b, s_b = _block_integrals(k, block, axes, weights)
         masses.append(m_b)
         moments.append(s_b)
     prod_mass = math.prod(masses)
@@ -339,15 +331,15 @@ def quadrature_entropy_n1(kernel, norm_const, points=257):
     tensor-grid trapezoid quadrature.
 
     The density is norm_const * exp(-w kernel w^T) with the caller-supplied
-    normalization. The grid's axes reach _HALF_WIDTH marginal deviations of
-    the whole kernel's covariance on either side of 0; each independent
-    block of the kernel, of one or two axes, is integrated on its whole
-    grid and the blocks are combined exactly (see _entropy_on_grid). A
-    block of three or more coupled axes raises DimensionMismatch. The grid
-    is checked first (mass within 1e-6 of 1) and the result is gated on
-    agreement between the requested and half resolution, both raising
-    GridTooCoarse on failure, a NaN included. points must be an integer, or
-    InvalidSpec is raised.
+    normalization. A kernel that fails spd_factor's test raises
+    NotPositiveDefinite before it is split. The axes reach _HALF_WIDTH
+    marginal deviations of its covariance on either side of 0; each single
+    axis and coupled pair is integrated on its whole grid and the blocks are
+    combined exactly (see _entropy_on_grid). An axis coupled to two others
+    raises DimensionMismatch. The grid is checked first (mass within 1e-6
+    of 1) and the result is gated on agreement between the requested and
+    half resolution, both raising GridTooCoarse on failure, a NaN included.
+    points must be an integer, or InvalidSpec is raised.
     """
     k = np.asarray(kernel, dtype=float)
     if k.ndim != 2 or k.shape[0] != k.shape[1] or k.shape[0] not in (2, 4):
@@ -363,8 +355,8 @@ def quadrature_entropy_n1(kernel, norm_const, points=257):
     sigmas = np.sqrt(np.diag(cov))
 
     coarse_pts = (points + 1) // 2
-    mass_f, ent_f = _entropy_on_grid(k, norm_const, sigmas, _HALF_WIDTH, points)
-    mass_c, ent_c = _entropy_on_grid(k, norm_const, sigmas, _HALF_WIDTH, coarse_pts)
+    mass_f, ent_f = _entropy_on_grid(k, norm_const, sigmas, points)
+    mass_c, ent_c = _entropy_on_grid(k, norm_const, sigmas, coarse_pts)
     for mass, label_pts in ((mass_f, points), (mass_c, coarse_pts)):
         if not abs(mass - 1.0) <= 1e-6:
             raise GridTooCoarse(

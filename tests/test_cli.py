@@ -1,5 +1,7 @@
 """Sweep, optimize, and verify entry points plus exit-code mapping."""
+import importlib
 import io
+import json
 import math
 import os
 import subprocess
@@ -206,6 +208,23 @@ def test_sweep_reproduces_gain_profiles(tmp_path):
     high = series(20.0, tmp_path / "high.csv")
     useful_high = sum(1 for r, g in high[5.0] if r > 0 and g > 0)
     assert useful_high > useful_low
+
+
+@pytest.mark.parametrize("n_eff", ["2", "20"])
+def test_sweep_writes_the_same_bytes_in_any_slice_size(tmp_path, monkeypatch, capsys, n_eff):
+    # the default 221-row grid, written in one slice per s block and in
+    # slices of 1, 7 and 220 rows, the last leaving a one-row slice
+    path = tmp_path / "sweep.csv"
+
+    def run():
+        assert main(["sweep", "--neff", n_eff, "--out", str(path)]) == 0
+        return path.read_bytes(), capsys.readouterr().out
+
+    whole = run()
+    assert whole[0].count(b"\n") == 1 + 4 * 221
+    for rows in (1, 7, 220):
+        monkeypatch.setattr(cli, "_SWEEP_SLICE_ROWS", rows)
+        assert run() == whole
 
 
 def test_sweep_rows_match_scalar_rate_gain(tmp_path):
@@ -691,3 +710,18 @@ def test_import_needs_numpy_only(capsys):
 def test_all_exports_resolve():
     for name in lossymem.__all__:
         assert hasattr(lossymem, name), name
+
+
+def test_benchmark_per_layer_names_name_package_functions():
+    # each <module>.<function>.<statistic> metric of BENCHMARK.json is
+    # recorded by tracing lossymem.<module>.<function>; a function the
+    # package no longer has drops the metric from every traced run
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "BENCHMARK.json")
+    with open(path, encoding="utf-8") as handle:
+        names = [entry["name"] for entry in json.load(handle)["per_layer"]]
+    layered = [name.split(".") for name in names if name.count(".") == 2]
+    assert layered
+    for module, function, _ in layered:
+        home = importlib.import_module(f"lossymem.{module}")
+        assert callable(getattr(home, function, None)), f"{module}.{function}"

@@ -18,6 +18,10 @@ for co (minus, its r -> -r, s -> -s mirror, for rel):
   output_entropy and joint_entropy, 3n ln 2 - n ln N - n/2 ln(64/N^2), is 0
   and c_out = c_joint = 1 exactly.
 
+Last, optimize_r's two claims, with x = e^{2r}: its loop's descent is a
+positive multiple of -d(rate)/dr, and d(rate)/dx is its docstring's sextic
+over a positive denominator.
+
 Runs only where sympy is installed, which the package itself never needs.
 """
 import functools
@@ -116,3 +120,47 @@ def test_the_output_normalization_is_one():
 def test_the_joint_normalization_is_one():
     co, rel = ((gl * joint) for gl, _, _, _, joint in map(chain_pair, CLASSES))
     assert vanishes(co * rel - 64 / N**2)
+
+
+# optimize_r's symbols: x = e^{2r}, the constants c_plus = (1 - eta) e^{2s}
+# and c_minus = (1 - eta) e^{-2s} and their scaled forms a = p0/eta and
+# b = m0/eta, and k = 2 N_eff + 1
+XE, ETA, NEFF, C_PLUS, C_MINUS, A, B, K = sp.symbols(
+    "x eta N_eff c_plus c_minus a b k", positive=True)
+
+
+def test_the_optimizers_descent_is_the_rates_downhill_slope():
+    # the loop's formulas at x, with sinh^2 r = (x + 1/x - 2)/4 in N
+    up, down = XE, 1 / XE
+    plus = 1 + ETA * up + C_PLUS
+    minus = 1 + ETA * down + C_MINUS
+    signal = 2 * ETA * (NEFF - (XE + 1 / XE - 2) / 4)
+    sinh2r = (XE - 1 / XE) / 2
+    descent = ((sinh2r + signal / plus * up) / (plus + signal)
+               + (sinh2r - signal / minus * down) / (minus + signal))
+    # 2 ln 2 rate, whose r-derivative is 2x times its x-derivative
+    rate = sp.log(1 + signal / plus) + sp.log(1 + signal / minus)
+    assert sp.cancel(sp.together(2 * ETA * descent + 2 * XE * sp.diff(rate, XE))) == 0
+
+
+def test_the_rates_slope_is_the_docstrings_sextic():
+    # plus = eta (a + x), minus = eta (b + 1/x), signal = 2 eta N with
+    # 2N = k - (x + 1/x)/2
+    plus, minus = ETA * (A + XE), ETA * (B + 1 / XE)
+    signal = ETA * (K - (XE + 1 / XE) / 2)
+    rate = sp.log(1 + signal / plus) + sp.log(1 + signal / minus)
+    # x^6 down to x^0, as the docstring lists them
+    sextic = [-B, -2 * (A * B + 1),
+              -(2 * A**2 * B + 2 * A * B**2 + 4 * A * B * K + 5 * A + 4 * B**2 * K
+                + 4 * B * K**2),
+              -4 * (A**2 - B**2),
+              2 * A**2 * B + 4 * A**2 * K + 2 * A * B**2 + 4 * A * B * K + 4 * A * K**2 + 5 * B,
+              2 * (A * B + 1), A]
+    numerator, denominator = sp.fraction(sp.together(sp.diff(rate, XE)))
+    coefficients = sp.Poly(numerator, XE).all_coeffs()
+    assert len(coefficients) == len(sextic)
+    assert all(sp.expand(got - want) == 0 for got, want in zip(coefficients, sextic))
+    # the denominator is 4 x^3 (a + x)(b x + 1)(plus + signal)(minus + signal)
+    # / eta^2, a product of positive factors
+    positive = 4 * XE**3 * (A + XE) * (B * XE + 1) * (plus + signal) * (minus + signal) / ETA**2
+    assert sp.cancel(denominator - positive) == 0

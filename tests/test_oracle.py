@@ -1,5 +1,6 @@
 """Moment-formula, Monte Carlo, and quadrature verification paths."""
 import decimal
+import itertools
 import math
 import sys
 import tracemalloc
@@ -766,19 +767,64 @@ def test_kernel_splits_into_independent_blocks():
     v_n = kernels_n1(0.8, 1.0, 0.3)[1]
     assert _independent_blocks(v_n) == [[0, 2], [1, 3]]
     assert _independent_blocks(np.diag([1.0, 2.0, 3.0, 4.0])) == [[0], [1], [2], [3]]
+    # one block of four axes, and one of three with axis 3 at its centre:
+    # each holds an axis with two partners, which the split refuses
     chain = np.array([[2.0, 0.5, 0.0, 0.0], [0.5, 2.0, 0.4, 0.0],
                       [0.0, 0.4, 2.0, 0.3], [0.0, 0.0, 0.3, 2.0]])
-    assert _independent_blocks(chain) == [[0, 1, 2, 3]]
-    # 0 and 1 are joined only through 3
     star = np.array([[1.0, 0.0, 0.0, 0.2], [0.0, 1.0, 0.0, 0.3],
                      [0.0, 0.0, 1.0, 0.0], [0.2, 0.3, 0.0, 1.0]])
-    assert _independent_blocks(star) == [[0, 1, 3], [2]]
+    for kernel in (chain, star):
+        with pytest.raises(DimensionMismatch):
+            _independent_blocks(kernel)
     # a NaN couples its two indices, even in one triangle only
     assert _independent_blocks(np.array([[1.0, np.nan], [0.0, 1.0]])) == [[0, 1]]
     assert _independent_blocks(np.array([[1.0, 0.0], [np.nan, 1.0]])) == [[0, 1]]
 
 
-def test_slab_quadrature_matches_outer_point_loop():
+def _connected_components(pattern):
+    """The connected components of a symmetric boolean pattern, each a
+    sorted index list, in order of their first index, by depth-first search."""
+    seen, components = set(), []
+    for start in range(len(pattern)):
+        if start in seen:
+            continue
+        stack, component = [start], []
+        seen.add(start)
+        while stack:
+            i = stack.pop()
+            component.append(i)
+            for j in np.flatnonzero(pattern[i]).tolist():
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        components.append(sorted(component))
+    return components
+
+
+def test_split_agrees_with_a_component_search_on_every_pattern():
+    # every off-diagonal nonzero pattern of 2 x 2, 3 x 3 and 4 x 4 kernels,
+    # 4 + 64 + 4096 of them; one set entry in three holds a NaN, which is
+    # nonzero in either triangle
+    checked = 0
+    for d in (2, 3, 4):
+        slots = [(i, j) for i in range(d) for j in range(d) if i != j]
+        for bits in itertools.product((False, True), repeat=len(slots)):
+            kernel = np.eye(d)
+            for index, ((i, j), bit) in enumerate(zip(slots, bits)):
+                if bit:
+                    kernel[i, j] = np.nan if (index + sum(bits)) % 3 == 0 else 0.25
+            pattern = (kernel != 0) | (kernel.T != 0)
+            components = _connected_components(pattern)
+            if max(map(len, components)) <= 2:
+                assert _independent_blocks(kernel) == components
+            else:
+                with pytest.raises(DimensionMismatch):
+                    _independent_blocks(kernel)
+            checked += 1
+    assert checked == 4164
+
+
+def test_slab_quadrature_matches_outer_point_loop(monkeypatch):
     u_p = kernels_n1(0.7, 1.5, 0.4)[0]
     v_n = kernels_n1(0.8, 1.0, 0.3)[1]
     # the output kernel, the split joint kernel, a coupled 2-D kernel and a
@@ -788,10 +834,11 @@ def test_slab_quadrature_matches_outer_point_loop():
     for kernel in kernels:
         sigmas = np.sqrt(np.diag(np.linalg.inv(kernel) / 2.0))
         for half_width in (8.0, 2.0):
+            monkeypatch.setattr(oracle, "_HALF_WIDTH", half_width)
             for points in (17, 16):
-                args = (kernel, det_norm(kernel), sigmas, half_width, points)
-                mass, ent = _entropy_on_grid(*args)
-                ref_mass, ref_ent = _reference_entropy_on_grid(*args)
+                mass, ent = _entropy_on_grid(kernel, det_norm(kernel), sigmas, points)
+                ref_mass, ref_ent = _reference_entropy_on_grid(
+                    kernel, det_norm(kernel), sigmas, half_width, points)
                 assert abs(mass - ref_mass) <= 1e-12
                 assert abs(ent - ref_ent) <= 1e-12
 
@@ -805,9 +852,9 @@ def test_block_quadrature_matches_outer_point_loop():
              (np.diag([1.0, 0.25]), 257)]
     for kernel, points in cases:
         sigmas = np.sqrt(np.diag(np.linalg.inv(kernel) / 2.0))
-        args = (kernel, det_norm(kernel), sigmas, 8.0, points)
-        mass, ent = _entropy_on_grid(*args)
-        ref_mass, ref_ent = _reference_entropy_on_grid(*args)
+        mass, ent = _entropy_on_grid(kernel, det_norm(kernel), sigmas, points)
+        ref_mass, ref_ent = _reference_entropy_on_grid(
+            kernel, det_norm(kernel), sigmas, oracle._HALF_WIDTH, points)
         assert abs(mass - ref_mass) <= 1e-12
         assert abs(ent - ref_ent) <= 1e-12
 
@@ -824,9 +871,13 @@ def test_quadrature_refuses_blocks_of_three_or_more_axes():
     for kernel in (chain, dense, star):
         sigmas = np.sqrt(np.diag(np.linalg.inv(kernel) / 2.0))
         with pytest.raises(DimensionMismatch):
-            _entropy_on_grid(kernel, det_norm(kernel), sigmas, 8.0, 17)
+            _entropy_on_grid(kernel, det_norm(kernel), sigmas, 17)
         with pytest.raises(DimensionMismatch):
             quadrature_entropy_n1(kernel, det_norm(kernel), points=17)
+        # the kernel is factored before it is split: coupled and not
+        # positive definite is a NotPositiveDefinite
+        with pytest.raises(NotPositiveDefinite):
+            quadrature_entropy_n1(-kernel, 1.0, points=17)
 
 
 def test_quadrature_rejects_wrong_shapes():
