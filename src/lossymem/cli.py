@@ -3,7 +3,7 @@
 Subcommands: `sweep` writes a CSV over an (s, r) grid, evaluated in one
 stacked call (`information._gain_grid`, of which `rate_gains` is the one-s
 view), `optimize` reports the best entanglement parameter per memory value,
-`verify` runs the invariant and oracle suites. Exit codes: 0 ok,
+`verify` runs the one suite of invariant and oracle checks. Exit codes: 0 ok,
 1 verification failure, 2 invalid spec, 3 numerical failure.
 """
 import argparse
@@ -67,7 +67,7 @@ SWEEP_MAX_ROWS = 10 ** 6
 # rows are one slice
 _SWEEP_SLICE_ROWS = 4096
 # the largest n that verify admits: spot-point-oracle builds (4n)^2-float
-# covariances, and verify quick at n = 1024 takes about 3 s and 0.6 GB
+# covariances, and verify full at n = 1024 takes about 3 s and 0.57 GB
 VERIFY_MAX_N = 1024
 # the largest n x N_eff that verify admits: from about 7e14 (7.1e14 at n = 1,
 # 8.0e14 at n = 32) the moment oracle's joint covariance fails spd_factor's
@@ -385,13 +385,13 @@ def _check_quadrature_joint():
     return dev <= 1e-4, f"dev={dev:.3e}"
 
 
-def _checks(level, seed, samples, n, eta, n_eff):
+def _checks(seed, samples, spot):
     """verify's registry: (name, check) pairs in print order, each check
     a call without arguments returning (ok, detail).
 
-    `quick` runs 8 checks of the kernels, the closed form, the moment
-    oracle and the sampler's mixing map; `full` adds the 3 sampled and the
-    3 quadrature checks. monte-carlo-memory-point and sampler-moments read
+    14 checks: 8 of the kernels, the closed form, the moment oracle and the
+    sampler's mixing map, then the 3 sampled and the 3 quadrature checks.
+    monte-carlo-memory-point and sampler-moments read
     one draw of `samples` rows (_shared_draw): its (16, 16) normals'
     covariance, drawn from its Wishart law and fixed by the seed, taken
     through the memory point's mixing map.
@@ -400,21 +400,15 @@ def _checks(level, seed, samples, n, eta, n_eff):
     oracles fails it and no other check, or if it has a role of its own
     (tests/test_mutants.py pins the faults and the roles).
     An invariant that holds by construction is a tier-1 test instead.
-    spot-point-oracle, at the requested (n, eta, N_eff), allows the moment
+    spot-point-oracle, at the ChannelParams `spot`, allows the moment
     oracle's round-off: 1e-7 + 16 n eps N_eff bits. sampler-map and
-    input-energy read the maps of fixed points, never the requested n,
+    input-energy read the maps of fixed points, never the spot point's n,
     whose map is (8n, 4n). The catalogue's beam-splitter fault fails no
     check: no verify path reads build_beam_splitter.
     """
-    spot = ChannelParams(n=n, eta=eta, s=1.0, n_eff=n_eff)
-    if n > VERIFY_MAX_N:
-        raise InvalidSpec(f"n must be at most VERIFY_MAX_N = {VERIFY_MAX_N} in verify, got {n!r}")
-    if n * n_eff > VERIFY_MAX_N_NEFF:
-        raise InvalidSpec(f"n x N_eff must be at most VERIFY_MAX_N_NEFF = {VERIFY_MAX_N_NEFF:g} "
-                          f"in verify, got {n * n_eff:g}")
     rng = np.random.default_rng(seed)
     additivity_points = [_random_point(rng) for _ in range(5)]
-    checks = [
+    return [
         ("memoryless-anchor", _check_memoryless_anchor),
         ("input-kernel-determinant", _check_kernel_determinant),
         ("kernel-row-sums", _check_kernel_row_sums),
@@ -423,38 +417,41 @@ def _checks(level, seed, samples, n, eta, n_eff):
         ("spot-point-oracle", lambda: _check_spot_point(spot)),
         ("sampler-map", _check_sampler_map),
         ("input-energy", _check_input_energy),
+        ("monte-carlo-memory-point", lambda: _check_mc_memory_point(samples, seed)),
+        ("monte-carlo-repeatability", lambda: _check_mc_repeatability(samples, seed)),
+        ("sampler-moments", lambda: _check_sampler_moments(samples, seed)),
+        ("quadrature-input-entropy", _check_quadrature_input),
+        ("quadrature-output-entropy", _check_quadrature_output),
+        ("quadrature-joint-entropy", _check_quadrature_joint),
     ]
-    if level == "full":
-        checks += [
-            ("monte-carlo-memory-point",
-             lambda: _check_mc_memory_point(samples, seed)),
-            ("monte-carlo-repeatability", lambda: _check_mc_repeatability(samples, seed)),
-            ("sampler-moments", lambda: _check_sampler_moments(samples, seed)),
-            ("quadrature-input-entropy", _check_quadrature_input),
-            ("quadrature-output-entropy", _check_quadrature_output),
-            ("quadrature-joint-entropy", _check_quadrature_joint),
-        ]
-    return checks
 
 
-def verify(level, seed=12345, samples=100000, n=2, eta=0.8, n_eff=2.0, stream=None):
-    """Run the named check suite; returns True when every check passes.
+def verify(level="full", seed=12345, samples=100000, n=2, eta=0.8, n_eff=2.0, stream=None):
+    """Run the check suite; returns True when every check passes.
 
-    The checks run in registry order on the calling thread, and each line
-    prints as its check returns. A LossyChannelError raised by a check is
-    that check's FAIL line; any other exception propagates after the lines
-    of the checks before it. A request that no check can run (parameters
-    that ChannelParams refuses, n above VERIFY_MAX_N or n x N_eff above
-    VERIFY_MAX_N_NEFF) raises InvalidSpec before the first line.
+    `full` is the one level, kept as a parameter so that callers that name
+    it still run. The checks run in registry order on the calling thread,
+    and each line prints as its check returns. A LossyChannelError raised
+    by a check is that check's FAIL line; any other exception propagates
+    after the lines of the checks before it. A request that no check can
+    run (a level other than `full`, parameters that ChannelParams refuses,
+    n above VERIFY_MAX_N or n x N_eff above VERIFY_MAX_N_NEFF) raises
+    InvalidSpec before the first line.
     """
     stream = sys.stdout if stream is None else stream
-    if level not in ("quick", "full"):
-        raise InvalidSpec(f"level must be 'quick' or 'full', got {level!r}")
+    if level != "full":
+        raise InvalidSpec(f"level must be 'full', got {level!r}")
     # the Monte Carlo checks seed with seed + 1 .. seed + 2; McConfig checks samples
     if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed <= 2 ** 64 - 3:
         raise InvalidSpec(f"seed must be an integer in [0, 2**64 - 3], got {seed!r}")
     McConfig(samples=samples, seed=seed)
-    checks = _checks(level, seed, samples, n, eta, n_eff)
+    spot = ChannelParams(n=n, eta=eta, s=1.0, n_eff=n_eff)
+    if n > VERIFY_MAX_N:
+        raise InvalidSpec(f"n must be at most VERIFY_MAX_N = {VERIFY_MAX_N} in verify, got {n!r}")
+    if n * n_eff > VERIFY_MAX_N_NEFF:
+        raise InvalidSpec(f"n x N_eff must be at most VERIFY_MAX_N_NEFF = {VERIFY_MAX_N_NEFF:g} "
+                          f"in verify, got {n * n_eff:g}")
+    checks = _checks(seed, samples, spot)
 
     failures = 0
     for name, check in checks:
@@ -464,7 +461,7 @@ def verify(level, seed=12345, samples=100000, n=2, eta=0.8, n_eff=2.0, stream=No
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         failures += 0 if ok else 1
         print(f"{'PASS' if ok else 'FAIL'} {name} {detail}", file=stream)
-    print(f"verify {level}: {len(checks)} checks, {len(checks) - failures} passed, "
+    print(f"verify full: {len(checks)} checks, {len(checks) - failures} passed, "
           f"{failures} failed", file=stream)
     return failures == 0
 
@@ -474,8 +471,6 @@ def _s_values(text):
         values = tuple(float(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a comma list of reals, got {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("expected at least one memory value")
     return values
 
 
@@ -505,8 +500,8 @@ def build_parser():
     p_opt.add_argument("--s", type=_s_values, default=(0.0, 1.0, 2.0, 5.0),
                        help="comma list of memory values")
 
-    p_ver = sub.add_parser("verify", help="run the invariant and oracle suites")
-    p_ver.add_argument("level", nargs="?", choices=("quick", "full"), default="quick")
+    p_ver = sub.add_parser("verify", help="run the invariant and oracle checks")
+    p_ver.add_argument("level", nargs="?", choices=("full",), default="full")
     _add_model_flags(p_ver)
     p_ver.add_argument("--seed", type=int, default=12345)
     p_ver.add_argument("--samples", type=int, default=100000)

@@ -57,9 +57,10 @@ from .channel_model import (
     photon_budgets,
 )
 from .errors import DimensionMismatch, GridTooCoarse, InvalidSpec
-from .information import LN2
 from .matrix_core import spd_factor, spd_logdet, symmetrize
 
+# ln 2, defined here: no oracle imports from the information module
+LN2 = math.log(2.0)
 # the sampling law of monte_carlo_mi is asymptotic in the sample count
 _MIN_SAMPLES = 40
 # sample rows per block of sample_joint; the rows do not depend on it

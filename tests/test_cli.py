@@ -1,4 +1,5 @@
 """Sweep, optimize, and verify entry points plus exit-code mapping."""
+import contextlib
 import importlib
 import io
 import json
@@ -322,6 +323,11 @@ def test_optimize_reports_r_zero_where_the_budget_admits_it_alone(capsys):
     assert [line.split(",")[1:3] for line in lines[1:]] == [["0", "0"], ["0", "0"]]
 
 
+def test_optimize_refuses_an_empty_s_list():
+    with pytest.raises(InvalidSpec, match="at least one memory value"):
+        optimize(2, 0.8, 2.0, (), stream=io.StringIO())
+
+
 def test_optimize_finds_nothing_at_unit_transmissivity():
     report = optimize(2, 1.0, 2.0, (0.0, 2.0), stream=io.StringIO())
     for _, r_star, gain_star, rate_star in report:
@@ -332,14 +338,30 @@ def test_optimize_finds_nothing_at_unit_transmissivity():
 
 # ---------------------------------------------------------------- verify
 
-def test_verify_quick_passes():
+# verify's default spot point
+_SPOT = ChannelParams(n=2, eta=0.8, s=1.0, n_eff=2.0)
+
+
+def _main_output(argv):
+    """main(argv)'s exit code and what it prints to stdout."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    return code, buf.getvalue()
+
+
+def test_verify_with_no_level_is_verify_full():
+    # `full` is the one level: `lossymem verify`, `lossymem verify full` and
+    # the library call print the same 14 PASS lines and the same summary
     t0 = time.perf_counter()
     buf = io.StringIO()
-    assert verify("quick", stream=buf) is True
+    assert verify("full", stream=buf) is True
     assert time.perf_counter() - t0 < 10.0
+    assert _main_output(["verify"]) == _main_output(["verify", "full"]) == (0, buf.getvalue())
     lines = buf.getvalue().splitlines()
-    assert lines[-1] == "verify quick: 8 checks, 8 passed, 0 failed"
+    assert lines[-1] == "verify full: 14 checks, 14 passed, 0 failed"
     assert all(line.startswith("PASS ") for line in lines[:-1])
+    assert len(lines) == 15
 
 
 def test_verify_full_is_deterministic():
@@ -352,7 +374,7 @@ def test_verify_full_is_deterministic():
 
 def test_every_check_returns_a_bool_and_a_str():
     # numpy bools and floats would not serialise to JSON as they are
-    for name, check in cli._checks("full", 12345, 100000, 2, 0.8, 2.0):
+    for name, check in cli._checks(12345, 100000, _SPOT):
         ok, detail = check()
         assert type(ok) is bool, name
         assert type(detail) is str, name
@@ -396,7 +418,7 @@ def test_kernel_determinant_catches_a_broken_inverse_identity(monkeypatch):
     exact = cli.build_input_kernel
     monkeypatch.setattr(cli, "build_input_kernel", lambda n, r: exact(n, r + 1e-3))
     buf = io.StringIO()
-    assert verify("quick", stream=buf) is False
+    assert verify("full", stream=buf) is False
     assert any(line.startswith("FAIL input-kernel-determinant max_dev=")
                for line in buf.getvalue().splitlines())
 
@@ -412,8 +434,9 @@ def test_moment_oracle_grid_catches_the_catalogued_faults(monkeypatch, fault):
 
 
 def test_verify_rejects_unknown_level():
-    with pytest.raises(InvalidSpec):
-        verify("bogus", stream=io.StringIO())
+    for level in ("bogus", "quick"):
+        with pytest.raises(InvalidSpec, match="level must be 'full'"):
+            verify(level, stream=io.StringIO())
 
 
 def test_verify_rejects_bad_seed_and_samples(capsys):
@@ -429,15 +452,15 @@ def test_verify_rejects_bad_seed_and_samples(capsys):
     # a bool is an int to isinstance; neither seed nor samples may be one
     for kwargs in ({"seed": True}, {"seed": False}, {"samples": True}):
         with pytest.raises(InvalidSpec):
-            verify("quick", stream=io.StringIO(), **kwargs)
+            verify("full", stream=io.StringIO(), **kwargs)
 
 
-def test_verify_refuses_what_it_cannot_run(tmp_path, capsys):
+def test_verify_refuses_what_it_cannot_run(tmp_path, capsys, monkeypatch):
     # a budget below N_MIN admits no r, not even 0, spot-point-oracle's
     # (4n)^2 covariances at n = 10^6 would take terabytes, and past
     # n x N_eff = VERIFY_MAX_N_NEFF they can fail the pivot test: each exits
-    # 2 before the first check line. The bounds themselves are tested on the
-    # registry, which builds nothing.
+    # 2 before the first check line. The bounds themselves are tested with an
+    # empty registry, so that the admitted edge runs no check.
     for argv in (["verify", "--neff", "1e-10"], ["verify", "full", "--n", "1000000"],
                  ["verify", "--n", "1024", "--neff", "1e12"], ["verify", "--neff", "1e15"]):
         assert main(argv) == 2
@@ -446,12 +469,13 @@ def test_verify_refuses_what_it_cannot_run(tmp_path, capsys):
         assert captured.out == ""
     assert main(["sweep", "--neff", "1e-10", "--out", str(tmp_path / "x.csv")]) == 2
     assert not (tmp_path / "x.csv").exists()
+    monkeypatch.setattr(cli, "_checks", lambda seed, samples, spot: [])
     with pytest.raises(InvalidSpec, match="VERIFY_MAX_N"):
-        cli._checks("quick", 12345, 100000, cli.VERIFY_MAX_N + 1, 0.8, 2.0)
-    cli._checks("quick", 12345, 100000, cli.VERIFY_MAX_N, 0.8, 2.0)
+        verify(n=cli.VERIFY_MAX_N + 1, stream=io.StringIO())
+    assert verify(n=cli.VERIFY_MAX_N, stream=io.StringIO()) is True
     with pytest.raises(InvalidSpec, match="VERIFY_MAX_N_NEFF"):
-        cli._checks("quick", 12345, 100000, 2, 0.8, 0.5e14 * (1 + 1e-15))
-    cli._checks("quick", 12345, 100000, 2, 0.8, 0.5e14)
+        verify(n_eff=0.5e14 * (1 + 1e-15), stream=io.StringIO())
+    assert verify(n_eff=0.5e14, stream=io.StringIO()) is True
 
 
 @pytest.mark.parametrize("n, n_eff", [(32, 1e8), (2, 1e10), (128, 1e10)])
@@ -465,36 +489,35 @@ def test_spot_point_allows_the_moment_oracles_round_off(n, n_eff):
 def test_verify_reports_a_failing_check(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_check_memoryless_anchor", lambda: (False, "dev=1.000e+00"))
     buf = io.StringIO()
-    assert verify("quick", stream=buf) is False
+    assert verify("full", stream=buf) is False
     lines = buf.getvalue().splitlines()
     assert "FAIL memoryless-anchor dev=1.000e+00" in lines
-    assert lines[-1] == "verify quick: 8 checks, 7 passed, 1 failed"
+    assert lines[-1] == "verify full: 14 checks, 13 passed, 1 failed"
     assert main(["verify"]) == 1
     assert "FAIL memoryless-anchor" in capsys.readouterr().out
 
 
 def _registry_names():
-    return [name for name, _ in cli._checks("full", 42, 100000, 2, 0.8, 2.0)]
+    return [name for name, _ in cli._checks(42, 100000, _SPOT)]
 
 
-@pytest.mark.parametrize("level, function, name, summary", [
-    ("quick", "_check_kernel_determinant", "input-kernel-determinant",
-     "verify quick: 8 checks, 7 passed, 1 failed"),
-    ("full", "_check_mc_memory_point", "monte-carlo-memory-point",
-     "verify full: 14 checks, 13 passed, 1 failed"),
-], ids=["quick", "full"])
-def test_verify_reports_a_raising_check(monkeypatch, capsys, level, function, name, summary):
+# a check without arguments and a sampled one
+@pytest.mark.parametrize("function, name", [
+    ("_check_kernel_determinant", "input-kernel-determinant"),
+    ("_check_mc_memory_point", "monte-carlo-memory-point"),
+], ids=["input-kernel-determinant", "monte-carlo-memory-point"])
+def test_verify_reports_a_raising_check(monkeypatch, capsys, function, name):
     def raising(*args):
         raise NotPositiveDefinite("pivot 0 at index 3")
 
     monkeypatch.setattr(cli, function, raising)
     buf = io.StringIO()
-    assert verify(level, seed=42, stream=buf) is False
+    assert verify("full", seed=42, stream=buf) is False
     lines = buf.getvalue().splitlines()
     assert lines[_registry_names().index(name)] == (
         f"FAIL {name} raised NotPositiveDefinite: pivot 0 at index 3")
-    assert lines[-1] == summary
-    assert main(["verify", level, "--seed", "42"]) == 1
+    assert lines[-1] == "verify full: 14 checks, 13 passed, 1 failed"
+    assert main(["verify", "--seed", "42"]) == 1
     assert f"FAIL {name} raised NotPositiveDefinite" in capsys.readouterr().out
 
 
@@ -658,8 +681,15 @@ def test_main_rejects_unwritable_output():
     assert code == 2
 
 
-def test_main_verify_quick_exit_code():
-    assert main(["verify"]) == 0
+def test_main_verify_quick_exit_code(capsys):
+    # full is verify's one level: argparse refuses any other with exit 2
+    # before a check runs
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "quick"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "invalid choice: 'quick'" in captured.err
+    assert captured.out == ""
 
 
 def test_parser_reads_negative_values_in_any_float_form(tmp_path):
@@ -671,6 +701,14 @@ def test_parser_reads_negative_values_in_any_float_form(tmp_path):
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(["sweep", "--bogus"])
     assert exc.value.code == 2
+
+
+def test_parser_refuses_an_empty_memory_value(capsys):
+    # "1,,2" holds an empty part, which float() refuses
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--s", "1,,2"])
+    assert exc.value.code == 2
+    assert "expected a comma list of reals, got '1,,2'" in capsys.readouterr().err
 
 
 def test_parser_rejects_unknown_level():

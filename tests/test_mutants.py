@@ -200,7 +200,8 @@ def test_intact_model_fails_no_check():
 
 def test_every_check_is_the_sole_catcher_of_a_fault_or_has_a_role():
     # the failing sets are the ones the tests below pin
-    names = [name for name, _ in cli._checks("full", 12345, 100000, 2, 0.8, 2.0)]
+    spot = channel_model.ChannelParams(n=2, eta=0.8, s=1.0, n_eff=2.0)
+    names = [name for name, _ in cli._checks(12345, 100000, spot)]
     sole = {name for _, failing in [*CATALOGUE.values(), *LAW_FAULTS.values()]
             if len(failing) == 1 for name in failing}
     assert set(ROLES) <= set(names)

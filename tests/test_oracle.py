@@ -1,5 +1,7 @@
 """Moment-formula, Monte Carlo, and quadrature verification paths."""
+import ast
 import decimal
+import inspect
 import itertools
 import math
 import sys
@@ -9,7 +11,7 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from lossymem import cli, oracle
+from lossymem import cli, information, oracle
 from lossymem.channel_model import (
     N_MIN,
     ChannelParams,
@@ -67,6 +69,30 @@ def det_norm(kernel):
     """exp(-w kernel w^T) integrates to pi^{d/2} / sqrt(det kernel)."""
     d = kernel.shape[0]
     return math.exp(0.5 * spd_logdet(kernel) - 0.5 * d * math.log(math.pi))
+
+
+# ---------------------------------------------------------------- independence
+
+def _imported_names(module):
+    """The dotted name of each name that module's imports bind, relative
+    imports resolved against the lossymem package."""
+    names = []
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["lossymem" if node.level else "", node.module]))
+            names += [f"{base}.{alias.name}" for alias in node.names]
+    return names
+
+
+def test_no_oracle_imports_from_the_information_module():
+    # the oracles check information's closed form, so they read none of it;
+    # ln 2 is their own, the same float
+    names = _imported_names(oracle)
+    assert "lossymem.channel_model.build_input_kernel" in names
+    assert [name for name in names if f"{name}.".startswith("lossymem.information.")] == []
+    assert oracle.LN2 == information.LN2
 
 
 # ---------------------------------------------------------------- config
